@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -86,14 +85,12 @@ def _cmd_jumps(args) -> str:
 def _cmd_roots(args) -> str:
     presentation, ideal = _presentation_and_ideal(args)
     interval = _parse_interval(args.interval) if args.interval else None
-    workers = int(os.environ.get("BSROOTS_THREADS", "1"))
     certs = roots_mod.bernstein_sato_roots(
         presentation,
         ideal,
         levels=args.levels,
         denominator_bound=args.denom_bound,
         interval=interval,
-        workers=workers,
     )
     payload = {"certified_level": args.levels, "roots": [c.to_dict() for c in certs]}
     lines = [f"bernstein-sato roots certified to level {args.levels}:"] + [

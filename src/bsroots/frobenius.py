@@ -82,18 +82,8 @@ def diff_closure(a: Ideal, e: int) -> Ideal:
     return eth_root(a, e).frobenius_power(e)
 
 
-def diff_closure_power(a: Ideal, n: int, e: int) -> Ideal:
-    """diff_closure(a^n, e) through the peeled root."""
-    return eth_root_power(a, n, e).frobenius_power(e)
-
-
 def cartier_preimage(b: Ideal, e: int) -> Ideal:
     """I_e(b) = {f : C^e * f in b}, which for a polynomial ring is b^[p^e]."""
     if e < 0:
         raise ValueError("level e must be >= 0")
     return b.frobenius_power(e)
-
-
-def root_label(a: Ideal, n: int, e: int):
-    """Canonical hashable form of C^e * a^n, used for jump comparisons."""
-    return eth_root_power(a, n, e).canonical_label()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import frobenius
 from .polyring import Ideal, RowSpan
-from .rings import JumpEngine, Presentation, jump_engine
+from .rings import Presentation, jump_engine
 
 
 @dataclass
@@ -77,58 +77,59 @@ def is_jump(presentation: Presentation, ideal, e: int, n: int) -> bool:
     return jump_engine(presentation, ideal).is_jump(n, e)
 
 
-def engine_for(presentation: Presentation, ideal) -> JumpEngine:
-    return jump_engine(presentation, ideal)
-
-
 # -- nu invariants ---------------------------------------------------------------
 
 
-def nu_invariant(a: Ideal, c: Ideal, e: int, radical_power_bound: int = 24) -> int:
-    """max{n >= 0 : a^n not contained in c^[p^e]} for ideals of a polynomial ring.
+def largest_true(pred) -> int:
+    """The largest n >= 0 with pred(n), for pred true at 0 and false from some n on.
 
-    Requires c proper and a inside the radical of c (otherwise no maximum
-    exists); radical membership is tested generator-by-generator up to the
-    configured power bound.
+    Doubles n until pred fails, then bisects the last step.
+    """
+    lo, hi = 0, 1
+    while pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def check_nu_preconditions(a: Ideal, c: Ideal) -> None:
+    """Raise ValueError unless a and c share a ring, c is proper and a lies in rad(c).
+
+    These make max{n : a^n not contained in c^[p^e]} exist for every e.
     """
     if a.ring != c.ring:
         raise ValueError("a and c must live in the same ring")
     if c.is_unit():
         raise ValueError("c must be a proper ideal")
+    for g in a.generators:
+        if not c.radical_contains(g):
+            raise ValueError(f"generator {g} of a is not in the radical of c")
+
+
+def nu_invariant(a: Ideal, c: Ideal, e: int) -> int:
+    """max{n >= 0 : a^n not contained in c^[p^e]} for ideals of a polynomial ring.
+
+    Requires c proper and a inside the radical of c (otherwise no maximum
+    exists); both are decided exactly before the search.
+    """
+    check_nu_preconditions(a, c)
     if a.is_zero():
         return 0
-    for g in a.generators:
-        if not c.radical_contains(g, radical_power_bound):
-            raise ValueError(
-                f"generator {g} of a not detected in the radical of c"
-                f" (power bound {radical_power_bound})"
-            )
     frob = c.frobenius_power(e)
-
-    def contained(n: int) -> bool:
-        return frob.contains_ideal(a.power(n))
-
-    # a^0 = (1) is never inside the proper ideal; grow until containment holds,
-    # then binary-search the boundary (containment is monotone in n).
-    lo = 0
-    hi = 1
-    while not contained(hi):
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contained(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    # a^0 = (1) is never inside the proper ideal, and containment is monotone in n.
+    return largest_true(lambda n: not frob.contains_ideal(a.power(n)))
 
 
 # -- Groebner-free route, used as an independent oracle --------------------------
 
 
 def jump_set_via_oracle(a: Ideal, e: int, window: int | None = None) -> tuple[int, ...]:
-    """Level-e jumps of a polynomial-ring ideal without Groebner bases.
+    """Level-e jumps of a polynomial-ring ideal without Groebner bases; a test oracle.
 
     n is a jump iff a^n is not contained in D^(e)*a^(n+1) = (C^e*a^(n+1))^[p^e].
     Powers are raw generator products, root coefficients are read off the raw

@@ -1,5 +1,8 @@
 """Exact arithmetic in Z_(p): p-adic digits, truncations, and base-p expansions.
 
+It also holds the one candidate grid that roots, thresholds and F-jumping
+numbers search: every k/d in an interval with d dividing some p^c (p^b - 1).
+
 Elements are rationals with denominator coprime to p, kept as exact
 `fractions.Fraction` values.  Truncations are computed with modular inverses,
 so they are defined for every element of Z_(p); the two-case periodic formula
@@ -9,9 +12,9 @@ inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -83,11 +86,11 @@ class PAdicRational:
     def expn_truncation(self, e: int, a: int) -> int:
         """Truncation mod p^(e*a) via the closed periodic-expansion formula.
 
-        Requires (p^e - 1) * alpha to be an integer, and `a` large enough that
-        the formula output lands in [0, p^(e*a)); validity is checked on the
-        computed value (this is equivalent to the two inequalities that make
-        the formula correct).  Kept independent of `truncation` so the two can
-        cross-check each other.
+        A test oracle for `truncation`.  Requires (p^e - 1) * alpha to be an
+        integer, and `a` large enough that the formula output lands in
+        [0, p^(e*a)); validity is checked on the computed value (this is
+        equivalent to the two inequalities that make the formula correct).
+        Kept independent of `truncation` so the two can cross-check each other.
         """
         if e <= 0 or a <= 0:
             raise ValueError("e and a must be positive")
@@ -98,7 +101,7 @@ class PAdicRational:
         if alpha.denominator == 1 and alpha < 0:
             n = q + alpha.numerator
         else:
-            ceil_alpha = -((-alpha.numerator) // alpha.denominator)
+            ceil_alpha = math.ceil(alpha)
             # (p^e - 1) | (p^(ae) - 1), so this is an exact integer.
             n = int((1 - q) * (alpha - ceil_alpha) + ceil_alpha)
         if not 0 <= n < q:
@@ -128,9 +131,7 @@ class BasePFraction:
         if e < 1:
             raise ValueError("level e must be >= 1")
         q = self.p**e
-        scaled = self.value * q
-        ceil_scaled = -((-scaled.numerator) // scaled.denominator)
-        return Fraction(ceil_scaled - 1, q)
+        return Fraction(math.ceil(self.value * q) - 1, q)
 
     def digit(self, e: int) -> int:
         """The e-th digit of the non-terminating base-p expansion (e >= 1)."""
@@ -158,6 +159,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def in_z_p(value: Fraction, p: int) -> bool:
-    """True when the reduced denominator is coprime to p."""
-    return gcd(value.denominator, p) == 1
+def grid_denominators(p: int, c_max: int, b_max: int) -> list[int]:
+    """The denominators p^c (p^b - 1) with 0 <= c <= c_max and 1 <= b <= b_max, sorted."""
+    return sorted({p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)})
+
+
+def rational_grid(lo: Fraction, hi: Fraction, denominators) -> list[Fraction]:
+    """Every k/d in the closed interval [lo, hi] with d among the denominators, sorted."""
+    grid = {
+        Fraction(k, d)
+        for d in denominators
+        for k in range(math.ceil(lo * d), math.floor(hi * d) + 1)
+    }
+    return sorted(grid)

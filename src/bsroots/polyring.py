@@ -6,7 +6,7 @@ every printed object is byte-stable.  Monomial ideals short-circuit Buchberger:
 their reduced basis is the minimal monomial generating set.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
-kept alongside the Groebner route as an independent cross-check.
+kept alongside the Groebner route as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -333,6 +333,10 @@ def _mono_quot(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(a - b for a, b in zip(m1, m2))
 
 
+def _support(m: Monomial) -> frozenset:
+    return frozenset(i for i, a in enumerate(m) if a)
+
+
 def minimal_monomials(monos) -> list[Monomial]:
     """Minimal elements under divisibility (the minimal monomial generators).
 
@@ -447,7 +451,7 @@ class Ideal:
     def is_one_ideal_fast(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
-    def power(self, n: int, e_hint: int = 1) -> "Ideal":
+    def power(self, n: int) -> "Ideal":
         """Generators of the n-th power (a^0 = (1) by convention).
 
         Monomial ideals enumerate exponent combinations directly; principal
@@ -476,7 +480,7 @@ class Ideal:
             else:
                 result = self._monomial_power(n)
         else:
-            result = self._chain_power(n, e_hint)
+            result = self._chain_power(n)
         self._power_cache[n] = result
         return result
 
@@ -502,16 +506,15 @@ class Ideal:
             monos = minimal_monomials(sums)
         return Ideal(self.ring, [self.ring.monomial(m) for m in monos])
 
-    def _chain_power(self, n: int, e_hint: int) -> "Ideal":
+    def _chain_power(self, n: int) -> "Ideal":
         r = len(self.generators)
-        q = self.ring.p**e_hint
+        q = self.ring.p
         # a^n = a^(n - m q) * (a^[q])^m once n >= m q + (r-1)(q-1)  (pigeonhole)
         m = (n - (r - 1) * (q - 1)) // q if n >= q + (r - 1) * (q - 1) else 0
         if m >= 2:
-            rest = self.power(n - m * q, e_hint)
-            frob = self.frobenius_power(e_hint).power(m)
-            result = rest.product(frob)
-            return result
+            rest = self.power(n - m * q)
+            frob = self.frobenius_power(1).power(m)
+            return rest.product(frob)
         best = max((k for k in self._power_cache if k < n), default=1)
         current = self._power_cache.get(best, self)
         for _ in range(n - best):
@@ -530,21 +533,29 @@ class Ideal:
             declared_r=self.declared_r,
         )
 
-    def radical_contains(self, f: Polynomial, power_bound: int = 24) -> bool:
-        """Whether f lies in the radical, tested up to f^power_bound.
+    def radical_contains(self, f: Polynomial) -> bool:
+        """Whether f lies in the radical of this ideal, decided exactly.
 
-        Exact for monomial ideals (radical membership of a monomial is
-        detected at exponent <= power_bound for the sizes used here); a
-        documented bounded search otherwise.
+        The radical of a monomial ideal is generated by the supports of its
+        generators, so f lies in it iff the support of every term of f contains
+        the support of some generator.  Otherwise the Rabinowitsch trick
+        applies: f is in the radical iff 1 lies in this ideal plus (1 - t*f)
+        over the ring with one more variable t.
         """
-        if self.contains(f):
-            return True
-        acc = f
-        for _ in range(power_bound):
-            acc = acc * f
-            if self.contains(acc):
-                return True
-        return False
+        if self.is_monomial_ideal():
+            supports = [_support(g.leading_monomial()) for g in self.generators]
+            return all(any(s <= _support(m) for s in supports) for m, _ in f.terms)
+        ring = self.ring
+        t = "t"
+        while t in ring.variables:
+            t += "_"
+        big = PolyRing(ring.p, ring.variables + (t,))
+
+        def lift(g: Polynomial) -> Polynomial:
+            return big.polynomial({m + (0,): c for m, c in g.terms})
+
+        rabinowitsch = big.one() - lift(f) * big.variable(t)
+        return Ideal(big, [lift(g) for g in self.generators] + [rabinowitsch]).is_unit()
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -681,9 +692,9 @@ class RowSpan:
 
     Built once by incremental Gauss over F_p (rows as sparse {column: coeff});
     membership queries then reduce against the stored pivots.  No Groebner
-    machinery is involved, which makes this the independent route for
-    cross-checking `Ideal.contains`.  Complete for monomial ideals; a
-    documented bounded check otherwise.
+    machinery is involved, which makes this the test oracle for
+    `Ideal.contains`.  Complete for monomial ideals; a documented bounded
+    check otherwise.
     """
 
     def __init__(self, ring: PolyRing, generators, cap: int):
@@ -734,7 +745,7 @@ class RowSpan:
 
 
 def linear_membership(f: Polynomial, generators, degree_cap: int | None = None) -> bool:
-    """Degree-bounded membership by row reduction, no Groebner bases involved."""
+    """Degree-bounded membership by row reduction, no Groebner bases; a test oracle."""
     if f.is_zero():
         return True
     generators = [g for g in generators if not g.is_zero()]

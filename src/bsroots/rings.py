@@ -497,7 +497,13 @@ def _semigroup_level_data(S: NumericalSemigroup, q: int) -> _SemigroupLevelData:
 
 
 class JumpEngine:
-    """Canonical labels for D^(e)*a^n plus jump queries derived from them."""
+    """Canonical labels for D^(e)*a^n plus jump queries derived from them.
+
+    An engine that computes labels calls `JumpEngine.__init__` and supplies
+    `_compute_label`; `d_label` keeps each label per (n, e), since jump sets,
+    jump queries and candidate checks ask for the same labels many times.
+    The closed-form catalog engines override `d_label` instead.
+    """
 
     p: int
     r: int
@@ -505,7 +511,17 @@ class JumpEngine:
     threshold_slack: int
     producer: str
 
+    def __init__(self):
+        self._labels: dict[tuple[int, int], object] = {}
+
     def d_label(self, n: int, e: int):
+        key = (n, e)
+        label = self._labels.get(key)
+        if label is None:
+            label = self._labels[key] = self._compute_label(n, e)
+        return label
+
+    def _compute_label(self, n: int, e: int):
         raise NotImplementedError
 
     def is_jump(self, n: int, e: int) -> bool:
@@ -536,38 +552,34 @@ class RegularJumpEngine(JumpEngine):
     threshold_slack = 0
 
     def __init__(self, ideal: Ideal, producer: str = "regular"):
+        super().__init__()
         self.ideal = ideal
         self.p = ideal.ring.p
         self.r = ideal.declared_r
         self.producer = producer
-        self._labels: dict[tuple[int, int], object] = {}
 
-    def d_label(self, n: int, e: int):
-        key = (n, e)
-        label = self._labels.get(key)
-        if label is None:
-            a = self.ideal
-            # Materializing a^n pays off only while its generator count stays
-            # linear in n (principal ideals, monomial ideals in <= 2
-            # variables, small n); otherwise peel Frobenius levels.
-            materialize = (
-                n <= 64
-                or len(a.generators) == 1
-                or (a.is_monomial_ideal() and a.ring.nvars <= 2)
-            )
-            if materialize:
-                root = frobenius.eth_root(a.power(n), e)
-            else:
-                root = frobenius.eth_root_power(a, n, e)
-            label = root.canonical_label()
-            self._labels[key] = label
-        return label
+    def _compute_label(self, n: int, e: int):
+        a = self.ideal
+        # Materializing a^n pays off only while its generator count stays
+        # linear in n (principal ideals, monomial ideals in <= 2 variables,
+        # small n); otherwise peel Frobenius levels.
+        materialize = (
+            n <= 64
+            or len(a.generators) == 1
+            or (a.is_monomial_ideal() and a.ring.nvars <= 2)
+        )
+        if materialize:
+            root = frobenius.eth_root(a.power(n), e)
+        else:
+            root = frobenius.eth_root_power(a, n, e)
+        return root.canonical_label()
 
 
 class SemigroupJumpEngine(JumpEngine):
     producer = "semigroup"
 
     def __init__(self, presentation: SemigroupRingPresentation, ideal: SemigroupIdeal):
+        super().__init__()
         self.presentation = presentation
         self.S = presentation.semigroup
         self.ideal = ideal
@@ -591,7 +603,7 @@ class SemigroupJumpEngine(JumpEngine):
             self._powers[k] = current
         return current
 
-    def d_label(self, n: int, e: int):
+    def _compute_label(self, n: int, e: int):
         power = SemigroupIdeal(self.S, self._power_exponents(n))
         return semigroup_diff_closure(self.S, power, e, self.p).exponents
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import PAdicRational, format_rational
+from .padic import PAdicRational, format_rational, grid_denominators, rational_grid
 from .rings import JumpEngine, Presentation, jump_engine
 
 
@@ -62,14 +62,7 @@ def enumerate_candidates(
     if denominator_bound < 1:
         raise ValueError("denominator bound must be >= 1")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    seen: set[Fraction] = set()
-    for b in range(1, denominator_bound + 1):
-        d = p**b - 1
-        start = -((-lo.numerator * d) // lo.denominator)  # ceil(lo * d)
-        stop = (hi.numerator * d) // hi.denominator  # floor(hi * d)
-        for k in range(start, stop + 1):
-            seen.add(Fraction(k, d))
-    return sorted(seen)
+    return rational_grid(lo, hi, grid_denominators(p, 0, denominator_bound))
 
 
 def verify_root_to_level(
@@ -112,15 +105,12 @@ def bernstein_sato_roots(
     levels: int = 3,
     denominator_bound: int | None = None,
     interval: tuple[Fraction, Fraction] | None = None,
-    workers: int = 1,
 ) -> list[RootCertificate]:
     """All enumerated candidates that survive verification to the given level.
 
     Defaults: the interval is [-r, 0] for F-split-certified presentations and
     [-r, r] otherwise (the artinian catalog widens to [0, n]); the denominator
     bound is ceil(levels / 2) so a candidate shows at least two full periods.
-    Candidate verification is independent per candidate; with workers > 1 it
-    runs on a thread pool (results are deterministic either way).
     """
     engine = jump_engine(presentation, ideal)
     if interval is None:
@@ -128,15 +118,7 @@ def bernstein_sato_roots(
     if denominator_bound is None:
         denominator_bound = max(1, (levels + 1) // 2)
     candidates = enumerate_candidates(engine.p, denominator_bound, interval)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(
-                pool.map(lambda a: verify_root_to_level(engine, a, levels), candidates)
-            )
-    else:
-        verdicts = [verify_root_to_level(engine, a, levels) for a in candidates]
+    verdicts = [verify_root_to_level(engine, a, levels) for a in candidates]
     return [v for v in verdicts if isinstance(v, RootCertificate)]
 
 

@@ -14,15 +14,15 @@ peeled Cartier roots) so they can cross-check each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import frobenius
-from .jumps import nu_invariant
-from .padic import format_rational
+from .jumps import check_nu_preconditions, largest_true, nu_invariant
+from .padic import format_rational, grid_denominators, rational_grid
 from .polyring import Ideal
 from .rings import JumpEngine, Presentation, jump_engine
-from .roots import RootCertificate
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,6 @@ class ThresholdCertificate:
         return f"{format_rational(self.value)} (certified to level {self.certified_level})"
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def verify_threshold(
     engine: JumpEngine, lam: Fraction, levels: int
 ) -> ThresholdCertificate | None:
@@ -63,8 +55,8 @@ def verify_threshold(
     witnesses = []
     for e in range(1, levels + 1):
         target = lam * engine.p**e
-        lo = max(0, _ceil(target - engine.r - K))
-        hi = _floor(target + K)
+        lo = max(0, math.ceil(target - engine.r - K))
+        hi = math.floor(target + K)
         found = None
         best_distance = None
         for k in range(lo, hi + 1):
@@ -107,24 +99,15 @@ def threshold_candidates(
     lo_cap, hi_cap = Fraction(interval[0]), Fraction(interval[1])
     q = p**E
     width = Fraction(r + engine.threshold_slack)
-    spawn_ranges = []
+    denominators = grid_denominators(p, c_max, b_max)
+    base: set[Fraction] = set()
     for nu in engine.jump_set(E):
         lo = max(Fraction(0), Fraction(nu, q) - width / q)
-        hi = Fraction(nu, q) + width / q
-        spawn_ranges.append((lo, hi))
-
-    denominators = sorted(
-        {p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)}
-    )
-    base: set[Fraction] = set()
-    for lo, hi in spawn_ranges:
-        for d in denominators:
-            for k in range(_ceil(lo * d), _floor(hi * d) + 1):
-                base.add(Fraction(k, d))
+        base.update(rational_grid(lo, Fraction(nu, q) + width / q, denominators))
     # Integer translates sweep candidates across the requested interval.
     out: set[Fraction] = set()
     if base:
-        max_shift = _floor(hi_cap - min(base)) + 1
+        max_shift = math.floor(hi_cap - min(base)) + 1
         for lam in base:
             for shift in range(0, max(1, max_shift) + 1):
                 value = lam + shift
@@ -191,11 +174,8 @@ def _merge_clusters(
 def fpt(
     presentation: Presentation, ideal, levels: int = 3
 ) -> ThresholdCertificate | None:
-    """The smallest certified differential threshold (None for the unit ideal)."""
-    engine = jump_engine(presentation, ideal)
-    certificates = differential_thresholds(
-        presentation, ideal, levels, interval=(Fraction(0), Fraction(engine.r))
-    )
+    """The smallest certified differential threshold in [0, r] (None for the unit ideal)."""
+    certificates = differential_thresholds(presentation, ideal, levels)
     return certificates[0] if certificates else None
 
 
@@ -235,17 +215,8 @@ def _detect_limit(nu: dict[int, int], p: int, r: int) -> ThresholdSequence:
     return ThresholdSequence(nu=nu, limit=None, bracket=bracket, pattern=None)
 
 
-def _check_threshold_preconditions(a: Ideal, c: Ideal, radical_power_bound: int = 24):
-    if c.is_unit():
-        raise ValueError("c must be a proper ideal")
-    for g in a.generators:
-        if not c.radical_contains(g, radical_power_bound):
-            raise ValueError(f"generator {g} of a not detected in the radical of c")
-
-
 def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     """The F-threshold data of a with respect to c: nu_e = max{n : a^n not in c^[p^e]}."""
-    _check_threshold_preconditions(a, c)
     nu = {e: nu_invariant(a, c, e) for e in range(1, levels + 1)}
     return _detect_limit(nu, a.ring.p, a.declared_r)
 
@@ -256,26 +227,12 @@ def cartier_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     Computed through the Cartier-preimage reformulation with peeled roots;
     on a polynomial ring it agrees with `f_threshold` level by level.
     """
-    _check_threshold_preconditions(a, c)
-    p = a.ring.p
-    nu = {}
-    for e in range(1, levels + 1):
-
-        def outside(n: int) -> bool:
-            return not c.contains_ideal(frobenius.eth_root_power(a, n, e))
-
-        lo, hi = 0, 1
-        while outside(hi):
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if outside(mid):
-                lo = mid
-            else:
-                hi = mid
-        nu[e] = lo
-    return _detect_limit(nu, p, a.declared_r)
+    check_nu_preconditions(a, c)
+    nu = {
+        e: largest_true(lambda n: not c.contains_ideal(frobenius.eth_root_power(a, n, e)))
+        for e in range(1, levels + 1)
+    }
+    return _detect_limit(nu, a.ring.p, a.declared_r)
 
 
 # -- test ideals and F-jumping numbers ---------------------------------------------
@@ -318,7 +275,7 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int = 4) -> TestIdealResult:
         c_part += 1
     chain = []
     for e in range(1, e_max + 1):
-        n = _ceil(lam * p**e)
+        n = math.ceil(lam * p**e)
         chain.append(frobenius.eth_root_power(a, n, e))
     for prev, nxt in zip(chain, chain[1:]):
         if not nxt.contains_ideal(prev):
@@ -358,18 +315,11 @@ def f_jumping_numbers(
         raise ValueError("interval must satisfy 0 <= lo <= hi")
     if grid_c_max is None:
         grid_c_max = max(0, e_max - 3)
-    p = a.ring.p
-    denominators = sorted(
-        {p**c * (p**b - 1) for c in range(grid_c_max + 1) for b in range(1, b_max + 1)}
-    )
-    grid: set[Fraction] = set()
-    for d in denominators:
-        for k in range(_ceil(lo * d), _floor(hi * d) + 1):
-            grid.add(Fraction(k, d))
+    denominators = grid_denominators(a.ring.p, grid_c_max, b_max)
+    points = rational_grid(lo, hi, denominators)
     if lo > 0:
-        # One comparison point just below the interval.
-        grid.add(max((Fraction(_ceil(lo * d) - 1, d)) for d in denominators))
-    points = sorted(grid)
+        # One comparison point just below the interval: the largest grid point < lo.
+        points.insert(0, max(Fraction(math.ceil(lo * d) - 1, d) for d in denominators))
     jumps = []
     # tau(a^0) = (1) seeds the comparison when the interval starts at zero.
     previous_ideal = Ideal(a.ring, (a.ring.one(),), declared_r=1) if lo == 0 else None
@@ -428,7 +378,7 @@ def coset_correspondence_check(
     for alpha in roots:
         negative_integer = alpha.denominator == 1 and alpha < 0
         offsets = range(1, r + 1) if negative_integer else range(0, r)
-        shift = alpha - _ceil(alpha)
+        shift = alpha - math.ceil(alpha)
         ok = any(
             (shift + lam).denominator == 1 and int(shift + lam) in offsets
             for lam in thresholds
@@ -448,7 +398,7 @@ def coset_correspondence_check(
             continue
         integer = lam.denominator == 1
         offsets = range(-r, 1) if integer else range(1 - r, 1)
-        shift = lam - _floor(lam)
+        shift = lam - math.floor(lam)
         ok = any(
             (alpha + shift).denominator == 1 and int(alpha + shift) in offsets
             for alpha in roots
@@ -460,14 +410,3 @@ def coset_correspondence_check(
                 f" (offsets {list(offsets)}); raise the level or widen the interval cap"
             )
     return report
-
-
-def certificates_to_values(certificates) -> list[Fraction]:
-    """Convenience: pull the rational values out of root/threshold certificates."""
-    out = []
-    for cert in certificates:
-        if isinstance(cert, (RootCertificate, ThresholdCertificate)):
-            out.append(cert.value if isinstance(cert, ThresholdCertificate) else cert.candidate)
-        else:
-            out.append(Fraction(cert))
-    return out

@@ -166,6 +166,25 @@ def test_precondition_exit_code(capsys):
     assert "radical" in err
 
 
+def test_nu_against_high_power(capsys):
+    code, out, _ = invoke(
+        capsys,
+        "nu",
+        "--ring",
+        "poly p=5 vars=x",
+        "--ideal",
+        "x",
+        "--cideal",
+        "x^30",
+        "--levels",
+        "3",
+    )
+    assert code == EXIT_OK
+    assert out == (
+        '{"bracket":["3749/125","30"],"limit":"30","nu":{"1":149,"2":749,"3":3749}}\n'
+    )
+
+
 def test_catalog_ring_needs_no_ideal(capsys):
     code, out, _ = invoke(
         capsys, "jumps", "--ring", "catalog cross_xy p=3", "--level", "1"

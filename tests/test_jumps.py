@@ -16,6 +16,7 @@ from bsroots import (
     nu_invariant,
     parse_ring_declaration,
 )
+from bsroots.jumps import largest_true
 from bsroots.polyring import PolyRing, Ideal
 
 from propchecks import (
@@ -131,6 +132,26 @@ def test_nu_rescaling_monotone(px):
     values = {e: nu_invariant(a, c, e) for e in (1, 2, 3)}
     assert values[1] * 5 <= values[2]
     assert values[2] * 5 <= values[3]
+
+
+def test_nu_radical_beyond_small_powers():
+    # x + y lies in rad((x + y)^30) only from the 30th power on.
+    pres = PolynomialRingPresentation(5, ("x", "y"))
+    a = pres.parse_ideal("x + y")
+    c = Ideal(pres.ring, (pres.ring.parse("x + y") ** 30,))
+    assert nu_invariant(a, c, 1) == 149
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 8, 9, 100, 1023, 1024])
+def test_largest_true_finds_threshold(t):
+    calls = []
+
+    def pred(n):
+        calls.append(n)
+        return n <= t
+
+    assert largest_true(pred) == t
+    assert len(calls) <= 2 * (t + 1).bit_length() + 2
 
 
 def test_nu_precondition_radical(px):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bsroots import BasePFraction, PAdicRational, format_rational, parse_rational
+from bsroots.padic import grid_denominators, rational_grid
 
 
 @pytest.mark.parametrize(
@@ -127,3 +128,28 @@ def test_parse_rational(text, expected):
 def test_format_rational_roundtrip():
     for value in (Fraction(-3, 2), Fraction(4), Fraction(0)):
         assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize(
+    "p,c_max,b_max,lo,hi",
+    [
+        (2, 0, 3, Fraction(-2), Fraction(1)),
+        (3, 2, 2, Fraction(1, 4), Fraction(7, 5)),
+        (5, 1, 1, Fraction(-3, 7), Fraction(-1, 9)),
+        (5, 2, 2, Fraction(2, 3), Fraction(2, 3)),
+        (7, 1, 2, Fraction(1), Fraction(1, 2)),
+    ],
+)
+def test_rational_grid_matches_brute_force(p, c_max, b_max, lo, hi):
+    denominators = grid_denominators(p, c_max, b_max)
+    assert denominators == sorted(
+        {p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)}
+    )
+    # Scan every numerator over a range that covers [lo, hi] at each denominator.
+    brute = {
+        Fraction(k, d)
+        for d in denominators
+        for k in range(-3 * d, 3 * d + 1)
+        if lo <= Fraction(k, d) <= hi
+    }
+    assert rational_grid(lo, hi, denominators) == sorted(brute)

@@ -155,6 +155,34 @@ def test_linear_membership_agrees_with_groebner(R2):
         assert linear_membership(f, a.generators) == a.contains(f)
 
 
+@pytest.mark.parametrize(
+    "ideal,f,expected",
+    [
+        ("x^30", "x", True),
+        ("x^2*y, y^3", "x*y + y^2", True),
+        ("x", "y", False),
+        ("x^2*y, y^3", "x + y", False),
+        ("x^2 + y^3, x*y", "x + y", True),
+        ("x^2 + y^3", "x", False),
+    ],
+)
+def test_radical_contains_is_exact(R2, ideal, f, expected):
+    assert R2.parse_ideal(ideal).radical_contains(R2.parse(f)) is expected
+
+
+def test_radical_contains_past_small_powers(R2):
+    c = Ideal(R2, (R2.parse("x + y") ** 30,))
+    assert c.radical_contains(R2.parse("x + y"))
+    assert not c.radical_contains(R2.parse("x + 1"))
+
+
+def test_radical_contains_with_a_variable_named_t():
+    R = PolyRing(3, ("t", "u"))
+    c = R.parse_ideal("t^2 + u^3")
+    assert c.radical_contains(R.parse("t^2 + u^3"))
+    assert not c.radical_contains(R.parse("t"))
+
+
 def test_zero_and_unit_ideals(R2):
     zero = Ideal(R2, ())
     assert zero.is_zero()

@@ -1,5 +1,7 @@
 """Tests for ring presentations, the semigroup engine and the catalog."""
 
+from collections import Counter
+
 import pytest
 
 from bsroots import (
@@ -12,12 +14,14 @@ from bsroots import (
     SemigroupRingPresentation,
     catalog_jump_set,
     diff_closure,
+    differential_thresholds,
     jump_engine,
     lift_ideal,
     parse_ring_declaration,
     semigroup_diff_closure,
     veronese_presentation,
 )
+from bsroots import rings
 from bsroots.polyring import Ideal
 from bsroots.rings import MonomialSubalgebraPresentation
 
@@ -215,6 +219,21 @@ def test_cross_xy_jump_sets():
     # Full set is q-periodic: translates of the window jumps.
     assert engine.is_jump(9, 2) and engine.is_jump(17, 2)
     assert not engine.is_jump(5, 2)
+
+
+def test_semigroup_engine_computes_each_label_once(monkeypatch):
+    # Powers of a nonzero ideal are distinct, so (power, e) stands for (n, e).
+    calls = Counter()
+    closure = rings.semigroup_diff_closure
+
+    def counting(S, ideal, e, p):
+        calls[(ideal.exponents, e)] += 1
+        return closure(S, ideal, e, p)
+
+    monkeypatch.setattr(rings, "semigroup_diff_closure", counting)
+    pres = SemigroupRingPresentation(5, (3, 5, 7))
+    differential_thresholds(pres, pres.parse_ideal("x^3"), levels=3)
+    assert calls and max(calls.values()) == 1
 
 
 def test_cusp_catalog_matches_semigroup_engine():

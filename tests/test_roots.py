@@ -202,14 +202,6 @@ def test_root_dynamics_on_fixture():
         )
 
 
-def test_workers_parameter_deterministic():
-    vp = parse_ring_declaration("veronese p=3 vars=x,y degree=2")
-    a = vp.parse_ideal("x^2, x*y, y^2")
-    serial = bernstein_sato_roots(vp, a, levels=2)
-    threaded = bernstein_sato_roots(vp, a, levels=2, workers=4)
-    assert [c.candidate for c in serial] == [c.candidate for c in threaded]
-
-
 # -- admissibility diagnostics -------------------------------------------------------
 
 

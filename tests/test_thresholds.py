@@ -61,6 +61,13 @@ def test_f_threshold_cusp_poly():
     assert seq.bracket[0] <= seq.limit <= seq.bracket[1]
 
 
+def test_f_threshold_radical_needs_a_high_power():
+    pres = PolynomialRingPresentation(5, ("x",))
+    sequence = f_threshold(pres.parse_ideal("x"), pres.parse_ideal("x^30"), 3)
+    assert sequence.nu == {1: 149, 2: 749, 3: 3749}
+    assert sequence.limit == 30
+
+
 def test_cartier_threshold_agrees_with_f_threshold(p5xy):
     # Same numbers through the independent Cartier-preimage route.
     for a_text, c_text in (("x", "x"), ("x, y", "x, y"), ("x^2 + y^3", "x, y")):
