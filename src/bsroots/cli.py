@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import jumps as jumps_mod
 from . import roots as roots_mod
 from . import thresholds as thr_mod
-from .padic import format_rational, parse_rational
+from .padic import check_level, format_rational, parse_rational
 from .polyring import ParseError
 from .rings import (
     CatalogPresentation,
@@ -72,7 +72,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> str:
 
 def _cmd_jumps(args) -> str:
     presentation, ideal = _presentation_and_ideal(args)
-    levels = sorted(set(args.level or [])) or list(range(1, args.levels + 1))
+    levels = sorted(set(args.level or [])) or list(
+        range(1, check_level(args.levels, least=1, what="levels") + 1)
+    )
     table = jumps_mod.jump_table(presentation, ideal, levels)
     lines = [f"p={table.p} r={table.r} producer={table.producer}"]
     for e in levels:
@@ -576,7 +578,7 @@ def run(argv: list[str]) -> int:
         print(str(exc))
         print("verification failed", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -7,11 +7,14 @@ differential ideal containing a; `cartier_preimage` is the adjoint.
 `eth_root_power` computes C^e * a^n without materializing a^n: one Frobenius
 level is peeled at a time through the factorization
 a^m = (a^q)^[p] * a^(m0)  (valid once m0 >= (r-1)(p-1))
-together with the projection formula C^1(b^[p] c) = b * C^1(c).
+together with the projection formula C^1(b^[p] c) = b * C^1(c).  It is the
+regular jump engine's only route to its labels; the direct route
+`eth_root(a.power(n), e)` serves the tests as the cross-check.
 """
 
 from __future__ import annotations
 
+from .padic import check_level
 from .polyring import Ideal, Polynomial
 
 
@@ -37,9 +40,7 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     Root extraction is applied to the cached reduced basis (any generating set
     gives the same ideal; the reduced one keeps coefficient counts small).
     """
-    if e < 0:
-        raise ValueError("level e must be >= 0")
-    if e == 0 or a.is_zero():
+    if check_level(e) == 0 or a.is_zero():
         return a
     basis = a.groebner()
     coefficients = []
@@ -52,6 +53,7 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     """C^e * a^n by exponent peeling; avoids building a^n for large n."""
     if n < 0:
         raise ValueError("power must be >= 0")
+    check_level(e)
     if a.is_zero() and n > 0:
         return a
     ring = a.ring
@@ -84,6 +86,4 @@ def diff_closure(a: Ideal, e: int) -> Ideal:
 
 def cartier_preimage(b: Ideal, e: int) -> Ideal:
     """I_e(b) = {f : C^e * f in b}, which for a polynomial ring is b^[p^e]."""
-    if e < 0:
-        raise ValueError("level e must be >= 0")
-    return b.frobenius_power(e)
+    return b.frobenius_power(check_level(e))

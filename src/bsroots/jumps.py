@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import frobenius
+from .padic import check_level
 from .polyring import Ideal, RowSpan
 from .rings import Presentation, jump_engine
 
@@ -56,14 +57,14 @@ class JumpTable:
 
 def jump_set(presentation: Presentation, ideal, e: int) -> tuple[int, ...]:
     """Sorted level-e jumps inside the fundamental window [0, r*p^e)."""
-    return jump_engine(presentation, ideal).jump_set(e)
+    return jump_engine(presentation, ideal).jump_set(check_level(e))
 
 
 def jump_table(presentation: Presentation, ideal, levels) -> JumpTable:
     engine = jump_engine(presentation, ideal)
     table = JumpTable(p=engine.p, r=engine.r, producer=engine.producer)
     for e in levels:
-        table.levels[e] = engine.jump_set(e)
+        table.levels[e] = engine.jump_set(check_level(e))
     return table
 
 
@@ -74,7 +75,7 @@ def is_jump(presentation: Presentation, ideal, e: int, n: int) -> bool:
     (a jump at n forces one at n - p^e) but the direct comparison is always
     available and is what is used here.
     """
-    return jump_engine(presentation, ideal).is_jump(n, e)
+    return jump_engine(presentation, ideal).is_jump(n, check_level(e))
 
 
 # -- nu invariants ---------------------------------------------------------------
@@ -118,6 +119,12 @@ def nu_invariant(a: Ideal, c: Ideal, e: int) -> int:
     exists); both are decided exactly before the search.
     """
     check_nu_preconditions(a, c)
+    return _largest_nu(a, c, e)
+
+
+def _largest_nu(a: Ideal, c: Ideal, e: int) -> int:
+    """`nu_invariant` for callers that have already checked its preconditions."""
+    check_level(e)
     if a.is_zero():
         return 0
     frob = c.frobenius_power(e)

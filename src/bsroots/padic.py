@@ -42,6 +42,17 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_level(e: int, least: int = 0, what: str = "level") -> int:
+    """Return e, or raise ValueError unless it is an integer >= least.
+
+    Levels start at 0; a level count (certify e = 1..E, a chain up to e_max)
+    passes least=1, since no level at all certifies nothing.
+    """
+    if not isinstance(e, int) or e < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {e!r}")
+    return e
+
+
 @dataclass(frozen=True)
 class PAdicRational:
     """A rational number lying in Z_(p): denominator coprime to p."""
@@ -66,9 +77,7 @@ class PAdicRational:
 
     def truncation(self, e: int) -> int:
         """The unique n in [0, p^e) congruent to this element mod p^e."""
-        if e < 0:
-            raise ValueError("level e must be >= 0")
-        if e == 0:
+        if check_level(e) == 0:
             return 0
         q = self.p**e
         inv = pow(self.denominator, -1, q)

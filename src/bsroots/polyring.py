@@ -11,9 +11,10 @@ kept alongside the Groebner route as an independent test oracle.
 
 from __future__ import annotations
 
+import heapq
 from itertools import product as cartesian_product
 
-from .padic import check_prime
+from .padic import check_level, check_prime
 
 Monomial = tuple  # exponent vector, one entry per ring variable
 Term = tuple  # (Monomial, coefficient)
@@ -454,10 +455,9 @@ class Ideal:
     def power(self, n: int) -> "Ideal":
         """Generators of the n-th power (a^0 = (1) by convention).
 
-        Monomial ideals enumerate exponent combinations directly; principal
-        ideals use fast polynomial powering; otherwise an incremental chain
-        from the largest cached power, with factorization through Frobenius
-        powers when n is deep enough past the pigeonhole bound.
+        Principal ideals use fast polynomial powering; otherwise an incremental
+        chain from the largest cached power, with factorization through
+        Frobenius powers when n is deep enough past the pigeonhole bound.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
@@ -472,39 +472,10 @@ class Ideal:
             return cached
         if len(self.generators) == 1:
             result = Ideal(self.ring, (self.generators[0] ** n,), declared_r=1)
-        elif self.is_monomial_ideal():
-            prev = self._power_cache.get(n - 1)
-            # Sweeps walk n upward; one product step beats re-enumeration.
-            if prev is not None:
-                result = prev.product(self)
-            else:
-                result = self._monomial_power(n)
         else:
             result = self._chain_power(n)
         self._power_cache[n] = result
         return result
-
-    def _monomial_power(self, n: int) -> "Ideal":
-        vectors = [g.leading_monomial() for g in self.generators]
-        sums: set[Monomial] = set()
-
-        def rec(idx, remaining, acc):
-            if idx == len(vectors) - 1:
-                v = vectors[idx]
-                sums.add(tuple(a + remaining * b for a, b in zip(acc, v)))
-                return
-            v = vectors[idx]
-            for c in range(remaining + 1):
-                rec(idx + 1, remaining - c, tuple(a + c * b for a, b in zip(acc, v)))
-
-        rec(0, n, (0,) * self.ring.nvars)
-        if len({sum(v) for v in vectors}) == 1:
-            # Equigenerated: all power generators share one degree, so the
-            # distinct sums already form an antichain.
-            monos = sorted(sums, key=self.ring.monomial_key, reverse=True)
-        else:
-            monos = minimal_monomials(sums)
-        return Ideal(self.ring, [self.ring.monomial(m) for m in monos])
 
     def _chain_power(self, n: int) -> "Ideal":
         r = len(self.generators)
@@ -523,9 +494,7 @@ class Ideal:
 
     def frobenius_power(self, e: int) -> "Ideal":
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""
-        if e < 0:
-            raise ValueError("Frobenius level must be >= 0")
-        if e == 0:
+        if check_level(e) == 0:
             return self
         return Ideal(
             self.ring,
@@ -618,20 +587,25 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
     basis = [g.monic() for g in generators if not g.is_zero()]
     if any(g.is_constant() for g in basis):
         return (ring.one(),)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: ring.monomial_key(
-                _mono_lcm(
-                    basis[ij[0]].leading_monomial(), basis[ij[1]].leading_monomial()
-                )
-            ),
-        )
+    # Pending pairs: the set serves the chain criterion, the heap pops the
+    # pair of smallest lcm, keyed once when the pair is made.
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
+
+    def add_pairs(i: int) -> None:
+        lm_i = basis[i].leading_monomial()
+        for j in range(i):
+            lcm = _mono_lcm(lm_i, basis[j].leading_monomial())
+            pairs.add((i, j))
+            heapq.heappush(queue, (ring.monomial_key(lcm), i, j, lcm))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
         pairs.discard((i, j))
         fi, fj = basis[i], basis[j]
         lm_i, lm_j = fi.leading_monomial(), fj.leading_monomial()
-        lcm = _mono_lcm(lm_i, lm_j)
         # Buchberger's first criterion: coprime leading monomials.
         if all(a + b == c for a, b, c in zip(lm_i, lm_j, lcm)):
             continue
@@ -654,8 +628,7 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
         if remainder.is_constant():
             return (ring.one(),)
         basis.append(remainder)
-        new = len(basis) - 1
-        pairs.update((new, k) for k in range(new))
+        add_pairs(len(basis) - 1)
     # Minimalize: drop members whose lead is divisible by another lead.
     leads = [g.leading_monomial() for g in basis]
     keep = []

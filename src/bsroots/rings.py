@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import frobenius
-from .padic import check_prime
+from .padic import check_level, check_prime
 from .polyring import Ideal, ParseError, PolyRing
 
 
@@ -470,9 +470,7 @@ def semigroup_diff_closure(
     S: NumericalSemigroup, ideal: SemigroupIdeal, e: int, p: int
 ) -> SemigroupIdeal:
     """D^(e) * ideal as a semigroup ideal (union over the minimal exponents)."""
-    if e < 0:
-        raise ValueError("level must be >= 0")
-    data = _semigroup_level_data(S, p**e)
+    data = _semigroup_level_data(S, p ** check_level(e))
     out = []
     for m in ideal.exponents:
         for d in data.shift_generators(m % data.q):
@@ -559,20 +557,7 @@ class RegularJumpEngine(JumpEngine):
         self.producer = producer
 
     def _compute_label(self, n: int, e: int):
-        a = self.ideal
-        # Materializing a^n pays off only while its generator count stays
-        # linear in n (principal ideals, monomial ideals in <= 2 variables,
-        # small n); otherwise peel Frobenius levels.
-        materialize = (
-            n <= 64
-            or len(a.generators) == 1
-            or (a.is_monomial_ideal() and a.ring.nvars <= 2)
-        )
-        if materialize:
-            root = frobenius.eth_root(a.power(n), e)
-        else:
-            root = frobenius.eth_root_power(a, n, e)
-        return root.canonical_label()
+        return frobenius.eth_root_power(self.ideal, n, e).canonical_label()
 
 
 class SemigroupJumpEngine(JumpEngine):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import PAdicRational, format_rational, grid_denominators, rational_grid
+from .padic import PAdicRational, check_level, format_rational, grid_denominators, rational_grid
 from .rings import JumpEngine, Presentation, jump_engine
 
 
@@ -73,6 +73,7 @@ def verify_root_to_level(
     Level 0 is omitted: its condition (some s < r with a^s != a^(s+1)) holds
     for every proper nonzero ideal handled here and never discriminates.
     """
+    check_level(levels, least=1, what="levels")
     padic = PAdicRational(Fraction(alpha), engine.p)
     witnesses = []
     for e in range(1, levels + 1):
@@ -112,6 +113,7 @@ def bernstein_sato_roots(
     [-r, r] otherwise (the artinian catalog widens to [0, n]); the denominator
     bound is ceil(levels / 2) so a candidate shows at least two full periods.
     """
+    check_level(levels, least=1, what="levels")
     engine = jump_engine(presentation, ideal)
     if interval is None:
         interval = engine.default_root_interval()
@@ -152,6 +154,7 @@ def admissibility_report(
     bounded by their maximum, reported as the fitted constant) or
     "growth_detected" (counts strictly increase across every observed step).
     """
+    check_level(levels, least=1, what="levels")
     engine = jump_engine(presentation, ideal)
     report = AdmissibilityReport(r=engine.r)
     for e in range(1, levels + 1):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import frobenius
-from .jumps import check_nu_preconditions, largest_true, nu_invariant
-from .padic import format_rational, grid_denominators, rational_grid
+from .jumps import _largest_nu, check_nu_preconditions, largest_true
+from .padic import check_level, format_rational, grid_denominators, rational_grid
 from .polyring import Ideal
 from .rings import JumpEngine, Presentation, jump_engine
 
@@ -48,6 +48,7 @@ def verify_threshold(
     engine: JumpEngine, lam: Fraction, levels: int
 ) -> ThresholdCertificate | None:
     """Per-level witness check for a threshold candidate; None when refuted."""
+    check_level(levels, least=1, what="levels")
     lam = Fraction(lam)
     if lam < 0:
         return None
@@ -91,7 +92,7 @@ def threshold_candidates(
     the requested interval above the fundamental window.
     """
     p, r = engine.p, engine.r
-    E = levels
+    E = check_level(levels, least=1, what="levels")
     if c_max is None:
         c_max = E
     if b_max is None:
@@ -216,8 +217,13 @@ def _detect_limit(nu: dict[int, int], p: int, r: int) -> ThresholdSequence:
 
 
 def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
-    """The F-threshold data of a with respect to c: nu_e = max{n : a^n not in c^[p^e]}."""
-    nu = {e: nu_invariant(a, c, e) for e in range(1, levels + 1)}
+    """The F-threshold data of a with respect to c: nu_e = max{n : a^n not in c^[p^e]}.
+
+    The preconditions of `nu_invariant` are checked once for all levels.
+    """
+    check_level(levels, least=1, what="levels")
+    check_nu_preconditions(a, c)
+    nu = {e: _largest_nu(a, c, e) for e in range(1, levels + 1)}
     return _detect_limit(nu, a.ring.p, a.declared_r)
 
 
@@ -227,6 +233,7 @@ def cartier_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     Computed through the Cartier-preimage reformulation with peeled roots;
     on a polynomial ring it agrees with `f_threshold` level by level.
     """
+    check_level(levels, least=1, what="levels")
     check_nu_preconditions(a, c)
     nu = {
         e: largest_true(lambda n: not c.contains_ideal(frobenius.eth_root_power(a, n, e)))
@@ -260,6 +267,7 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int = 4) -> TestIdealResult:
     again (e.g. the exponent 29/20 on (x^2yz, xy^2z, xyz^2) at p = 5 plateaus
     at levels 1-2 before jumping at level 3).
     """
+    check_level(e_max, least=1, what="e_max")
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -310,6 +318,7 @@ def f_jumping_numbers(
     two for agreement, one of slack next to a jump), so the default grid
     resolution is e_max - 3; pass grid_c_max to override.
     """
+    check_level(e_max, least=1, what="e_max")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo < 0 or hi < lo:
         raise ValueError("interval must satisfy 0 <= lo <= hi")

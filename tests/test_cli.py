@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from bsroots import cli
 from bsroots.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, run, verify_example
 
 
@@ -223,3 +226,33 @@ def test_verify_example_library_entry():
     ok, lines = verify_example("9.5", p=3)
     assert ok
     assert lines[-1] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--levels", "0"],
+        ["roots", "--levels", "-2"],
+        ["fpt", "--levels", "0"],
+        ["thresholds", "--levels", "0"],
+        ["nu", "--cideal", "x", "--levels", "0"],
+        ["test-ideal", "--lam", "1/2", "--e-max", "0"],
+        ["fjn", "--interval", "0:1", "--e-max", "0"],
+        ["jumps", "--levels", "0"],
+        ["jumps", "--level", "-1"],
+    ],
+)
+def test_level_counts_below_one_are_refused(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--ring", "poly p=5 vars=x", "--ideal", "x")
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert err.startswith("error: ") and "must be an integer >=" in err
+
+
+def test_type_error_in_a_handler_is_not_exit_one(monkeypatch):
+    def broken(args):
+        raise TypeError("a programming bug")
+
+    monkeypatch.setattr(cli, "_cmd_fpt", broken)
+    with pytest.raises(TypeError, match="a programming bug"):
+        run(["fpt", "--ring", "poly p=5 vars=x", "--ideal", "x"])

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from bsroots import Ideal, PolyRing, cartier_preimage, diff_closure, eth_root, eth_root_power
+from bsroots import (
+    Ideal,
+    PolyRing,
+    cartier_preimage,
+    diff_closure,
+    eth_root,
+    eth_root_power,
+    jump_engine,
+    parse_ring_declaration,
+)
 from bsroots.frobenius import poly_root_coefficients
 from bsroots.polyring import linear_membership
 
@@ -95,9 +104,27 @@ def test_eth_root_power_matches_direct():
 def test_eth_root_power_matches_direct_three_variables():
     R = PolyRing(5, ("x", "y", "z"))
     a = R.parse_ideal("x^2*y*z, x*y^2*z, x*y*z^2")
-    # Straddles the materialize/peel routing boundary used by the jump engine.
+    # Powers past the pigeonhole bound, where peeling factors through a^[p].
     for n in (60, 64, 65, 70):
         assert eth_root_power(a, n, 2) == eth_root(a.power(n), 2), n
+
+
+@pytest.mark.parametrize(
+    "ring,ideal,levels,powers",
+    [
+        ("poly p=5 vars=x,y", "x^4 + x^2*y^2 + x*y^4", (1, 2), None),
+        ("veronese p=5 vars=x,y degree=2", "x^2, x*y, y^2", (2,), None),
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", (2,), (60, 64, 65, 70)),
+    ],
+)
+def test_engine_labels_match_direct_route(ring, ideal, levels, powers):
+    # The engine peels Frobenius levels; the direct route roots a^n itself.
+    pres = parse_ring_declaration(ring)
+    engine = jump_engine(pres, pres.parse_ideal(ideal))
+    for e in levels:
+        for n in powers or range(engine.r * engine.p**e + 1):
+            direct = eth_root(engine.ideal.power(n), e).canonical_label()
+            assert engine.d_label(n, e) == direct, (n, e)
 
 
 def test_eth_root_composes_across_levels():

@@ -1,9 +1,20 @@
 """Tests for polynomial arithmetic, Groebner bases and ideal operations."""
 
+import random
+
 import pytest
 
 from bsroots import Ideal, ParseError, PolyRing
-from bsroots.polyring import linear_membership, minimal_monomials
+from bsroots.polyring import (
+    _divides,
+    _mono_lcm,
+    _mono_quot,
+    _reduce_full,
+    linear_membership,
+    minimal_monomials,
+)
+
+from propchecks import random_polynomial
 
 
 @pytest.fixture
@@ -62,6 +73,51 @@ def test_reduced_groebner(R2, gens, expected):
     assert tuple(str(b) for b in basis) == tuple(
         str(R2.parse(t)) for t in expected
     )
+
+
+def _s_polynomial(f, g):
+    lcm = _mono_lcm(f.leading_monomial(), g.leading_monomial())
+    return f.term_multiple(_mono_quot(lcm, f.leading_monomial()), 1) - g.term_multiple(
+        _mono_quot(lcm, g.leading_monomial()), 1
+    )
+
+
+def _in_ideal_by_row_reduction(f, generators, max_cap=16):
+    # RowSpan membership is complete once the cap covers some representation.
+    return any(
+        linear_membership(f, generators, degree_cap=cap)
+        for cap in range(f.total_degree(), max_cap + 1)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_groebner_against_row_reduction_oracle(p, nvars):
+    rng = random.Random(100 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for _ in range(12):
+        gens = []
+        while len(gens) < 2 or all(g.is_monomial() for g in gens):
+            g = random_polynomial(rng, ring, max_degree=4)
+            if not g.is_zero():
+                gens.append(g)
+        basis = Ideal(ring, gens).groebner()
+        leads = [b.leading_monomial() for b in basis]
+        # Monic, reduced and sorted by descending leading monomial.
+        assert all(b.leading_coefficient() == 1 for b in basis)
+        for i, b in enumerate(basis):
+            for j, lead in enumerate(leads):
+                if i != j:
+                    assert not any(_divides(lead, m) for m, _ in b.terms), (gens, b)
+        keys = [ring.monomial_key(m) for m in leads]
+        assert keys == sorted(keys, reverse=True)
+        # A Groebner basis: every S-polynomial and every input reduces to 0.
+        for i in range(len(basis)):
+            for j in range(i):
+                assert _reduce_full(_s_polynomial(basis[i], basis[j]), basis).is_zero()
+        assert all(_reduce_full(g, basis).is_zero() for g in gens)
+        # Of the input ideal: every member lies in it by row reduction.
+        assert all(_in_ideal_by_row_reduction(b, gens) for b in basis), gens
 
 
 def test_groebner_is_cached_and_unique(R2):

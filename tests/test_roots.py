@@ -225,3 +225,16 @@ def test_admissibility_unit_ideal():
     report = admissibility_report(pres, pres.parse_ideal("1"), levels=2)
     assert report.counts == {1: 0, 2: 0}
     assert report.to_dict()["verdict"] == "consistent_with_admissible"
+
+
+def test_roots_of_cusp_pair_at_level_two():
+    # (x^2 + y^3, x*y) over F_5: the witnesses agree with an independent
+    # route that roots raw generator products.
+    pres = PolynomialRingPresentation(5, ("x", "y"))
+    certs = bernstein_sato_roots(pres, pres.parse_ideal("x^2 + y^3, x*y"), levels=2)
+    got = {c.candidate: [(w.e, w.jump, w.s) for w in c.witnesses] for c in certs}
+    assert got == {
+        Fraction(-2): [(1, 8, 1), (2, 48, 1)],
+        Fraction(-3, 2): [(1, 6, 1), (2, 36, 1)],
+        Fraction(-1): [(1, 4, 0), (2, 24, 0)],
+    }

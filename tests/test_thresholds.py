@@ -8,17 +8,25 @@ from bsroots import (
     CatalogPresentation,
     PolynomialRingPresentation,
     SemigroupRingPresentation,
+    admissibility_report,
+    bernstein_sato_roots,
     cartier_threshold,
     coset_correspondence_check,
     differential_thresholds,
+    eth_root_power,
     f_jumping_numbers,
     f_threshold,
     fpt,
+    is_jump,
     jump_engine,
+    jump_set,
+    nu_invariant,
     parse_ring_declaration,
+    verify_root_to_level,
 )
+from bsroots import jumps, thresholds
 from bsroots import test_ideal as tau_ideal
-from bsroots.thresholds import verify_threshold
+from bsroots.thresholds import threshold_candidates, verify_threshold
 
 from propchecks import check_multiplication_by_p, check_skoda_certificate
 
@@ -80,6 +88,46 @@ def test_threshold_preconditions(p5xy):
         f_threshold(p5xy.parse_ideal("x"), p5xy.parse_ideal("1"), levels=1)
     with pytest.raises(ValueError):
         cartier_threshold(p5xy.parse_ideal("y"), p5xy.parse_ideal("x"), levels=1)
+
+
+def test_f_threshold_checks_preconditions_once(p5xy, monkeypatch):
+    calls = []
+    original = jumps.check_nu_preconditions
+
+    def counting(a, c):
+        calls.append((a, c))
+        original(a, c)
+
+    monkeypatch.setattr(jumps, "check_nu_preconditions", counting)
+    monkeypatch.setattr(thresholds, "check_nu_preconditions", counting)
+    a, c = p5xy.parse_ideal("x^2 + y^3"), p5xy.parse_ideal("x + y^2, y^3")
+    sequence = f_threshold(a, c, levels=3)
+    assert len(calls) == 1
+    assert sequence.nu == {e: nu_invariant(a, c, e) for e in (1, 2, 3)}
+
+
+def test_levels_below_one_and_negative_levels_are_refused(p5xy):
+    a = p5xy.parse_ideal("x, y")
+    engine = jump_engine(p5xy, a)
+    for call in (
+        lambda: bernstein_sato_roots(p5xy, a, levels=0),
+        lambda: verify_root_to_level(engine, Fraction(-1), 0),
+        lambda: admissibility_report(p5xy, a, levels=0),
+        lambda: differential_thresholds(p5xy, a, levels=0),
+        lambda: verify_threshold(engine, Fraction(1), 0),
+        lambda: threshold_candidates(engine, 0, (Fraction(0), Fraction(1))),
+        lambda: fpt(p5xy, a, levels=-1),
+        lambda: f_threshold(a, a, levels=0),
+        lambda: cartier_threshold(a, a, levels=0),
+        lambda: tau_ideal(a, Fraction(1), e_max=0),
+        lambda: f_jumping_numbers(a, (Fraction(0), Fraction(1)), e_max=0),
+        lambda: nu_invariant(a, a, -1),
+        lambda: jump_set(p5xy, a, -1),
+        lambda: is_jump(p5xy, a, -1, 0),
+        lambda: eth_root_power(a, 3, -1),
+    ):
+        with pytest.raises(ValueError, match="must be an integer >="):
+            call()
 
 
 def test_nu_csv_emission(p5xy):
