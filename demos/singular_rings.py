@@ -16,7 +16,6 @@ from bsroots import (
     CatalogPresentation,
     SemigroupRingPresentation,
     bernstein_sato_roots,
-    catalog_jump_set,
     differential_thresholds,
     jump_set,
 )
@@ -65,7 +64,7 @@ for p, root_levels in ((5, 3), (2, 5)):
 art = CatalogPresentation(3, "artinian_x_pow", 4)
 print("K[x]/(x^5) at p=3, element x")
 for e in (1, 2, 3):
-    print(f"  level {e} jumps:", list(catalog_jump_set(art, e)))
+    print(f"  level {e} jumps:", list(jump_set(art, "x", e)))
 roots = bernstein_sato_roots(art, "x", levels=5)
 print("  roots:", ", ".join(str(c.candidate) for c in roots))
 thresholds = differential_thresholds(art, "x", levels=5, interval=(Fraction(0), Fraction(1)))

@@ -15,7 +15,6 @@ from .rings import (
     PolynomialRingPresentation,
     SemigroupIdeal,
     SemigroupRingPresentation,
-    catalog_jump_set,
     jump_engine,
     lift_ideal,
     parse_ring_declaration,
@@ -61,7 +60,6 @@ __all__ = [
     "PolynomialRingPresentation",
     "SemigroupIdeal",
     "SemigroupRingPresentation",
-    "catalog_jump_set",
     "jump_engine",
     "lift_ideal",
     "parse_ring_declaration",

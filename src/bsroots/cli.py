@@ -15,14 +15,14 @@ from fractions import Fraction
 from . import jumps as jumps_mod
 from . import roots as roots_mod
 from . import thresholds as thr_mod
+from .frobenius import eth_root
 from .padic import check_level, format_rational, parse_rational
-from .polyring import ParseError
+from .polyring import Ideal, ParseError
 from .rings import (
     CatalogPresentation,
     PolynomialRingPresentation,
     Presentation,
     SemigroupRingPresentation,
-    catalog_jump_set,
     jump_engine,
     parse_ring_declaration,
 )
@@ -205,16 +205,9 @@ class ExampleFailure(ValueError):
 
 
 # -- worked-example fixtures -------------------------------------------------------
-
-EXAMPLE_DEFAULT_P = {
-    "9.2": 5,
-    "9.3": 5,
-    "9.4": 13,
-    "9.5": 3,
-    "9.6": 5,
-    "9.7": 2,
-    "9.8": 3,
-}
+#
+# Each example is a function of (p, n) that yields (name, ok, detail) checks;
+# `n` is the parameter of 9.8 and is ignored by the others.
 
 
 def _report(checks) -> tuple[bool, list[str]]:
@@ -228,71 +221,65 @@ def _report(checks) -> tuple[bool, list[str]]:
     return passed, lines
 
 
-def _frac_set(values) -> str:
-    return "{" + ", ".join(format_rational(v) for v in sorted(values)) + "}"
+def _listed(values) -> str:
+    return "{" + ", ".join(format_rational(Fraction(v)) for v in values) + "}"
 
 
-def verify_example(example_id: str, p: int | None = None, n: int | None = None):
-    """Recompute a built-in worked example and diff against its published values."""
-    if example_id not in EXAMPLE_DEFAULT_P:
-        raise ParseError(f"unknown example {example_id!r}; ids: {sorted(EXAMPLE_DEFAULT_P)}")
-    if p is None:
-        p = EXAMPLE_DEFAULT_P[example_id]
-    fn = {
-        "9.2": _example_9_2,
-        "9.3": _example_9_3,
-        "9.4": _example_9_4,
-        "9.5": _example_9_5,
-        "9.6": _example_9_6,
-        "9.7": _example_9_7,
-        "9.8": _example_9_8,
-    }[example_id]
-    if example_id == "9.8":
-        return fn(p, n if n is not None else 4)
-    return fn(p)
+def _jump_checks(pres, a, levels, name: str, closed_form):
+    """The level-e jump set against closed_form(e) at each level; name may use {e}, {jumps}."""
+    for e in levels:
+        expected = closed_form(e)
+        computed = jumps_mod.jump_set(pres, a, e)
+        name_e = name.format(e=e, jumps=_listed(expected))
+        yield (name_e, computed == expected, f"{list(computed)}")
 
 
-def _example_9_2(p: int):
+def _root_check(pres, a, levels: int, expected):
+    """The certified root set against the listed roots."""
+    certs = roots_mod.bernstein_sato_roots(pres, a, levels=levels)
+    got = {c.candidate for c in certs}
+    return (f"roots = {_listed(expected)}", got == set(expected), _listed(sorted(got)))
+
+
+def _threshold_check(pres, a, levels: int, interval, where: str, expected):
+    """The certified thresholds in the interval against the listed ones."""
+    certs = thr_mod.differential_thresholds(pres, a, levels=levels, interval=interval)
+    got = {c.value for c in certs}
+    return (f"thresholds{where} = {_listed(expected)}", got == set(expected), _listed(sorted(got)))
+
+
+def _example_9_2(p: int, n: int):
     """tau of (x^2yz, xy^2z, xyz^2): constant (xyz) on [1, 3/2), jump at 3/2."""
     if p % 2 == 0:
         raise ValueError("example 9.2 needs p odd")
     pres = PolynomialRingPresentation(p, ("x", "y", "z"))
     a = pres.parse_ideal("x^2*y*z, x*y^2*z, x*y*z^2")
     xyz = pres.parse_ideal("x*y*z")
-    checks = []
     lambdas = [Fraction(1), Fraction(5, 4)]
     if p == 5:
         lambdas.append(Fraction(29, 20))
     for lam in lambdas:
         result = thr_mod.test_ideal(a, lam, e_max=4)
         ok = result.stabilized and result.ideal == xyz
-        checks.append((f"tau(a^{format_rational(lam)}) = (xyz)", ok, str(result)))
+        yield (f"tau(a^{format_rational(lam)}) = (xyz)", ok, str(result))
     at_three_halves = thr_mod.test_ideal(a, Fraction(3, 2), e_max=4)
-    checks.append(
-        (
-            "tau(a^(3/2)) != (xyz)",
-            at_three_halves.stabilized and at_three_halves.ideal != xyz,
-            str(at_three_halves),
-        )
+    yield (
+        "tau(a^(3/2)) != (xyz)",
+        at_three_halves.stabilized and at_three_halves.ideal != xyz,
+        str(at_three_halves),
     )
-    engine = jump_engine(pres, a)
-    verdict = roots_mod.verify_root_to_level(engine, Fraction(-5, 4), 2)
-    checks.append(
-        (
-            "-5/4 is a root (certified to level 2)",
-            isinstance(verdict, roots_mod.RootCertificate),
-            str(verdict),
-        )
+    verdict = roots_mod.verify_root_to_level(jump_engine(pres, a), Fraction(-5, 4), 2)
+    yield (
+        "-5/4 is a root (certified to level 2)",
+        isinstance(verdict, roots_mod.RootCertificate),
+        str(verdict),
     )
     fjn = thr_mod.f_jumping_numbers(a, (Fraction(1), Fraction(3, 2)), e_max=4, b_max=1)
-    checks.append(
-        (
-            "F-jumping numbers on [1, 3/2] exclude 5/4 and end at 3/2",
-            Fraction(5, 4) not in fjn and Fraction(3, 2) in fjn,
-            _frac_set(fjn),
-        )
+    yield (
+        "F-jumping numbers on [1, 3/2] exclude 5/4 and end at 3/2",
+        Fraction(5, 4) not in fjn and Fraction(3, 2) in fjn,
+        _listed(sorted(fjn)),
     )
-    return _report(checks)
 
 
 def veronese_square_jump_set(p: int, e: int) -> tuple[int, ...]:
@@ -310,186 +297,113 @@ def veronese_square_jump_set(p: int, e: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _example_9_3(p: int):
+def _example_9_3(p: int, n: int):
     """Second Veronese of F_p[x,y]: jump sets, roots {-1, -3/2}, half-integer thresholds."""
     if p % 2 == 0:
         raise ValueError("example 9.3 needs p odd")
     pres = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
     a = pres.parse_ideal("x^2, x*y, y^2")
-    checks = []
-    for e in (1, 2):
-        computed = jumps_mod.jump_set(pres, a, e)
-        expected = veronese_square_jump_set(p, e)
-        checks.append(
-            (f"jump set at level {e}", computed == expected, f"{list(computed)}")
-        )
-    certs = roots_mod.bernstein_sato_roots(pres, a, levels=2)
-    got = {c.candidate for c in certs}
-    expected_roots = {Fraction(-1), Fraction(-3, 2)}
-    checks.append(("roots = {-1, -3/2}", got == expected_roots, _frac_set(got)))
-    levels = 4 if p == 3 else 3
-    thresholds = thr_mod.differential_thresholds(
-        pres, a, levels=levels, interval=(Fraction(0), Fraction(3))
+    yield from _jump_checks(
+        pres, a, (1, 2), "jump set at level {e}", lambda e: veronese_square_jump_set(p, e)
     )
-    got_thr = {c.value for c in thresholds}
-    expected_thr = {Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)}
-    checks.append(
-        (
-            "thresholds in [0,3] = {1, 3/2, 2, 5/2, 3}",
-            got_thr == expected_thr,
-            _frac_set(got_thr),
-        )
-    )
-    return _report(checks)
+    yield _root_check(pres, a, 2, (-1, Fraction(-3, 2)))
+    expected_thr = (1, Fraction(3, 2), 2, Fraction(5, 2), 3)
+    yield _threshold_check(pres, a, 4 if p == 3 else 3, (0, 3), " in [0,3]", expected_thr)
 
 
-def _example_9_4(p: int):
+def _example_9_4(p: int, n: int):
     """Cartier images of powers of x^4 + y^6 at p = 1 mod 12."""
     if p % 12 != 1:
         raise ValueError("example 9.4 needs p = 1 mod 12")
-    from . import frobenius
-
-    pres = PolynomialRingPresentation(p, ("x", "y"))
-    ring = pres.ring
+    ring = PolynomialRingPresentation(p, ("x", "y")).ring
     f = ring.parse("x^4 + y^6")
-    checks = []
     for text, power, element in (
-        ("y in C^1*f^((7p-7)/12)", 7 * (p - 1) // 12, ring.parse("y")),
-        ("x in C^1*f^(2(p-1)/3)", 2 * (p - 1) // 3, ring.parse("x")),
-        ("y^2 in C^1*f^(3(p-1)/4)", 3 * (p - 1) // 4, ring.parse("y^2")),
+        ("y in C^1*f^((7p-7)/12)", 7 * (p - 1) // 12, "y"),
+        ("x in C^1*f^(2(p-1)/3)", 2 * (p - 1) // 3, "x"),
+        ("y^2 in C^1*f^(3(p-1)/4)", 3 * (p - 1) // 4, "y^2"),
     ):
-        from .polyring import Ideal
-
-        ideal = Ideal(ring, (f**power,), declared_r=1)
-        root = frobenius.eth_root(ideal, 1)
-        checks.append((text, root.contains(element), f"n={power}"))
-    return _report(checks)
+        root = eth_root(Ideal(ring, (f**power,), declared_r=1), 1)
+        yield (text, root.contains(ring.parse(element)), f"n={power}")
 
 
-def _example_9_5(p: int):
+def _example_9_5(p: int, n: int):
     """K[x,y]/(xy), element x: jumps {0, q-1}, roots {0, -1}, integer thresholds."""
     pres = CatalogPresentation(p, "cross_xy")
-    checks = []
-    for e in (1, 2):
-        q = p**e
-        computed = catalog_jump_set(pres, e)
-        checks.append(
-            (f"jump set at level {e} = {{0, {q - 1}}}", computed == (0, q - 1), f"{list(computed)}")
-        )
-    certs = roots_mod.bernstein_sato_roots(pres, "x", levels=3)
-    got = {c.candidate for c in certs}
-    checks.append(("roots = {0, -1}", got == {Fraction(0), Fraction(-1)}, _frac_set(got)))
-    thresholds = thr_mod.differential_thresholds(
-        pres, "x", levels=3, interval=(Fraction(0), Fraction(2))
+    yield from _jump_checks(
+        pres, "x", (1, 2), "jump set at level {e} = {jumps}", lambda e: (0, p**e - 1)
     )
-    got_thr = {c.value for c in thresholds}
-    checks.append(
-        (
-            "thresholds in [0,2] = {0, 1, 2}",
-            got_thr == {Fraction(0), Fraction(1), Fraction(2)},
-            _frac_set(got_thr),
-        )
-    )
-    return _report(checks)
+    yield _root_check(pres, "x", 3, (0, -1))
+    yield _threshold_check(pres, "x", 3, (0, 2), " in [0,2]", (0, 1, 2))
 
 
-def _example_9_6(p: int):
-    """K[x^2,x^3], element x^2, p > 2: jumps {(q+1)/2, q-1}, roots {-1, 1/2}."""
-    if p == 2:
-        raise ValueError("example 9.6 needs p > 2 (p = 2 is example 9.7)")
+def _cusp_checks(p: int, levels, form: str, closed_form, roots, root_levels: int):
+    """K[x^2,x^3], element x^2: jump sets against closed_form(p^e), roots, thresholds."""
     pres = SemigroupRingPresentation(p, (2, 3))
     a = pres.parse_ideal("x^2")
-    checks = []
-    for e in (1, 2):
-        q = p**e
-        computed = jumps_mod.jump_set(pres, a, e)
-        expected = tuple(sorted({(q + 1) // 2, q - 1}))
-        checks.append(
-            (
-                f"engine jump set at level {e} = {{(q+1)/2, q-1}}",
-                computed == expected,
-                f"{list(computed)}",
-            )
-        )
-    certs = roots_mod.bernstein_sato_roots(pres, a, levels=3)
-    got = {c.candidate for c in certs}
-    checks.append(
-        ("roots = {-1, 1/2}", got == {Fraction(-1), Fraction(1, 2)}, _frac_set(got))
-    )
-    thresholds = thr_mod.differential_thresholds(
-        pres, a, levels=3, interval=(Fraction(0), Fraction(3, 2))
-    )
-    got_thr = {c.value for c in thresholds}
-    expected_thr = {Fraction(1, 2), Fraction(1), Fraction(3, 2)}
-    checks.append(
-        (
-            "thresholds in [0, 3/2] = {1/2, 1, 3/2}",
-            got_thr == expected_thr,
-            _frac_set(got_thr),
-        )
-    )
-    return _report(checks)
+    name = "engine jump set at level {e} = {{" + form + "}}"
+    yield from _jump_checks(pres, a, levels, name, lambda e: closed_form(p**e))
+    yield _root_check(pres, a, root_levels, roots)
+    expected_thr = (Fraction(1, 2), 1, Fraction(3, 2))
+    yield _threshold_check(pres, a, root_levels, (0, Fraction(3, 2)), " in [0, 3/2]", expected_thr)
 
 
-def _example_9_7(p: int):
-    """K[x^2,x^3] at p = 2: jumps {q/2 - 1, q-1}, the only root is -1."""
+def _example_9_6(p: int, n: int):
+    """The cusp at p > 2: jumps {(q+1)/2, q-1}, roots {-1, 1/2}."""
+    if p == 2:
+        raise ValueError("example 9.6 needs p > 2 (p = 2 is example 9.7)")
+    return _cusp_checks(
+        p,
+        (1, 2),
+        "(q+1)/2, q-1",
+        lambda q: tuple(sorted({(q + 1) // 2, q - 1})),
+        (-1, Fraction(1, 2)),
+        3,
+    )
+
+
+def _example_9_7(p: int, n: int):
+    """The cusp at p = 2: jumps {q/2 - 1, q-1}, the only root is -1."""
     if p != 2:
         raise ValueError("example 9.7 is the p = 2 case")
-    pres = SemigroupRingPresentation(2, (2, 3))
-    a = pres.parse_ideal("x^2")
-    checks = []
-    for e in (1, 2, 3):
-        q = 2**e
-        computed = jumps_mod.jump_set(pres, a, e)
-        expected = (q // 2 - 1, q - 1)
-        checks.append(
-            (
-                f"engine jump set at level {e} = {{q/2 - 1, q-1}}",
-                computed == expected,
-                f"{list(computed)}",
-            )
-        )
-    certs = roots_mod.bernstein_sato_roots(pres, a, levels=5)
-    got = {c.candidate for c in certs}
-    checks.append(("roots = {-1}", got == {Fraction(-1)}, _frac_set(got)))
-    thresholds = thr_mod.differential_thresholds(
-        pres, a, levels=5, interval=(Fraction(0), Fraction(3, 2))
+    return _cusp_checks(
+        p, (1, 2, 3), "q/2 - 1, q-1", lambda q: (q // 2 - 1, q - 1), (-1,), 5
     )
-    got_thr = {c.value for c in thresholds}
-    expected_thr = {Fraction(1, 2), Fraction(1), Fraction(3, 2)}
-    checks.append(
-        (
-            "thresholds in [0, 3/2] = {1/2, 1, 3/2}",
-            got_thr == expected_thr,
-            _frac_set(got_thr),
-        )
-    )
-    return _report(checks)
 
 
 def _example_9_8(p: int, n: int):
     """K[x]/(x^(n+1)), element x: root {n}, the only threshold is 0."""
     pres = CatalogPresentation(p, "artinian_x_pow", n)
-    checks = []
     e = 1
     while p**e <= n:
         e += 1
-    computed = catalog_jump_set(pres, e)
-    checks.append(
-        (f"jump set at level {e} (p^e > n) = {{{n}}}", computed == (n,), f"{list(computed)}")
+    yield from _jump_checks(
+        pres, "x", (e,), "jump set at level {e} (p^e > n) = {jumps}", lambda _: (n,)
     )
     # Candidates congruent to n modulo p^E mimic the root up to level E; three
     # levels past the closed-form threshold p^e > n removes them for the
     # default denominator bound.
-    certs = roots_mod.bernstein_sato_roots(pres, "x", levels=e + 3)
-    got = {c.candidate for c in certs}
-    checks.append((f"roots = {{{n}}}", got == {Fraction(n)}, _frac_set(got)))
-    thresholds = thr_mod.differential_thresholds(
-        pres, "x", levels=5, interval=(Fraction(0), Fraction(1))
-    )
-    got_thr = {c.value for c in thresholds}
-    checks.append(("thresholds = {0}", got_thr == {Fraction(0)}, _frac_set(got_thr)))
-    return _report(checks)
+    yield _root_check(pres, "x", e + 3, (n,))
+    yield _threshold_check(pres, "x", 5, (0, 1), "", (0,))
+
+
+# id -> (default p, checks)
+EXAMPLES = {
+    "9.2": (5, _example_9_2),
+    "9.3": (5, _example_9_3),
+    "9.4": (13, _example_9_4),
+    "9.5": (3, _example_9_5),
+    "9.6": (5, _example_9_6),
+    "9.7": (2, _example_9_7),
+    "9.8": (3, _example_9_8),
+}
+
+
+def verify_example(example_id: str, p: int | None = None, n: int | None = None):
+    """Recompute a built-in worked example and diff against its published values."""
+    if example_id not in EXAMPLES:
+        raise ParseError(f"unknown example {example_id!r}; ids: {sorted(EXAMPLES)}")
+    default_p, checks = EXAMPLES[example_id]
+    return _report(checks(default_p if p is None else p, 4 if n is None else n))
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -556,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_fjn)
 
     sp = sub.add_parser("verify-example", help="recompute a built-in worked example")
-    sp.add_argument("id", choices=sorted(EXAMPLE_DEFAULT_P))
+    sp.add_argument("id", choices=sorted(EXAMPLES))
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None, help="parameter for 9.8")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")

@@ -169,7 +169,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def grid_denominators(p: int, c_max: int, b_max: int) -> list[int]:
-    """The denominators p^c (p^b - 1) with 0 <= c <= c_max and 1 <= b <= b_max, sorted."""
+    """The denominators p^c (p^b - 1) with 0 <= c <= c_max and 1 <= b <= b_max, sorted.
+
+    Every candidate grid is built from these, so an empty range is refused here.
+    """
+    check_level(c_max, what="c_max")
+    check_level(b_max, least=1, what="b_max")
     return sorted({p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)})
 
 

@@ -86,9 +86,6 @@ class PolyRing:
     def monomial(self, exponents) -> "Polynomial":
         return self.polynomial({tuple(exponents): 1})
 
-    def gens(self) -> list["Polynomial"]:
-        return [self.variable(v) for v in self.variables]
-
     # -- text grammar: identifiers, ^, optional *, +/-, integer coefficients --
 
     def parse(self, text: str) -> "Polynomial":

@@ -148,9 +148,6 @@ class PolynomialRingPresentation:
     def parse_ideal(self, text: str) -> Ideal:
         return self.ring.parse_ideal(text)
 
-    def describe(self) -> str:
-        return f"poly p={self.p} vars={','.join(self.variables)}"
-
 
 @dataclass(frozen=True)
 class MonomialSubalgebraPresentation:
@@ -227,9 +224,6 @@ class MonomialSubalgebraPresentation:
                     )
         return ideal
 
-    def describe(self) -> str:
-        return f"monomial-subalgebra p={self.p} vars={','.join(self.variables)}"
-
 
 def _monomials_of_degree(nvars: int, degree: int):
     if nvars == 1:
@@ -271,9 +265,6 @@ class SemigroupRingPresentation:
         if not exps:
             raise ParseError("empty semigroup ideal text")
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
-
-    def describe(self) -> str:
-        return f"semigroup p={self.p} gens={','.join(map(str, self.semigroup_generators))}"
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +322,6 @@ class CatalogPresentation:
                 f"catalog ring {self.kind} is tabulated for the element {expected!r} only"
             )
         return expected
-
-    def describe(self) -> str:
-        kind = self.kind if self.n is None else f"{self.kind}({self.n})"
-        return f"catalog {kind} p={self.p}"
 
 
 Presentation = (
@@ -626,22 +613,11 @@ class CuspCatalogEngine(JumpEngine):
             return (q // 2 - 1, q - 1)
         return ((q + 1) // 2, q - 1)
 
-    def is_jump(self, n: int, e: int) -> bool:
-        if n < 0:
-            return False
-        q = self.p**e
-        return n % q in self._window_jumps(q)
-
     def d_label(self, n: int, e: int):
         # Piecewise-constant between jumps; count the jumps strictly below n.
         q = self.p**e
         a, j = divmod(n, q)
         return a * len(self._window_jumps(q)) + sum(1 for w in self._window_jumps(q) if w < j)
-
-    def jump_set(self, e: int, window: int | None = None) -> tuple[int, ...]:
-        q = self.p**e
-        hi = self.r * q if window is None else window
-        return tuple(n for n in range(hi) if n % q in self._window_jumps(q))
 
 
 class ArtinianEngine(JumpEngine):
@@ -701,8 +677,3 @@ def jump_engine(presentation: Presentation, ideal) -> JumpEngine:
             return CuspCatalogEngine(presentation.p)
         return ArtinianEngine(presentation.p, presentation.n)
     raise TypeError(f"unsupported presentation {presentation!r}")
-
-
-def catalog_jump_set(presentation: CatalogPresentation, e: int) -> tuple[int, ...]:
-    """The closed-form level-e jump set of a catalog ring, within [0, r*p^e)."""
-    return jump_engine(presentation, None).jump_set(e)

@@ -305,26 +305,23 @@ def f_jumping_numbers(
     interval: tuple[Fraction, Fraction],
     e_max: int = 4,
     b_max: int = 1,
-    grid_c_max: int | None = None,
 ) -> list[Fraction]:
     """F-jumping numbers of a in the closed interval, at grid resolution.
 
     The candidate grid holds every rational with denominator dividing
-    p^c (p^b - 1), c <= grid_c_max, b <= b_max; tau is piecewise constant
+    p^c (p^b - 1), c <= max(0, e_max - 3), b <= b_max; tau is piecewise constant
     between consecutive true jumping numbers, so whenever the grid contains
     them all, a jump is reported exactly where tau differs from the previous
     grid point.  A grid point with p-part c in its denominator needs roughly
     c + 3 levels of chain to certify (c to enter the periodic ceiling regime,
-    two for agreement, one of slack next to a jump), so the default grid
-    resolution is e_max - 3; pass grid_c_max to override.
+    two for agreement, one of slack next to a jump), hence the bound
+    e_max - 3 on c.
     """
     check_level(e_max, least=1, what="e_max")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo < 0 or hi < lo:
         raise ValueError("interval must satisfy 0 <= lo <= hi")
-    if grid_c_max is None:
-        grid_c_max = max(0, e_max - 3)
-    denominators = grid_denominators(a.ring.p, grid_c_max, b_max)
+    denominators = grid_denominators(a.ring.p, max(0, e_max - 3), b_max)
     points = rational_grid(lo, hi, denominators)
     if lo > 0:
         # One comparison point just below the interval: the largest grid point < lo.

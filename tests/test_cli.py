@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,15 +212,21 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_verify_example_cli(capsys):
-    code, out, _ = invoke(capsys, "verify-example", "9.5", "--p", "3")
-    assert code == EXIT_OK
-    assert out.strip().endswith("PASS")
+# Output of `bsroots verify-example ARGS` for each worked example and each
+# refusal: stdout, exit code and (except for argparse's usage text) stderr.
+GOLDEN = json.loads((Path(__file__).parent / "verify_example_golden.json").read_text())
 
 
-def test_verify_example_bad_p(capsys):
-    code, _, err = invoke(capsys, "verify-example", "9.6", "--p", "2")
-    assert code == EXIT_PRECONDITION
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["args"] for case in GOLDEN])
+def test_verify_example_golden(capsys, case):
+    try:
+        code = run(["verify-example", *case["args"].split()])
+    except SystemExit as exc:  # argparse rejects an unknown id
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (case["code"], case["stdout"])
+    if case["stderr"] is not None:
+        assert captured.err == case["stderr"]
 
 
 def test_verify_example_library_entry():
@@ -240,6 +247,10 @@ def test_verify_example_library_entry():
         ["fjn", "--interval", "0:1", "--e-max", "0"],
         ["jumps", "--levels", "0"],
         ["jumps", "--level", "-1"],
+        # The candidate-grid bounds c_max >= 0 and b_max >= 1 go through the same check.
+        ["thresholds", "--c-max", "-1"],
+        ["thresholds", "--b-max", "-1"],
+        ["fjn", "--interval", "1:2", "--b-max", "0"],
     ],
 )
 def test_level_counts_below_one_are_refused(capsys, argv):

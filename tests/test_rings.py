@@ -12,10 +12,10 @@ from bsroots import (
     PolynomialRingPresentation,
     SemigroupIdeal,
     SemigroupRingPresentation,
-    catalog_jump_set,
     diff_closure,
     differential_thresholds,
     jump_engine,
+    jump_set,
     lift_ideal,
     parse_ring_declaration,
     semigroup_diff_closure,
@@ -213,8 +213,8 @@ def test_cusp_jump_sets_match_closed_form(p, e):
 
 def test_cross_xy_jump_sets():
     pres = CatalogPresentation(3, "cross_xy")
-    assert catalog_jump_set(pres, 1) == (0, 2)
-    assert catalog_jump_set(pres, 2) == (0, 8)
+    assert jump_set(pres, "x", 1) == (0, 2)
+    assert jump_set(pres, "x", 2) == (0, 8)
     engine = jump_engine(pres, "x")
     # Full set is q-periodic: translates of the window jumps.
     assert engine.is_jump(9, 2) and engine.is_jump(17, 2)
@@ -247,10 +247,10 @@ def test_cusp_catalog_matches_semigroup_engine():
 
 def test_artinian_jump_sets():
     pres = CatalogPresentation(3, "artinian_x_pow", 4)
-    assert catalog_jump_set(pres, 2) == (4,)  # closed form once p^e > n
-    assert catalog_jump_set(pres, 3) == (4,)
+    assert jump_set(pres, "x", 2) == (4,)  # closed form once p^e > n
+    assert jump_set(pres, "x", 3) == (4,)
     # Below that bound the endomorphism enumeration gives the exact set.
-    assert catalog_jump_set(pres, 1) == (1, 2)
+    assert jump_set(pres, "x", 1) == (1, 2)
     engine = jump_engine(pres, "x")
     assert not engine.is_jump(4 + 9, 2)  # powers above n vanish; no translates
 
