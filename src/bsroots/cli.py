@@ -402,6 +402,8 @@ def verify_example(example_id: str, p: int | None = None, n: int | None = None):
     """Recompute a built-in worked example and diff against its published values."""
     if example_id not in EXAMPLES:
         raise ParseError(f"unknown example {example_id!r}; ids: {sorted(EXAMPLES)}")
+    if n is not None and example_id != "9.8":
+        raise ValueError(f"example {example_id} takes no parameter n; only 9.8 does")
     default_p, checks = EXAMPLES[example_id]
     return _report(checks(default_p if p is None else p, 4 if n is None else n))
 
@@ -473,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("id", choices=sorted(EXAMPLES))
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--n", type=int, default=None, help="parameter for 9.8")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.set_defaults(handler=_cmd_verify_example)
 
     return parser

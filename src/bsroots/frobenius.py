@@ -15,7 +15,7 @@ regular jump engine's only route to its labels; the direct route
 from __future__ import annotations
 
 from .padic import check_level
-from .polyring import Ideal, Polynomial
+from .polyring import Ideal, Polynomial, _monomial_ideal
 
 
 def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
@@ -38,11 +38,18 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     """The Cartier image C^e * a: the smallest b with a contained in b^[p^e].
 
     Root extraction is applied to the cached reduced basis (any generating set
-    gives the same ideal; the reduced one keeps coefficient counts small).
+    gives the same ideal; the reduced one keeps coefficient counts small).  The
+    root of a monomial x^m is x^(m // p^e), so a monomial ideal floor-divides
+    its basis exponents.
     """
     if check_level(e) == 0 or a.is_zero():
         return a
     basis = a.groebner()
+    if a.is_monomial_ideal():
+        q = a.ring.p**e
+        return _monomial_ideal(
+            a.ring, (tuple(x // q for x in b.leading_monomial()) for b in basis)
+        )
     coefficients = []
     for g in basis:
         coefficients.extend(poly_root_coefficients(g, e))

@@ -2,8 +2,14 @@
 
 The term order is fixed globally to degrevlex with the variable order taken
 from the ring declaration, so every ideal has one reduced Groebner basis and
-every printed object is byte-stable.  Monomial ideals short-circuit Buchberger:
-their reduced basis is the minimal monomial generating set.
+every printed object is byte-stable.
+
+Monomial ideals are handled as sets of exponent tuples from end to end: they
+are built in one place, `_monomial_ideal`, which minimalizes the exponents
+once and keeps the minimal monomials as both the generators and the reduced
+Groebner basis.  Products of monomial ideals are Minkowski sums of exponent
+sets, and their Cartier roots (`frobenius.eth_root`) floor-divide exponents,
+so neither builds a polynomial product nor runs Buchberger.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -12,7 +18,6 @@ kept alongside the Groebner route as an independent test oracle.
 from __future__ import annotations
 
 import heapq
-from itertools import product as cartesian_product
 
 from .padic import check_level, check_prime
 
@@ -398,9 +403,8 @@ class Ideal:
             if not self.generators:
                 self._gb = ()
             elif self.is_monomial_ideal():
-                monos = minimal_monomials(g.leading_monomial() for g in self.generators)
-                monos.sort(key=self.ring.monomial_key, reverse=True)
-                self._gb = tuple(self.ring.monomial(m) for m in monos)
+                leads = (g.leading_monomial() for g in self.generators)
+                self._gb = _monomial_ideal(self.ring, leads).generators
             else:
                 self._gb = _buchberger(self.ring, self.generators)
         return self._gb
@@ -443,6 +447,13 @@ class Ideal:
             return other
         if other.is_one_ideal_fast():
             return self
+        if self.is_monomial_ideal() and other.is_monomial_ideal():
+            mine = [b.leading_monomial() for b in self.groebner()]
+            theirs = [b.leading_monomial() for b in other.groebner()]
+            return _monomial_ideal(
+                self.ring,
+                {tuple(a + b for a, b in zip(m1, m2)) for m1 in mine for m2 in theirs},
+            )
         gens = [g * h for g in self.generators for h in other.generators]
         return Ideal(self.ring, _interreduce_generators(self.ring, gens))
 
@@ -528,13 +539,22 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+def _monomial_ideal(ring: PolyRing, exponents) -> Ideal:
+    """The monomial ideal (x^m : m in exponents), its reduced basis already set.
+
+    The minimal exponents, sorted in descending order, give monic one-term
+    generators that are also the reduced Groebner basis.
+    """
+    monos = minimal_monomials(exponents)
+    monos.sort(key=ring.monomial_key, reverse=True)
+    ideal = Ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in monos))
+    ideal._gb = ideal.generators
+    return ideal
+
+
 def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
     """Drop generators whose normal form vanishes against the others."""
     gens = [g for g in gens if not g.is_zero()]
-    if all(g.is_monomial() for g in gens):
-        monos = minimal_monomials(g.leading_monomial() for g in gens)
-        monos.sort(key=ring.monomial_key, reverse=True)
-        return [ring.monomial(m) for m in monos]
     kept: list[Polynomial] = []
     for g in sorted(gens, key=lambda h: ring.monomial_key(h.leading_monomial())):
         if not _reduce_full(g, kept).is_zero():
@@ -649,12 +669,17 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
 # -- independent membership route ----------------------------------------------
 
 
+def _monomials_of_degree(nvars: int, degree: int):
+    if nvars == 1:
+        yield (degree,)
+        return
+    for head in range(degree + 1):
+        for tail in _monomials_of_degree(nvars - 1, degree - head):
+            yield (head,) + tail
+
+
 def monomials_up_to_degree(nvars: int, degree: int) -> list[Monomial]:
-    out = []
-    for combo in cartesian_product(range(degree + 1), repeat=nvars):
-        if sum(combo) <= degree:
-            out.append(combo)
-    return out
+    return [m for d in range(degree + 1) for m in _monomials_of_degree(nvars, d)]
 
 
 class RowSpan:

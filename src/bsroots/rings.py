@@ -26,7 +26,7 @@ from math import gcd
 
 from . import frobenius
 from .padic import check_level, check_prime
-from .polyring import Ideal, ParseError, PolyRing
+from .polyring import Ideal, ParseError, PolyRing, _monomials_of_degree
 
 
 # -- numerical semigroups -------------------------------------------------------
@@ -223,15 +223,6 @@ class MonomialSubalgebraPresentation:
                         f"monomial {mono} of {g} lies outside the subalgebra"
                     )
         return ideal
-
-
-def _monomials_of_degree(nvars: int, degree: int):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for head in range(degree + 1):
-        for tail in _monomials_of_degree(nvars - 1, degree - head):
-            yield (head,) + tail
 
 
 def veronese_presentation(p: int, variables, degree: int) -> MonomialSubalgebraPresentation:

@@ -261,11 +261,15 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int = 4) -> TestIdealResult:
 
     The reported ideal is always the top of the computed chain (the chain
     ascends, so that is the sharpest lower bound for tau).  `stabilized` is a
-    conservative flag: the last two chain terms agree and the agreement starts
-    at a level covering the p-part of the denominator of lam.  An early
-    agreement alone is not trusted; the chain can plateau for a step and grow
-    again (e.g. the exponent 29/20 on (x^2yz, xy^2z, xyz^2) at p = 5 plateaus
-    at levels 1-2 before jumping at level 3).
+    heuristic, not a certificate: it is set when the last two chain terms
+    agree and the agreement starts at a level covering the p-part of the
+    denominator of lam, or when the last three agree.  A single agreement
+    below that level is not trusted, since the chain can plateau for a step
+    and grow again (the exponent 29/20 on (x^2yz, xy^2z, xyz^2) at p = 5
+    plateaus at levels 1-2 before jumping at level 3).  A longer plateau can
+    still pass: (y^2, x^4) at p = 2 and lam = 2/3 reads (x, y) at levels 3-4
+    and is flagged stabilized at e_max = 4, yet the chain reaches (1) at
+    level 5, which is tau since 2/3 is below the lct 3/4.
     """
     check_level(e_max, least=1, what="e_max")
     lam = Fraction(lam)

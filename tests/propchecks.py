@@ -13,6 +13,7 @@ from bsroots import (
     jump_engine,
 )
 from bsroots.frobenius import diff_closure
+from bsroots.polyring import minimal_monomials
 from bsroots.thresholds import test_ideal, verify_threshold
 
 
@@ -48,7 +49,26 @@ def random_proper_monomial_ideal(rng, ring: PolyRing, max_degree: int = 4) -> Id
     return Ideal(ring, gens)
 
 
+def random_monomial_ideal(rng, ring: PolyRing, max_exponent: int = 4) -> Ideal:
+    """Monomial generators with nonzero scalars, repeats and redundant members."""
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.randint(0, max_exponent) for _ in range(ring.nvars))
+        gens.append(ring.polynomial({mono: rng.randint(1, ring.p - 1)}))
+    return Ideal(ring, gens + gens[:1])
+
+
 # -- individual properties --------------------------------------------------------
+
+
+def check_minimal_monomial_basis(ideal: Ideal) -> None:
+    """Generators are monic monomials, minimal, strictly descending, and the basis."""
+    ring = ideal.ring
+    monos = [g.leading_monomial() for g in ideal.generators]
+    assert all(g.terms == ((m, 1),) for g, m in zip(ideal.generators, monos)), ideal
+    assert sorted(set(monos), key=ring.monomial_key, reverse=True) == monos, ideal
+    assert sorted(minimal_monomials(monos)) == sorted(monos), ideal
+    assert ideal.groebner() == ideal.generators, ideal
 
 
 def check_adjunction(a: Ideal, b: Ideal, e: int) -> None:

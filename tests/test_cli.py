@@ -229,6 +229,20 @@ def test_verify_example_golden(capsys, case):
         assert captured.err == case["stderr"]
 
 
+@pytest.mark.parametrize("example_id", ["9.2", "9.5", "9.7"])
+def test_verify_example_refuses_n_outside_9_8(capsys, example_id):
+    code, out, err = invoke(capsys, "verify-example", example_id, "--n", "7")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.startswith("error: ") and "only 9.8" in err
+
+
+def test_verify_example_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-example", "9.5", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_verify_example_library_entry():
     ok, lines = verify_example("9.5", p=3)
     assert ok

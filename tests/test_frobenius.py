@@ -21,9 +21,11 @@ from propchecks import (
     check_adjunction,
     check_diff_closure_monotone_in_level,
     check_frobenius_level_shift,
+    check_minimal_monomial_basis,
     check_root_kills_diff_closure,
     check_root_of_frobenius_power,
     random_ideal,
+    random_monomial_ideal,
 )
 
 
@@ -68,6 +70,23 @@ def test_poly_root_coefficients_reassemble():
         total = total + R.polynomial(terms).frobenius(1).term_multiple(mu, 1)
     assert total == f
     assert len(poly_root_coefficients(f, 1)) == len(buckets)
+
+
+@pytest.mark.parametrize("nvars", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_monomial_eth_root_against_root_coefficients(nvars, p):
+    # Floor-divided basis exponents against the root coefficients of every
+    # generator as given.
+    rng = random.Random(10 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for _ in range(6):
+        a = random_monomial_ideal(rng, ring, max_exponent=3 * p)
+        for e in (1, 2):
+            root = eth_root(a, e)
+            check_minimal_monomial_basis(root)
+            coefficients = [h for g in a.generators for h in poly_root_coefficients(g, e)]
+            assert all(linear_membership(f, root.generators) for f in coefficients), (a, e)
+            assert all(linear_membership(f, coefficients) for f in root.generators), (a, e)
 
 
 def test_diff_closure_examples(R1):

@@ -173,6 +173,16 @@ def test_oracle_route_matches_groebner_route():
             assert jump_set_via_oracle(a, e) == jump_set(pres, a, e), (gens, e)
 
 
+@pytest.mark.parametrize("p,levels", [(2, (1, 2)), (3, (1,))])
+def test_oracle_route_matches_on_three_variable_monomial_ideals(p, levels):
+    rng = random.Random(p)
+    pres = PolynomialRingPresentation(p, ("x", "y", "z"))
+    for _ in range(8):
+        a = random_proper_monomial_ideal(rng, pres.ring, max_degree=3)
+        for e in levels:
+            assert jump_set_via_oracle(a, e) == jump_set(pres, a, e), (a, e)
+
+
 def test_oracle_route_zero_and_unit():
     ring = PolyRing(2, ("x", "y"))
     assert jump_set_via_oracle(Ideal(ring, ()), 1) == (0,)

@@ -6,6 +6,7 @@ import pytest
 
 from bsroots import Ideal, ParseError, PolyRing
 from bsroots.polyring import (
+    Polynomial,
     _divides,
     _mono_lcm,
     _mono_quot,
@@ -14,7 +15,7 @@ from bsroots.polyring import (
     minimal_monomials,
 )
 
-from propchecks import random_polynomial
+from propchecks import check_minimal_monomial_basis, random_monomial_ideal, random_polynomial
 
 
 @pytest.fixture
@@ -195,6 +196,23 @@ def test_normal_form_is_linear(R2):
 def test_minimal_monomials_filters_dominated():
     monos = [(2, 0), (1, 1), (2, 1), (3, 0), (0, 2)]
     assert set(minimal_monomials(monos)) == {(2, 0), (1, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("nvars", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_monomial_product_against_raw_products(monkeypatch, nvars, p):
+    # Minkowski sum of exponents against every raw generator product g*h.
+    rng = random.Random(100 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for _ in range(6):
+        a, b = random_monomial_ideal(rng, ring), random_monomial_ideal(rng, ring)
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", None)  # the kernel multiplies no polynomials
+            product = a.product(b)
+        check_minimal_monomial_basis(product)
+        raw = [g * h for g in a.generators for h in b.generators]
+        assert all(linear_membership(f, product.generators) for f in raw), (a, b)
+        assert all(linear_membership(f, raw) for f in product.generators), (a, b)
 
 
 def test_linear_membership_agrees_with_groebner(R2):
