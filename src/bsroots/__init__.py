@@ -3,7 +3,7 @@
 Differential jump sets, Bernstein-Sato roots, differential/F/Cartier
 thresholds, test ideals and F-jumping numbers, for polynomial rings and a
 restricted class of singular rings (level-differentially extensible monomial
-summands, numerical semigroup rings, and a small closed-form catalog).
+summands, numerical semigroup rings, and a small catalog of named rings).
 """
 
 from .padic import BasePFraction, PAdicRational, format_rational, parse_rational

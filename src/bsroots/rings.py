@@ -9,12 +9,14 @@ Four kinds of presentation are supported:
   Veronese subrings, anything else needs an explicit caller assertion);
 * numerical semigroup rings K[x^s : s in S] (graded endomorphism enumeration
   over the subring of p^e-th powers);
-* a small catalog of rings with closed-form jump sets (K[x,y]/(xy) with f = x,
-  the cusp K[x^2,x^3] with f = x^2, and the artinian K[x]/(x^(n+1)) with
-  f = x).
+* a small catalog of named rings with a fixed element: the monomial
+  quotients K[x,y]/(xy) with f = x and K[x]/(x^(n+1)) with f = x (the colon
+  formula of `MonomialQuotientEngine`), and the cusp K[x^2,x^3] with f = x^2
+  (the semigroup engine on <2,3>).
 
 Every engine exposes canonical labels for the ideals D^(e) * a^n, from which
-jump sets and single-jump queries are derived.
+jump sets and single-jump queries are derived; the labels are computed, and
+each is kept per (n, e) by `JumpEngine.d_label`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd
 
 from . import frobenius
 from .padic import check_level, check_prime
-from .polyring import Ideal, ParseError, PolyRing, _monomials_of_degree
+from .polyring import Ideal, ParseError, PolyRing, _monomials_of_degree, minimal_monomials
 
 
 # -- numerical semigroups -------------------------------------------------------
@@ -127,7 +129,7 @@ class SemigroupIdeal:
 # -- presentations --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ring(p: int, variables: tuple[str, ...]) -> PolyRing:
     return PolyRing(p, variables)
 
@@ -258,7 +260,7 @@ class SemigroupRingPresentation:
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _semigroup(generators: tuple[int, ...]) -> NumericalSemigroup:
     return NumericalSemigroup(generators)
 
@@ -282,11 +284,11 @@ CATALOG_KINDS = ("cross_xy", "cusp_semigroup", "artinian_x_pow")
 
 @dataclass(frozen=True)
 class CatalogPresentation:
-    """A ring with a closed-form jump-set description.
+    """A named singular ring with a fixed element; its labels are computed.
 
-    cross_xy:        K[x,y]/(xy), fixed element x
-    cusp_semigroup:  K[x^2,x^3], fixed element x^2
-    artinian_x_pow:  K[x]/(x^(n+1)), fixed element x (parameter n)
+    cross_xy:        K[x,y]/(xy), fixed element x (colon formula)
+    cusp_semigroup:  K[x^2,x^3], fixed element x^2 (semigroup engine on <2,3>)
+    artinian_x_pow:  K[x]/(x^(n+1)), fixed element x, parameter n (colon formula)
     """
 
     p: int
@@ -310,7 +312,7 @@ class CatalogPresentation:
         expected = self.canonical_element()
         if text is not None and text.replace(" ", "") not in (expected, ""):
             raise ParseError(
-                f"catalog ring {self.kind} is tabulated for the element {expected!r} only"
+                f"catalog ring {self.kind} is declared with the element {expected!r} only"
             )
         return expected
 
@@ -323,20 +325,40 @@ Presentation = (
 )
 
 
+# head -> the keys its declaration takes; only `catalog` takes a word, its ring.
+_DECLARATION_KEYS = {
+    "poly": ("p", "vars"),
+    "veronese": ("p", "vars", "degree"),
+    "semigroup": ("p", "gens"),
+    "catalog": ("p",),
+}
+
+
 def parse_ring_declaration(text: str) -> Presentation:
-    """Parse declarations like `poly p=5 vars=x,y` or `catalog cross_xy p=3`."""
+    """Parse declarations like `poly p=5 vars=x,y` or `catalog cross_xy p=3`.
+
+    A key the declaration does not take, a repeated key or an extra word is
+    refused rather than ignored.
+    """
     parts = text.split()
     if not parts:
         raise ParseError("empty ring declaration")
     head, rest = parts[0], parts[1:]
+    if head not in _DECLARATION_KEYS:
+        raise ParseError(f"unknown ring declaration {head!r}")
     kv = {}
     positional = []
     for item in rest:
-        if "=" in item:
-            key, _, value = item.partition("=")
-            kv[key] = value
-        else:
+        key, eq, value = item.partition("=")
+        if not eq or "(" in key:  # `artinian_x_pow(n=2)` is a word, not a key
             positional.append(item)
+        elif key not in _DECLARATION_KEYS[head] or key in kv:
+            raise ParseError(f"ring declaration {text!r} cannot take {item!r}")
+        else:
+            kv[key] = value
+    extra = positional[1:] if head == "catalog" else positional
+    if extra:
+        raise ParseError(f"ring declaration {text!r} has extra words {extra}")
 
     def need(key):
         if key not in kv:
@@ -354,22 +376,13 @@ def parse_ring_declaration(text: str) -> Presentation:
             return SemigroupRingPresentation(
                 int(need("p")), tuple(int(g) for g in need("gens").split(","))
             )
-        if head == "catalog":
-            if not positional:
-                raise ParseError("catalog declaration needs an identifier")
-            ident = positional[0]
-            n = None
-            if "(" in ident:
-                base, _, arg = ident.partition("(")
-                ident = base
-                arg = arg.rstrip(")")
-                if arg.startswith("n="):
-                    arg = arg[2:]
-                n = int(arg)
-            return CatalogPresentation(int(need("p")), ident, n)
+        if not positional:
+            raise ParseError("catalog declaration needs an identifier")
+        ident, _, arg = positional[0].partition("(")
+        n = int(arg.rstrip(")").removeprefix("n=")) if arg else None
+        return CatalogPresentation(int(need("p")), ident, n)
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad ring declaration {text!r}: {exc}") from exc
-    raise ParseError(f"unknown ring declaration {head!r}")
 
 
 # -- lifting into the ambient polynomial ring ------------------------------------
@@ -448,7 +461,7 @@ def semigroup_diff_closure(
     S: NumericalSemigroup, ideal: SemigroupIdeal, e: int, p: int
 ) -> SemigroupIdeal:
     """D^(e) * ideal as a semigroup ideal (union over the minimal exponents)."""
-    data = _semigroup_level_data(S, p ** check_level(e))
+    data = _semigroup_level_data(S.generators, p ** check_level(e))
     out = []
     for m in ideal.exponents:
         for d in data.shift_generators(m % data.q):
@@ -457,16 +470,9 @@ def semigroup_diff_closure(
     return SemigroupIdeal(S, minimal_semigroup_exponents(S, out))
 
 
-_LEVEL_DATA_CACHE: dict[tuple, _SemigroupLevelData] = {}
-
-
-def _semigroup_level_data(S: NumericalSemigroup, q: int) -> _SemigroupLevelData:
-    key = (S.generators, q)
-    data = _LEVEL_DATA_CACHE.get(key)
-    if data is None:
-        data = _SemigroupLevelData(S, q)
-        _LEVEL_DATA_CACHE[key] = data
-    return data
+@lru_cache(maxsize=128)
+def _semigroup_level_data(generators: tuple[int, ...], q: int) -> _SemigroupLevelData:
+    return _SemigroupLevelData(_semigroup(generators), q)
 
 
 # -- jump engines ----------------------------------------------------------------
@@ -478,7 +484,6 @@ class JumpEngine:
     An engine that computes labels calls `JumpEngine.__init__` and supplies
     `_compute_label`; `d_label` keeps each label per (n, e), since jump sets,
     jump queries and candidate checks ask for the same labels many times.
-    The closed-form catalog engines override `d_label` instead.
     """
 
     p: int
@@ -539,11 +544,15 @@ class RegularJumpEngine(JumpEngine):
 
 
 class SemigroupJumpEngine(JumpEngine):
-    producer = "semigroup"
-
-    def __init__(self, presentation: SemigroupRingPresentation, ideal: SemigroupIdeal):
+    def __init__(
+        self,
+        presentation: SemigroupRingPresentation,
+        ideal: SemigroupIdeal,
+        producer: str = "semigroup",
+    ):
         super().__init__()
         self.presentation = presentation
+        self.producer = producer
         self.S = presentation.semigroup
         self.ideal = ideal
         self.p = presentation.p
@@ -571,81 +580,54 @@ class SemigroupJumpEngine(JumpEngine):
         return semigroup_diff_closure(self.S, power, e, self.p).exponents
 
 
-class CrossXYEngine(JumpEngine):
-    """K[x,y]/(xy) with a = (x): D^(e)*x^m is (x^(aq)) or (x^(aq+1))."""
+class MonomialQuotientEngine(JumpEngine):
+    """F_p[x_1..x_k]/I for a monomial ideal I, with a = (x^b): the colon formula.
 
-    producer = "catalog"
-    f_split_certified = True  # Stanley-Reisner rings are F-split
-    threshold_slack = 0
-    r = 1
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def d_label(self, n: int, e: int):
-        q = self.p**e
-        a, j = divmod(n, q)
-        return a * q if j == 0 else a * q + 1
-
-
-class CuspCatalogEngine(JumpEngine):
-    """Closed-form jump sets of x^2 in K[x^2,x^3]; periodic with period p^e."""
-
-    producer = "catalog"
-    f_split_certified = False
-    threshold_slack = 2  # conductor of <2,3>
-    r = 1
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def _window_jumps(self, q: int) -> tuple[int, ...]:
-        if self.p == 2:
-            return (q // 2 - 1, q - 1)
-        return ((q + 1) // 2, q - 1)
-
-    def d_label(self, n: int, e: int):
-        # Piecewise-constant between jumps; count the jumps strictly below n.
-        q = self.p**e
-        a, j = divmod(n, q)
-        return a * len(self._window_jumps(q)) + sum(1 for w in self._window_jumps(q) if w < j)
-
-
-class ArtinianEngine(JumpEngine):
-    """K[x]/(x^(n+1)) with a = (x): exact D^(e)-labels at every level.
-
-    D^(e) = End over the subring of p^e-th powers; each residue class mod p^e
-    is a cyclic module, and a degree shift between classes exists iff the
-    annihilator condition k + (N_k - N_j + u) q > n is avoided.  For p^e > n
-    this yields the jump set {n}.
+    D^(e) of S/I is the set of D^(e)_S-maps that preserve I, modulo those
+    into I (Fedder, Trans. AMS 1983).  Such a map sends x^m, m = q*u + mu with
+    mu = m mod q, to x^(q*u + t), and it preserves I iff x^(q*c_g + t) lies in
+    I for every minimal generator g of I, where c_g = ceil((g - mu)^+ / q).
+    Hence D^(e)*x^m = I + x^(q*u) * (intersection over g of I : x^(q*c_g)),
+    and the label is its set of minimal exponent vectors.
     """
 
     producer = "catalog"
-    f_split_certified = False
     r = 1
 
-    def __init__(self, p: int, n: int):
+    def __init__(
+        self,
+        p: int,
+        relations: tuple[tuple[int, ...], ...],
+        element: tuple[int, ...],
+        threshold_slack: int,
+        root_interval: tuple[Fraction, Fraction] | None = None,
+    ):
+        super().__init__()
         self.p = p
-        self.n = n
-        self.threshold_slack = n
+        self.relations = relations
+        self.element = element
+        # Squarefree I gives a Stanley-Reisner ring, which is F-split; any
+        # other monomial quotient is not reduced, so it is not F-split.
+        self.f_split_certified = all(c <= 1 for g in relations for c in g)
+        self.threshold_slack = threshold_slack
+        self.root_interval = root_interval
 
     def default_root_interval(self) -> tuple[Fraction, Fraction]:
-        # The sole root is the integer n itself (jump sets stabilize to {n}).
-        return (Fraction(0), Fraction(self.n))
+        return self.root_interval or super().default_root_interval()
 
-    def d_label(self, m: int, e: int):
-        n, q = self.n, self.p**e
-        if m > n:
-            return "zero"
-        j, u = m % q, m // q
-        nj = (n - j) // q
-        best = None
-        for k in range(min(q, n + 1)):
-            nk = (n - k) // q
-            exponent = k + (max(0, nk - nj) + u) * q
-            if exponent <= n and (best is None or exponent < best):
-                best = exponent
-        return best if best is not None else "zero"
+    def _compute_label(self, n: int, e: int):
+        q, relations = self.p**e, self.relations
+        m = [n * b for b in self.element]
+        mu = [c % q for c in m]
+        shifts = [(0,) * len(m)]  # the intersection of the colons, from the unit ideal
+        for g in relations:
+            c = [q * -(-max(0, gi - ui) // q) for gi, ui in zip(g, mu)]
+            colon = [tuple(max(0, hi - ci) for hi, ci in zip(h, c)) for h in relations]
+            shifts = minimal_monomials(
+                tuple(map(max, s, t)) for s in shifts for t in colon
+            )
+        gens = [tuple(mi - ui + t for mi, ui, t in zip(m, mu, s)) for s in shifts]
+        return tuple(sorted(minimal_monomials([*gens, *relations])))
 
 
 def jump_engine(presentation: Presentation, ideal) -> JumpEngine:
@@ -662,9 +644,12 @@ def jump_engine(presentation: Presentation, ideal) -> JumpEngine:
             raise TypeError("semigroup presentations need a SemigroupIdeal")
         return SemigroupJumpEngine(presentation, ideal)
     if isinstance(presentation, CatalogPresentation):
-        if presentation.kind == "cross_xy":
-            return CrossXYEngine(presentation.p)
+        p, n = presentation.p, presentation.n
         if presentation.kind == "cusp_semigroup":
-            return CuspCatalogEngine(presentation.p)
-        return ArtinianEngine(presentation.p, presentation.n)
+            cusp = SemigroupRingPresentation(p, (2, 3))
+            return SemigroupJumpEngine(cusp, cusp.parse_ideal("x^2"), producer="catalog")
+        if presentation.kind == "cross_xy":
+            return MonomialQuotientEngine(p, ((1, 1),), (1, 0), 0)
+        # The sole root of K[x]/(x^(n+1)) is n itself: jump sets stabilize to {n}.
+        return MonomialQuotientEngine(p, ((n + 1,),), (1,), n, (Fraction(0), Fraction(n)))
     raise TypeError(f"unsupported presentation {presentation!r}")

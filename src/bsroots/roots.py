@@ -110,8 +110,9 @@ def bernstein_sato_roots(
     """All enumerated candidates that survive verification to the given level.
 
     Defaults: the interval is [-r, 0] for F-split-certified presentations and
-    [-r, r] otherwise (the artinian catalog widens to [0, n]); the denominator
-    bound is ceil(levels / 2) so a candidate shows at least two full periods.
+    [-r, r] otherwise, except that the artinian catalog ring K[x]/(x^(n+1)),
+    whose sole root is n, uses [0, n]; the denominator bound is
+    ceil(levels / 2) so a candidate shows at least two full periods.
     """
     check_level(levels, least=1, what="levels")
     engine = jump_engine(presentation, ideal)

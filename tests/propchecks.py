@@ -191,3 +191,60 @@ def check_multiplication_by_p(presentation, ideal, lam: Fraction, levels: int = 
             ideal,
             lam,
         )
+
+
+# -- closed-form catalog labels ---------------------------------------------------
+#
+# Each oracle labels D^(e)*a^n by a value whose equalities are those of the
+# ideals; the engines compute their labels independently.
+
+
+def cross_xy_label(p: int, n: int, e: int) -> int:
+    """Test oracle: K[x,y]/(xy), a = (x); D^(e)*x^n is (x^(uq)) or (x^(uq+1))."""
+    q = p**e
+    u, j = divmod(n, q)
+    return u * q if j == 0 else u * q + 1
+
+
+def cusp_label(p: int, n: int, e: int) -> int:
+    """Test oracle: K[x^2,x^3], a = (x^2); the jumps in [0, q) repeat with period q.
+
+    The window jumps are {(q+1)/2, q-1} for p > 2 and {q/2 - 1, q-1} for p = 2;
+    the label counts the jumps below n.
+    """
+    q = p**e
+    window = (q // 2 - 1, q - 1) if p == 2 else ((q + 1) // 2, q - 1)
+    u, j = divmod(n, q)
+    return u * len(window) + sum(1 for w in window if w < j)
+
+
+def artinian_label(p: int, top: int, m: int, e: int) -> int | None:
+    """Test oracle: K[x]/(x^(top+1)), a = (x); the least exponent of D^(e)*x^m.
+
+    D^(e) = End over the subring of p^e-th powers; each residue class mod p^e
+    is a cyclic module, and a degree shift from class j to class k exists iff
+    k + (N_k - N_j + u) q <= top is attainable.  None stands for the zero ideal.
+    """
+    q = p**e
+    if m > top:
+        return None
+    j, u = m % q, m // q
+    nj = (top - j) // q
+    best = None
+    for k in range(min(q, top + 1)):
+        nk = (top - k) // q
+        exponent = k + (max(0, nk - nj) + u) * q
+        if exponent <= top and (best is None or exponent < best):
+            best = exponent
+    return best
+
+
+def check_labels_match_oracle(engine, oracle, e: int) -> None:
+    """Engine labels and oracle labels have the same equalities on [0, 4 p^e]."""
+    window = 4 * engine.p**e
+    labels = [engine.d_label(n, e) for n in range(window + 1)]
+    expected = [oracle(n) for n in range(window + 1)]
+    pairs = set(zip(labels, expected))
+    assert len(pairs) == len(set(labels)) == len(set(expected)), (engine.p, e)
+    oracle_jumps = tuple(n for n in range(window) if expected[n] != expected[n + 1])
+    assert engine.jump_set(e, window=window) == oracle_jumps, (engine.p, e)

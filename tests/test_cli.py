@@ -197,6 +197,15 @@ def test_catalog_ring_needs_no_ideal(capsys):
     assert json.loads(out)["levels"] == {"1": [0, 2]}
 
 
+@pytest.mark.parametrize(
+    "ring", ["catalog cross_xy p=3 bogus=1", "poly p=5 vars=x degree=2"]
+)
+def test_declaration_with_an_unused_key_exits_2(capsys, ring):
+    code, out, err = invoke(capsys, "jumps", "--ring", ring, "--ideal", "x")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ") and "cannot take" in err
+
+
 def test_byte_identical_reruns(capsys):
     args = (
         "roots",
@@ -227,6 +236,19 @@ def test_verify_example_golden(capsys, case):
     assert (code, captured.out) == (case["code"], case["stdout"])
     if case["stderr"] is not None:
         assert captured.err == case["stderr"]
+
+
+# Output of every catalog ring at p in {2, 3, 5, 7} (artinian n in {1, 2, 4, 7})
+# for jumps, roots, thresholds and fpt: exit code, stdout and stderr.
+CATALOG_GOLDEN = json.loads((Path(__file__).parent / "catalog_cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", CATALOG_GOLDEN, ids=[" ".join(case["argv"]) for case in CATALOG_GOLDEN]
+)
+def test_catalog_cli_golden(capsys, case):
+    code, out, err = invoke(capsys, *case["argv"])
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize("example_id", ["9.2", "9.5", "9.7"])

@@ -24,6 +24,12 @@ from bsroots import (
 from bsroots import rings
 from bsroots.polyring import Ideal
 from bsroots.rings import MonomialSubalgebraPresentation
+from propchecks import (
+    artinian_label,
+    check_labels_match_oracle,
+    cross_xy_label,
+    cusp_label,
+)
 
 
 # -- numerical semigroups -----------------------------------------------------
@@ -65,6 +71,7 @@ def test_semigroup_trivial():
         ("semigroup p=5 gens=2,3", SemigroupRingPresentation),
         ("catalog cross_xy p=3", CatalogPresentation),
         ("catalog artinian_x_pow(4) p=3", CatalogPresentation),
+        ("catalog artinian_x_pow(n=2) p=3", CatalogPresentation),
     ],
 )
 def test_parse_ring_declaration(text, kind):
@@ -72,7 +79,18 @@ def test_parse_ring_declaration(text, kind):
 
 
 def test_parse_ring_declaration_errors():
-    for text in ("poly vars=x", "nonsense p=5", "catalog p=5", "catalog bogus p=5"):
+    for text in (
+        "poly vars=x",
+        "nonsense p=5",
+        "catalog p=5",
+        "catalog bogus p=5",
+        # A key, a repeat or a word the declaration does not take is refused.
+        "catalog cross_xy p=3 bogus=1",
+        "poly p=5 vars=x,y degree=2",
+        "poly p=5 p=7 vars=x",
+        "catalog cross_xy cusp_semigroup p=3",
+        "semigroup p=5 gens=2,3 cusp",
+    ):
         with pytest.raises(ParseError):
             parse_ring_declaration(text)
 
@@ -236,13 +254,25 @@ def test_semigroup_engine_computes_each_label_once(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
-def test_cusp_catalog_matches_semigroup_engine():
-    for p in (2, 3, 5):
-        catalog = jump_engine(CatalogPresentation(p, "cusp_semigroup"), "x^2")
-        pres = SemigroupRingPresentation(p, (2, 3))
-        engine = jump_engine(pres, pres.parse_ideal("x^2"))
-        for e in (1, 2):
-            assert catalog.jump_set(e) == engine.jump_set(e), (p, e)
+def test_cusp_catalog_matches_closed_form():
+    for p in (2, 3, 5, 7):
+        engine = jump_engine(CatalogPresentation(p, "cusp_semigroup"), "x^2")
+        assert engine.producer == "catalog"
+        for e in (1, 2, 3):
+            check_labels_match_oracle(engine, lambda n: cusp_label(p, n, e), e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_monomial_quotient_labels_match_closed_forms(p):
+    cross = jump_engine(CatalogPresentation(p, "cross_xy"), "x")
+    artinian = {
+        top: jump_engine(CatalogPresentation(p, "artinian_x_pow", top), "x")
+        for top in range(1, 9)
+    }
+    for e in (1, 2, 3):
+        check_labels_match_oracle(cross, lambda n: cross_xy_label(p, n, e), e)
+        for top, engine in artinian.items():
+            check_labels_match_oracle(engine, lambda n: artinian_label(p, top, n, e), e)
 
 
 def test_artinian_jump_sets():
@@ -257,13 +287,34 @@ def test_artinian_jump_sets():
 
 def test_artinian_labels_under_vanishing():
     engine = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
-    assert engine.d_label(5, 1) == "zero"
+    # A label lists the minimal exponents of the ideal of F_3[x] above I = (x^5).
+    zero, unit = ((5,),), ((0,),)
+    assert engine.d_label(5, 1) == zero
     # Once p^e > n every endomorphism is available, so D*(x^j) = R for j <= n.
-    assert engine.d_label(0, 2) == 0
-    assert engine.d_label(4, 2) == 0
-    assert engine.d_label(5, 2) == "zero"
+    assert engine.d_label(0, 2) == unit
+    assert engine.d_label(4, 2) == unit
+    assert engine.d_label(5, 2) == zero
     # Below that bound the closure is a proper ideal: D*(x^4) = (x^3) at p = 3.
-    assert engine.d_label(4, 1) == 3
+    assert engine.d_label(4, 1) == ((3,),)
+
+
+def test_presentation_caches_are_bounded():
+    caches = (rings._ring, rings._semigroup, rings._semigroup_level_data)
+    most = max(cache.cache_info().maxsize for cache in caches)
+    S = NumericalSemigroup((2, 3))
+
+    def cusp_closure_of_x8():
+        return semigroup_diff_closure(S, SemigroupIdeal.from_exponents(S, (8,)), 1, 5)
+
+    first = cusp_closure_of_x8()
+    for k in range(most + 5):
+        PolynomialRingPresentation(5, (f"x{k}",)).ring
+        T = SemigroupRingPresentation(5, (2, 2 * k + 5)).semigroup
+        semigroup_diff_closure(T, SemigroupIdeal.from_exponents(T, (2,)), 1, 5)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
+    assert cusp_closure_of_x8().exponents == first.exponents == frozenset({5})
 
 
 def test_artinian_validation():
