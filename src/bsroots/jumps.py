@@ -44,7 +44,8 @@ class JumpTable:
                 reduced = n
                 while reduced >= window:
                     reduced -= q
-                assert reduced in allowed, (shallow, deep, n)
+                if reduced not in allowed:
+                    raise AssertionError((shallow, deep, n))
 
     def to_json(self) -> str:
         payload = {

@@ -53,6 +53,14 @@ def check_level(e: int, least: int = 0, what: str = "level") -> int:
     return e
 
 
+def check_interval(interval) -> tuple[Fraction, Fraction]:
+    """The interval's ends (lo, hi) as Fractions, or raise ValueError when hi < lo."""
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if hi < lo:
+        raise ValueError(f"interval must satisfy lo <= hi, got {lo}:{hi}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class PAdicRational:
     """A rational number lying in Z_(p): denominator coprime to p."""

@@ -510,6 +510,13 @@ class JumpEngine:
             return False
         return self.d_label(n, e) != self.d_label(n + 1, e)
 
+    def first_jump(self, ks, e: int) -> int | None:
+        """The first k of ks, in the order given, that is a level-e jump; None if none is.
+
+        Only the labels of the keys visited (and of their successors) are computed.
+        """
+        return next((k for k in ks if self.is_jump(k, e)), None)
+
     def jump_set(self, e: int, window: int | None = None) -> tuple[int, ...]:
         hi = self.r * self.p**e if window is None else window
         labels = [self.d_label(n, e) for n in range(hi + 1)]
@@ -561,19 +568,14 @@ class SemigroupJumpEngine(JumpEngine):
         # semigroup ring certified here is the polynomial ring S = <1>.
         self.f_split_certified = self.S.conductor == 0
         self.threshold_slack = 0 if self.f_split_certified else max(1, self.S.conductor)
-        self._powers: dict[int, frozenset] = {0: frozenset({0})}
+        self._powers: list[frozenset] = [frozenset({0})]  # a^0, a^1, ... by exponents
 
     def _power_exponents(self, n: int) -> frozenset:
-        cached = self._powers.get(n)
-        if cached is not None:
-            return cached
-        start = max(k for k in self._powers if k <= n)
-        current = self._powers[start]
-        for k in range(start + 1, n + 1):
-            exps = {a + b for a in current for b in self.ideal.exponents}
-            current = minimal_semigroup_exponents(self.S, exps)
-            self._powers[k] = current
-        return current
+        powers = self._powers
+        while len(powers) <= n:
+            exps = {a + b for a in powers[-1] for b in self.ideal.exponents}
+            powers.append(minimal_semigroup_exponents(self.S, exps))
+        return powers[n]
 
     def _compute_label(self, n: int, e: int):
         power = SemigroupIdeal(self.S, self._power_exponents(n))

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .padic import PAdicRational, check_level, format_rational, grid_denominators, rational_grid
+from .padic import (
+    PAdicRational, check_interval, check_level, format_rational, grid_denominators, rational_grid
+)
 from .rings import JumpEngine, Presentation, jump_engine
 
 
@@ -61,7 +63,7 @@ def enumerate_candidates(
     """All reduced alpha in the interval with (p^b - 1)*alpha integral, b <= bound."""
     if denominator_bound < 1:
         raise ValueError("denominator bound must be >= 1")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    lo, hi = check_interval(interval)
     return rational_grid(lo, hi, grid_denominators(p, 0, denominator_bound))
 
 
@@ -79,19 +81,13 @@ def verify_root_to_level(
     for e in range(1, levels + 1):
         q = engine.p**e
         t = padic.truncation(e)
-        found = None
-        for s in range(engine.r):
-            if engine.is_jump(t + s * q, e):
-                found = RootWitness(e=e, s=s, jump=t + s * q)
-                break
-        if found is None:
+        window = [t + s * q for s in range(engine.r)]
+        jump = engine.first_jump(window, e)
+        if jump is None:
             return RootRefutation(
-                candidate=padic.value,
-                p=engine.p,
-                failed_level=e,
-                checked=tuple(t + s * q for s in range(engine.r)),
+                candidate=padic.value, p=engine.p, failed_level=e, checked=tuple(window)
             )
-        witnesses.append(found)
+        witnesses.append(RootWitness(e=e, s=(jump - t) // q, jump=jump))
     return RootCertificate(
         candidate=padic.value,
         p=engine.p,

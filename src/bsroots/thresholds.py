@@ -15,12 +15,12 @@ peeled Cartier roots) so they can cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frobenius
 from .jumps import _largest_nu, check_nu_preconditions, largest_true
-from .padic import check_level, format_rational, grid_denominators, rational_grid
+from .padic import check_interval, check_level, format_rational, grid_denominators, rational_grid
 from .polyring import Ideal
 from .rings import JumpEngine, Presentation, jump_engine
 
@@ -47,27 +47,26 @@ class ThresholdCertificate:
 def verify_threshold(
     engine: JumpEngine, lam: Fraction, levels: int
 ) -> ThresholdCertificate | None:
-    """Per-level witness check for a threshold candidate; None when refuted."""
+    """Per-level witness check for a threshold candidate; None when refuted.
+
+    The level-e witness is the jump in [p^e*lam - r - K, p^e*lam + K] nearest
+    to p^e*lam, the smaller one on a tie.
+    """
     check_level(levels, least=1, what="levels")
     lam = Fraction(lam)
     if lam < 0:
         return None
     K = engine.threshold_slack
+    num, den = lam.numerator, lam.denominator
     witnesses = []
     for e in range(1, levels + 1):
-        target = lam * engine.p**e
-        lo = max(0, math.ceil(target - engine.r - K))
-        hi = math.floor(target + K)
-        found = None
-        best_distance = None
-        for k in range(lo, hi + 1):
-            if engine.is_jump(k, e):
-                distance = abs(Fraction(k) - target)
-                if best_distance is None or distance < best_distance:
-                    found, best_distance = k, distance
-        if found is None:
+        top = num * engine.p**e  # p^e * lam = top / den
+        lo = max(0, -(-top // den) - engine.r - K)
+        window = range(lo, top // den + K + 1)
+        jump = engine.first_jump(sorted(window, key=lambda k: (abs(k * den - top), k)), e)
+        if jump is None:
             return None
-        witnesses.append(ThresholdWitness(e=e, jump=found))
+        witnesses.append(ThresholdWitness(e=e, jump=jump))
     return ThresholdCertificate(
         value=lam,
         p=engine.p,
@@ -97,7 +96,7 @@ def threshold_candidates(
         c_max = E
     if b_max is None:
         b_max = max(1, (E + 1) // 2)
-    lo_cap, hi_cap = Fraction(interval[0]), Fraction(interval[1])
+    lo_cap, hi_cap = check_interval(interval)
     q = p**E
     width = Fraction(r + engine.threshold_slack)
     denominators = grid_denominators(p, c_max, b_max)
@@ -105,16 +104,14 @@ def threshold_candidates(
     for nu in engine.jump_set(E):
         lo = max(Fraction(0), Fraction(nu, q) - width / q)
         base.update(rational_grid(lo, Fraction(nu, q) + width / q, denominators))
-    # Integer translates sweep candidates across the requested interval.
-    out: set[Fraction] = set()
-    if base:
-        max_shift = math.floor(hi_cap - min(base)) + 1
-        for lam in base:
-            for shift in range(0, max(1, max_shift) + 1):
-                value = lam + shift
-                if lo_cap <= value <= hi_cap:
-                    out.add(value)
-    return sorted(out)
+    # Integer translates lam + s, s >= 0, sweep candidates across the requested interval.
+    return sorted(
+        {
+            lam + s
+            for lam in base
+            for s in range(max(0, math.ceil(lo_cap - lam)), math.floor(hi_cap - lam) + 1)
+        }
+    )
 
 
 def differential_thresholds(
@@ -159,16 +156,7 @@ def _merge_clusters(
     for cluster in clusters:
         head = min(cluster, key=lambda c: (c.value.denominator, c.value))
         others = tuple(c.value for c in cluster if c.value != head.value)
-        merged.append(
-            ThresholdCertificate(
-                value=head.value,
-                p=head.p,
-                certified_level=head.certified_level,
-                witnesses=head.witnesses,
-                slack=head.slack,
-                merged=others,
-            )
-        )
+        merged.append(replace(head, merged=others))
     return merged
 
 
@@ -322,8 +310,8 @@ def f_jumping_numbers(
     e_max - 3 on c.
     """
     check_level(e_max, least=1, what="e_max")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    if lo < 0 or hi < lo:
+    lo, hi = check_interval(interval)
+    if lo < 0:
         raise ValueError("interval must satisfy 0 <= lo <= hi")
     denominators = grid_denominators(a.ring.p, max(0, e_max - 3), b_max)
     points = rational_grid(lo, hi, denominators)

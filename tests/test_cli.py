@@ -271,6 +271,11 @@ def test_verify_example_library_entry():
     assert lines[-1] == "PASS"
 
 
+# A reversed interval is refused like a level count below one, not answered
+# with an empty list.
+REVERSED_INTERVALS = [["roots", "--interval", "1:-1"], ["thresholds", "--interval", "2:1"]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -287,13 +292,15 @@ def test_verify_example_library_entry():
         ["thresholds", "--c-max", "-1"],
         ["thresholds", "--b-max", "-1"],
         ["fjn", "--interval", "1:2", "--b-max", "0"],
-    ],
+    ]
+    + REVERSED_INTERVALS,
 )
 def test_level_counts_below_one_are_refused(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--ring", "poly p=5 vars=x", "--ideal", "x")
     assert code == EXIT_PRECONDITION
     assert out == ""
-    assert err.startswith("error: ") and "must be an integer >=" in err
+    refusal = "must satisfy lo <= hi" if argv in REVERSED_INTERVALS else "must be an integer >="
+    assert err.startswith("error: ") and refusal in err
 
 
 def test_type_error_in_a_handler_is_not_exit_one(monkeypatch):

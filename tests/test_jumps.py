@@ -1,7 +1,11 @@
 """Tests for jump sets, jump tables, nu invariants and the oracle route."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,26 @@ def test_jump_table_nesting_validator(px):
     table.check_nesting()  # must not raise
     vp = parse_ring_declaration("veronese p=3 vars=x,y degree=2")
     jump_table(vp, vp.parse_ideal("x^2, x*y, y^2"), (1, 2)).check_nesting()
+
+
+def test_jump_table_nesting_violation_raises_under_optimisation():
+    # 7 reduces to 7 - 5 = 2 in the level-1 window, which holds only 4.  The
+    # check raises AssertionError itself, so `python -O` cannot strip it.
+    code = (
+        "from bsroots import JumpTable\n"
+        "table = JumpTable(p=5, r=1, producer='regular', levels={1: (4,), 2: (7,)})\n"
+        "try:\n"
+        "    table.check_nesting()\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "raised (1, 2, 7)\n"
 
 
 def test_nesting_holds_on_singular_engines():

@@ -1,5 +1,6 @@
 """Tests for thresholds, test ideals, F-jumping numbers and the coset check."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from bsroots import (
 )
 from bsroots import jumps, thresholds
 from bsroots import test_ideal as tau_ideal
+from bsroots.rings import JumpEngine
 from bsroots.thresholds import threshold_candidates, verify_threshold
 
 from propchecks import check_multiplication_by_p, check_skoda_certificate
@@ -268,6 +270,86 @@ def test_threshold_witnesses_recheck_independently():
         assert engine.is_jump(witness.jump, witness.e)
         target = Fraction(2) * 5**witness.e
         assert target - engine.r <= witness.jump <= target  # F-split window
+
+
+class _PlantedJumps(JumpEngine):
+    """An engine whose level-e jumps are planted: the label of n counts the jumps below n."""
+
+    p, r, threshold_slack, f_split_certified, producer = 5, 1, 1, False, "planted"
+
+    def __init__(self, jumps):
+        super().__init__()
+        self.jumps = jumps
+
+    def _compute_label(self, n, e):
+        return sum(j < n for j in self.jumps[e])
+
+
+def _nearest_jumps_brute_force(engine, lam, levels):
+    """Per level, the jump of the certification window nearest to p^e*lam (the
+    smaller on a tie), picked from the whole jump set; None if a level has none."""
+    picks = []
+    for e in range(1, levels + 1):
+        target = lam * engine.p**e
+        K = engine.threshold_slack
+        lo = max(0, math.ceil(target - engine.r - K))
+        hi = math.floor(target + K)
+        window = [j for j in engine.jump_set(e, window=hi + 1) if j >= lo]
+        if not window:
+            return None
+        picks.append(min(window, key=lambda j: (abs(j - target), j)))
+    return picks
+
+
+def _declared_engine(declaration, ideal):
+    pres = parse_ring_declaration(declaration)
+    return jump_engine(pres, pres.parse_ideal(ideal))
+
+
+@pytest.mark.parametrize(
+    "make_engine,levels,interval",
+    [
+        (lambda: _declared_engine("semigroup p=5 gens=3,5,7", "x^3"), 2, (0, 2)),
+        (lambda: _declared_engine("catalog artinian_x_pow(4) p=3", "x"), 3, (0, 2)),
+        (lambda: _declared_engine("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2"), 3, (0, 3)),
+        (lambda: _PlantedJumps({1: (2, 3), 2: (12, 13)}), 2, (0, 1)),
+    ],
+    ids=["semigroup-3-5-7", "artinian-4", "veronese", "planted-tie"],
+)
+def test_threshold_witnesses_are_the_nearest_jumps(make_engine, levels, interval):
+    engine = make_engine()
+    candidates = threshold_candidates(engine, levels, interval)
+    assert candidates
+    for lam in candidates:
+        cert = verify_threshold(engine, lam, levels)
+        expected = _nearest_jumps_brute_force(engine, lam, levels)
+        if expected is None:
+            assert cert is None, lam
+        else:
+            assert [(w.e, w.jump) for w in cert.witnesses] == list(enumerate(expected, 1)), lam
+
+
+def test_threshold_witness_tie_goes_to_the_smaller_jump():
+    # 5^e/2 sits halfway between the planted jumps 2, 3 and 12, 13.
+    engine = _PlantedJumps({1: (2, 3), 2: (12, 13)})
+    cert = verify_threshold(engine, Fraction(1, 2), 2)
+    assert [w.jump for w in cert.witnesses] == [2, 12]
+
+
+def test_threshold_witness_search_labels_only_the_keys_it_visits(monkeypatch):
+    # <3,5,7> with x^3 at p = 5 has slack 5, so each level's window holds 12
+    # keys; the jumps 4 and 24 sit next to p^e*lam = 5 and 25, so the search
+    # visits p^e*lam, then p^e*lam - 1, and stops.
+    pres = SemigroupRingPresentation(5, (3, 5, 7))
+    engine = jump_engine(pres, pres.parse_ideal("x^3"))
+    labelled = []
+    compute = engine._compute_label
+    monkeypatch.setattr(
+        engine, "_compute_label", lambda n, e: labelled.append((n, e)) or compute(n, e)
+    )
+    cert = verify_threshold(engine, Fraction(1), 2)
+    assert [w.jump for w in cert.witnesses] == [4, 24]
+    assert sorted(labelled) == [(4, 1), (5, 1), (6, 1), (24, 2), (25, 2), (26, 2)]
 
 
 def test_thresholds_artinian_merge_to_zero():
