@@ -15,7 +15,7 @@ regular jump engine's only route to its labels; the direct route
 from __future__ import annotations
 
 from .padic import check_level
-from .polyring import Ideal, Polynomial, _monomial_ideal
+from .polyring import Ideal, Polynomial, _interreduce_generators, _monomial_ideal
 
 
 def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
@@ -38,9 +38,10 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     """The Cartier image C^e * a: the smallest b with a contained in b^[p^e].
 
     Root extraction is applied to the cached reduced basis (any generating set
-    gives the same ideal; the reduced one keeps coefficient counts small).  The
-    root of a monomial x^m is x^(m // p^e), so a monomial ideal floor-divides
-    its basis exponents.
+    gives the same ideal; the reduced one keeps coefficient counts small), and
+    the root coefficients are interreduced, so products built on the root
+    start from a short generator list.  The root of a monomial x^m is
+    x^(m // p^e), so a monomial ideal floor-divides its basis exponents.
     """
     if check_level(e) == 0 or a.is_zero():
         return a
@@ -53,7 +54,7 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     coefficients = []
     for g in basis:
         coefficients.extend(poly_root_coefficients(g, e))
-    return Ideal(a.ring, coefficients)
+    return Ideal(a.ring, _interreduce_generators(a.ring, coefficients))
 
 
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:

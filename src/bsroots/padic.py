@@ -186,11 +186,15 @@ def grid_denominators(p: int, c_max: int, b_max: int) -> list[int]:
     return sorted({p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)})
 
 
-def rational_grid(lo: Fraction, hi: Fraction, denominators) -> list[Fraction]:
-    """Every k/d in the closed interval [lo, hi] with d among the denominators, sorted."""
-    grid = {
+def grid_points(lo: Fraction, hi: Fraction, denominators) -> set[Fraction]:
+    """Every k/d in the closed interval [lo, hi] with d among the denominators."""
+    return {
         Fraction(k, d)
         for d in denominators
         for k in range(math.ceil(lo * d), math.floor(hi * d) + 1)
     }
-    return sorted(grid)
+
+
+def rational_grid(lo: Fraction, hi: Fraction, denominators) -> list[Fraction]:
+    """`grid_points`, sorted."""
+    return sorted(grid_points(lo, hi, denominators))

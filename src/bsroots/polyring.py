@@ -11,6 +11,14 @@ Groebner basis.  Products of monomial ideals are Minkowski sums of exponent
 sets, and their Cartier roots (`frobenius.eth_root`) floor-divide exponents,
 so neither builds a polynomial product nor runs Buchberger.
 
+Other ideals go through the Groebner kernel.  `_buchberger` prunes pairs with
+the Gebauer-Moller update as each basis element is added, and pops the
+remaining pairs from a heap ordered by lcm.  `_reduce_full` keeps its pending
+monomials in a heap; its lead-only mode stops at the first irreducible term,
+which is all a membership test, an interreduction or an S-pair needs.
+`Ideal.product` multiplies a factor's reduced basis only when it is already
+cached and no longer than the generator list.
+
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
 """
@@ -421,7 +429,7 @@ class Ideal:
         if all(b.is_monomial() for b in basis) and f.is_monomial():
             lead = f.leading_monomial()
             return any(_divides(b.leading_monomial(), lead) for b in basis)
-        return self.normal_form(f).is_zero()
+        return _reduce_full(f, basis, lead_only=True).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -441,6 +449,15 @@ class Ideal:
     # -- constructions ------------------------------------------------------
 
     def product(self, other: "Ideal") -> "Ideal":
+        """The product ideal, generated by the pairwise products of the factors' generators.
+
+        A factor contributes its cached reduced basis in place of its
+        generators when that basis is already known and no longer than the
+        generator list; no basis is computed for the product's sake (the
+        reduced basis of a power of (x^2 + y^3, xy) is about twice as long as
+        its generator list).  The products are interreduced before the ideal
+        is built.
+        """
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, (), declared_r=1)
         if self.is_one_ideal_fast():
@@ -454,8 +471,15 @@ class Ideal:
                 self.ring,
                 {tuple(a + b for a, b in zip(m1, m2)) for m1 in mine for m2 in theirs},
             )
-        gens = [g * h for g in self.generators for h in other.generators]
+        gens = [g * h for g in self._short_generators() for h in other._short_generators()]
         return Ideal(self.ring, _interreduce_generators(self.ring, gens))
+
+    def _short_generators(self) -> tuple[Polynomial, ...]:
+        """The cached reduced basis when known and no longer than the generators, else those."""
+        gb = self._gb
+        if gb is not None and len(gb) <= len(self.generators):
+            return gb
+        return self.generators
 
     def is_one_ideal_fast(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_one()
@@ -553,11 +577,15 @@ def _monomial_ideal(ring: PolyRing, exponents) -> Ideal:
 
 
 def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
-    """Drop generators whose normal form vanishes against the others."""
+    """Drop generators whose normal form vanishes against the others.
+
+    Only a zero test is needed, so each reduction stops at its first
+    irreducible term.
+    """
     gens = [g for g in gens if not g.is_zero()]
     kept: list[Polynomial] = []
     for g in sorted(gens, key=lambda h: ring.monomial_key(h.leading_monomial())):
-        if not _reduce_full(g, kept).is_zero():
+        if not _reduce_full(g, kept, lead_only=True).is_zero():
             kept.append(g)
     return kept
 
@@ -565,98 +593,148 @@ def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
 # -- Buchberger ---------------------------------------------------------------
 
 
-def _reduce_full(f: Polynomial, basis) -> Polynomial:
-    """Full reduction (every term) of f against the basis."""
+def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
+    """Full reduction (every term) of f against the basis.
+
+    Pending monomials sit in a heap keyed by (-deg m, m reversed), so the
+    degrevlex-largest one pops first; a monomial that cancels stays in the heap
+    and is skipped when it pops.  Each term is reduced by the first basis
+    element whose lead divides it, and every basis lead coefficient is
+    inverted once per call.
+
+    With `lead_only`, reduction stops at the first irreducible term and returns
+    that term plus the unreduced rest: a polynomial congruent to f modulo the
+    basis whose lead no basis lead divides.  Terms that go to the remainder are
+    never cancelled again, so the result is zero exactly when full reduction
+    gives zero, which is all a membership test needs.
+    """
     if f.is_zero() or not basis:
         return f
     ring = f.ring
     p = ring.p
-    remainder: dict[Monomial, int] = {}
+    leads = [
+        (b.leading_monomial(), pow(b.leading_coefficient(), -1, p), b.terms)
+        for b in basis
+        if not b.is_zero()
+    ]
     work = dict(f.terms)
-    leads = [(b.leading_monomial(), b) for b in basis if not b.is_zero()]
-    while work:
-        mono = max(work, key=ring.monomial_key)
-        coeff = work[mono] % p
-        if coeff == 0:
-            del work[mono]
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
+    remainder: dict[Monomial, int] = {}
+    while heap:
+        mono = heapq.heappop(heap)[2]
+        coeff = work.pop(mono, 0)
+        if not coeff:
             continue
-        for lead, b in leads:
+        for lead, inverse, terms in leads:
             if _divides(lead, mono):
-                factor = (coeff * pow(b.leading_coefficient(), -1, p)) % p
+                factor = coeff * inverse % p
                 shift = _mono_quot(mono, lead)
-                # The lead term of b cancels work[mono] exactly.
-                for m2, c2 in b.terms:
+                # The lead term cancels work[mono], already popped; the rest
+                # of the terms are smaller than mono.
+                for m2, c2 in terms[1:]:
                     m = tuple(a + s for a, s in zip(m2, shift))
-                    val = (work.get(m, 0) - factor * c2) % p
+                    old = work.get(m)
+                    val = ((old or 0) - factor * c2) % p
                     if val:
+                        if old is None:
+                            heapq.heappush(heap, (-sum(m), m[::-1], m))
                         work[m] = val
-                    else:
-                        work.pop(m, None)
+                    elif old is not None:
+                        del work[m]
                 break
         else:
+            if lead_only:
+                work[mono] = coeff
+                return ring.polynomial(work)
             remainder[mono] = coeff
-            del work[mono]
     return ring.polynomial(remainder)
 
 
 def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
-    """Buchberger with the coprimality and chain criteria, then inter-reduction."""
-    basis = [g.monic() for g in generators if not g.is_zero()]
-    if any(g.is_constant() for g in basis):
+    """The reduced Groebner basis by Buchberger's algorithm with the Gebauer-Moller update.
+
+    Each new element h (an input generator or a reduced S-polynomial) goes
+    through the update of Gebauer and Moller (J. Symb. Comp. 6, 1988; the
+    UPDATE of Becker-Weispfenning):
+
+    - of the new pairs (g, h), g active, those with coprime leads are dropped,
+      and so is each whose lcm is a multiple of another new pair's lcm;
+    - an old pair (i, j) is dropped when lm(h) divides lcm(i, j) and that lcm
+      differs from both lcm(i, h) and lcm(j, h);
+    - every active element whose lead lm(h) divides leaves the active set.
+
+    Pairs wait in a heap ordered by lcm, smallest first; a pruned pair leaves
+    the dict of live pairs and is skipped when it pops.  S-polynomials are
+    reduced against the active set only and just until their lead is
+    irreducible, which is all the pair update needs.  At the end the active
+    set is minimalized (an input generator's lead can be divisible by an
+    earlier one's) and each survivor is tail-reduced against the others.
+    """
+    if any(g.is_constant() for g in generators if not g.is_zero()):
         return (ring.one(),)
-    # Pending pairs: the set serves the chain criterion, the heap pops the
-    # pair of smallest lcm, keyed once when the pair is made.
-    pairs: set[tuple[int, int]] = set()
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    active: list[int] = []
+    live: dict[tuple[int, int], Monomial] = {}
     queue: list = []
 
-    def add_pairs(i: int) -> None:
-        lm_i = basis[i].leading_monomial()
-        for j in range(i):
-            lcm = _mono_lcm(lm_i, basis[j].leading_monomial())
-            pairs.add((i, j))
-            heapq.heappush(queue, (ring.monomial_key(lcm), i, j, lcm))
+    def update(h: Polynomial) -> None:
+        k = len(basis)
+        lm_h = h.leading_monomial()
+        # New pairs; the later ones in `new` are those still to be examined.
+        new = [(i, _mono_lcm(leads[i], lm_h)) for i in active]
+        kept = []
+        for idx, (i, lcm) in enumerate(new):
+            coprime = not any(a and b for a, b in zip(leads[i], lm_h))
+            if coprime or not (
+                any(_divides(other, lcm) for _, other in new[idx + 1 :])
+                or any(_divides(other, lcm) for _, other, _ in kept)
+            ):
+                kept.append((i, lcm, coprime))
+        for key, lcm in list(live.items()):
+            if (
+                _divides(lm_h, lcm)
+                and lcm != _mono_lcm(leads[key[0]], lm_h)
+                and lcm != _mono_lcm(leads[key[1]], lm_h)
+            ):
+                del live[key]
+        for i, lcm, coprime in kept:
+            if not coprime:
+                live[(k, i)] = lcm
+                heapq.heappush(queue, (ring.monomial_key(lcm), k, i, lcm))
+        active[:] = [i for i in active if not _divides(lm_h, leads[i])]
+        active.append(k)
+        basis.append(h)
+        leads.append(lm_h)
 
-    for i in range(len(basis)):
-        add_pairs(i)
+    for g in generators:
+        if not g.is_zero():
+            update(g.monic())
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
-        pairs.discard((i, j))
+        if live.pop((i, j), None) is None:
+            continue
         fi, fj = basis[i], basis[j]
-        lm_i, lm_j = fi.leading_monomial(), fj.leading_monomial()
-        # Buchberger's first criterion: coprime leading monomials.
-        if all(a + b == c for a, b, c in zip(lm_i, lm_j, lcm)):
-            continue
-        # Chain criterion: some k with lm_k | lcm and both pairs already done.
-        if any(
-            k not in (i, j)
-            and _divides(basis[k].leading_monomial(), lcm)
-            and (max(i, k), min(i, k)) not in pairs
-            and (max(j, k), min(j, k)) not in pairs
-            for k in range(len(basis))
-        ):
-            continue
-        s_poly = fi.term_multiple(_mono_quot(lcm, lm_i), 1) - fj.term_multiple(
-            _mono_quot(lcm, lm_j), 1
+        s_poly = fi.term_multiple(_mono_quot(lcm, leads[i]), 1) - fj.term_multiple(
+            _mono_quot(lcm, leads[j]), 1
         )
-        remainder = _reduce_full(s_poly, basis)
+        remainder = _reduce_full(s_poly, [basis[k] for k in active], lead_only=True)
         if remainder.is_zero():
             continue
         remainder = remainder.monic()
         if remainder.is_constant():
             return (ring.one(),)
-        basis.append(remainder)
-        add_pairs(len(basis) - 1)
+        update(remainder)
     # Minimalize: drop members whose lead is divisible by another lead.
-    leads = [g.leading_monomial() for g in basis]
-    keep = []
-    for idx, g in enumerate(basis):
+    keep = [
+        basis[i]
+        for i in active
         if not any(
-            k != idx
-            and _divides(leads[k], leads[idx])
-            and (leads[k] != leads[idx] or k < idx)
-            for k in range(len(basis))
-        ):
-            keep.append(g)
+            k != i and _divides(leads[k], leads[i]) and (leads[k] != leads[i] or k < i)
+            for k in active
+        )
+    ]
     # Tail-reduce each survivor against the others for the reduced basis.
     reduced = []
     for idx, g in enumerate(keep):

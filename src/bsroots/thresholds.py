@@ -20,7 +20,9 @@ from fractions import Fraction
 
 from . import frobenius
 from .jumps import _largest_nu, check_nu_preconditions, largest_true
-from .padic import check_interval, check_level, format_rational, grid_denominators, rational_grid
+from .padic import (
+    check_interval, check_level, format_rational, grid_denominators, grid_points, rational_grid
+)
 from .polyring import Ideal
 from .rings import JumpEngine, Presentation, jump_engine
 
@@ -88,7 +90,9 @@ def threshold_candidates(
     Each level-E jump nu supports a threshold in [nu/p^E, (nu+r)/p^E]; the
     spawn window is widened by the slack and filled with every rational of
     denominator dividing p^c (p^b - 1).  Integer translates cover the part of
-    the requested interval above the fundamental window.
+    the requested interval above the fundamental window.  The windows are
+    gathered as one unsorted set, and the candidates are sorted once, after the
+    translates.
     """
     p, r = engine.p, engine.r
     E = check_level(levels, least=1, what="levels")
@@ -103,7 +107,7 @@ def threshold_candidates(
     base: set[Fraction] = set()
     for nu in engine.jump_set(E):
         lo = max(Fraction(0), Fraction(nu, q) - width / q)
-        base.update(rational_grid(lo, Fraction(nu, q) + width / q, denominators))
+        base |= grid_points(lo, Fraction(nu, q) + width / q, denominators)
     # Integer translates lam + s, s >= 0, sweep candidates across the requested interval.
     return sorted(
         {

@@ -13,7 +13,7 @@ from bsroots import (
     jump_engine,
 )
 from bsroots.frobenius import diff_closure
-from bsroots.polyring import minimal_monomials
+from bsroots.polyring import linear_membership, minimal_monomials
 from bsroots.thresholds import test_ideal, verify_threshold
 
 
@@ -28,6 +28,27 @@ def random_polynomial(rng, ring: PolyRing, max_degree: int = 4, max_terms: int =
             remaining -= e
         terms[tuple(mono)] = rng.randint(1, ring.p - 1) if ring.p > 2 else 1
     return ring.polynomial(terms)
+
+
+def random_generators(rng, ring: PolyRing, count: int, max_degree: int) -> list:
+    """`count` or more nonzero random polynomials, not all of them monomials."""
+    gens = []
+    while len(gens) < count or all(g.is_monomial() for g in gens):
+        g = random_polynomial(rng, ring, max_degree=max_degree)
+        if not g.is_zero():
+            gens.append(g)
+    return gens
+
+
+def in_ideal_by_row_reduction(f, generators, max_cap=16):
+    """Membership by `linear_membership`, raising the degree cap up to max_cap.
+
+    RowSpan membership is complete once the cap covers some representation.
+    """
+    return any(
+        linear_membership(f, generators, degree_cap=cap)
+        for cap in range(max(f.total_degree(), 0), max_cap + 1)
+    )
 
 
 def random_ideal(rng, ring: PolyRing, max_gens: int = 3, max_degree: int = 4) -> Ideal:

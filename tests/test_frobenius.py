@@ -24,6 +24,8 @@ from propchecks import (
     check_minimal_monomial_basis,
     check_root_kills_diff_closure,
     check_root_of_frobenius_power,
+    in_ideal_by_row_reduction,
+    random_generators,
     random_ideal,
     random_monomial_ideal,
 )
@@ -89,6 +91,22 @@ def test_monomial_eth_root_against_root_coefficients(nvars, p):
             assert all(linear_membership(f, coefficients) for f in root.generators), (a, e)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_eth_root_against_root_coefficients(p):
+    # The root of a non-monomial ideal against the ideal of the root
+    # coefficients of every generator as given.
+    rng = random.Random(400 + p)
+    ring = PolyRing(p, ("x", "y"))
+    for _ in range(4):
+        gens = random_generators(rng, ring, 2, 2 * p + 1)
+        a = Ideal(ring, gens)
+        for e in (1, 2):
+            root = eth_root(a, e)
+            coefficients = [h for g in gens for h in poly_root_coefficients(g, e)]
+            assert all(in_ideal_by_row_reduction(f, root.generators) for f in coefficients)
+            assert all(in_ideal_by_row_reduction(f, coefficients) for f in root.generators)
+
+
 def test_diff_closure_examples(R1):
     p = R1.p
     assert diff_closure(_principal(R1, "x"), 1).is_unit()
@@ -134,6 +152,9 @@ def test_eth_root_power_matches_direct_three_variables():
         ("poly p=5 vars=x,y", "x^4 + x^2*y^2 + x*y^4", (1, 2), None),
         ("veronese p=5 vars=x,y degree=2", "x^2, x*y, y^2", (2,), None),
         ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", (2,), (60, 64, 65, 70)),
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", (1,), None),
+        # The whole level-2 window, n <= 18, is too slow on the direct route.
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", (2,), range(14)),
     ],
 )
 def test_engine_labels_match_direct_route(ring, ideal, levels, powers):

@@ -1,5 +1,6 @@
 """Tests for polynomial arithmetic, Groebner bases and ideal operations."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,13 @@ from bsroots.polyring import (
     minimal_monomials,
 )
 
-from propchecks import check_minimal_monomial_basis, random_monomial_ideal, random_polynomial
+from propchecks import (
+    check_minimal_monomial_basis,
+    in_ideal_by_row_reduction,
+    random_generators,
+    random_monomial_ideal,
+    random_polynomial,
+)
 
 
 @pytest.fixture
@@ -83,12 +90,24 @@ def _s_polynomial(f, g):
     )
 
 
-def _in_ideal_by_row_reduction(f, generators, max_cap=16):
-    # RowSpan membership is complete once the cap covers some representation.
-    return any(
-        linear_membership(f, generators, degree_cap=cap)
-        for cap in range(f.total_degree(), max_cap + 1)
-    )
+def _check_reduced_groebner_basis(ring, gens):
+    basis = Ideal(ring, gens).groebner()
+    leads = [b.leading_monomial() for b in basis]
+    # Monic, reduced and sorted by descending leading monomial.
+    assert all(b.leading_coefficient() == 1 for b in basis)
+    for i, b in enumerate(basis):
+        for j, lead in enumerate(leads):
+            if i != j:
+                assert not any(_divides(lead, m) for m, _ in b.terms), (gens, b)
+    keys = [ring.monomial_key(m) for m in leads]
+    assert keys == sorted(keys, reverse=True)
+    # A Groebner basis: every S-polynomial and every input reduces to 0.
+    for i in range(len(basis)):
+        for j in range(i):
+            assert _reduce_full(_s_polynomial(basis[i], basis[j]), basis).is_zero(), gens
+    assert all(_reduce_full(g, basis).is_zero() for g in gens), gens
+    # Of the input ideal: every member lies in it by row reduction.
+    assert all(in_ideal_by_row_reduction(b, gens) for b in basis), gens
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -97,28 +116,47 @@ def test_groebner_against_row_reduction_oracle(p, nvars):
     rng = random.Random(100 * p + nvars)
     ring = PolyRing(p, ("x", "y", "z")[:nvars])
     for _ in range(12):
-        gens = []
-        while len(gens) < 2 or all(g.is_monomial() for g in gens):
-            g = random_polynomial(rng, ring, max_degree=4)
-            if not g.is_zero():
-                gens.append(g)
-        basis = Ideal(ring, gens).groebner()
-        leads = [b.leading_monomial() for b in basis]
-        # Monic, reduced and sorted by descending leading monomial.
-        assert all(b.leading_coefficient() == 1 for b in basis)
-        for i, b in enumerate(basis):
-            for j, lead in enumerate(leads):
-                if i != j:
-                    assert not any(_divides(lead, m) for m, _ in b.terms), (gens, b)
-        keys = [ring.monomial_key(m) for m in leads]
-        assert keys == sorted(keys, reverse=True)
-        # A Groebner basis: every S-polynomial and every input reduces to 0.
-        for i in range(len(basis)):
-            for j in range(i):
-                assert _reduce_full(_s_polynomial(basis[i], basis[j]), basis).is_zero()
-        assert all(_reduce_full(g, basis).is_zero() for g in gens)
-        # Of the input ideal: every member lies in it by row reduction.
-        assert all(_in_ideal_by_row_reduction(b, gens) for b in basis), gens
+        _check_reduced_groebner_basis(ring, random_generators(rng, ring, 2, 4))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_groebner_of_three_to_six_generators_against_row_reduction_oracle(p):
+    # More generators make more pairs per new basis element, so the
+    # Gebauer-Moller update prunes old pairs and retires active elements.
+    rng = random.Random(1000 + p)
+    ring = PolyRing(p, ("x", "y", "z"))
+    for count in (3, 4, 5, 6) * 3:
+        _check_reduced_groebner_basis(ring, random_generators(rng, ring, count, 3))
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lead_only_reduction_against_full_reduction(p, nvars):
+    rng = random.Random(10 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    zeros = 0
+    for _ in range(30):
+        gens = random_generators(rng, ring, rng.randint(2, 3), 3)
+        for basis in (gens, Ideal(ring, gens).groebner()):
+            f = random_polynomial(rng, ring, max_degree=5, max_terms=4)
+            if rng.random() < 0.5:
+                # A planted member, so that both routes often reach zero.
+                for b in basis:
+                    f = f + b * random_polynomial(rng, ring, max_degree=2)
+                f = f - random_polynomial(rng, ring, max_degree=1) * basis[0]
+            lead_only = _reduce_full(f, basis, lead_only=True)
+            full = _reduce_full(f, basis)
+            assert lead_only.is_zero() == full.is_zero(), (f, basis)
+            if lead_only.is_zero():
+                zeros += 1
+            else:
+                lead = lead_only.leading_monomial()
+                assert lead == full.leading_monomial(), (f, basis)
+                assert not any(_divides(b.leading_monomial(), lead) for b in basis)
+            # Reduction stays below deg f, so the degree-f row span is complete.
+            cap = max(f.total_degree(), 0)
+            assert linear_membership(lead_only - f, basis, degree_cap=cap), (f, basis)
+    assert zeros >= 5
 
 
 def test_groebner_is_cached_and_unique(R2):
@@ -213,6 +251,41 @@ def test_monomial_product_against_raw_products(monkeypatch, nvars, p):
         raw = [g * h for g in a.generators for h in b.generators]
         assert all(linear_membership(f, product.generators) for f in raw), (a, b)
         assert all(linear_membership(f, raw) for f in product.generators), (a, b)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_product_against_raw_products(p):
+    # Mutual row-reduction membership against every raw generator product g*h,
+    # with and without a cached reduced basis on either factor.
+    rng = random.Random(300 + p)
+    ring = PolyRing(p, ("x", "y"))
+    used_basis = used_generators = 0
+    for _ in range(4):
+        a_gens = random_generators(rng, ring, 2, 3)
+        # A redundant generator, so that a's reduced basis is often the shorter list.
+        a_gens.append(a_gens[0] * ring.variable("y"))
+        b_gens = random_generators(rng, ring, 2, 3)
+        raw = [g * h for g in a_gens for h in b_gens]
+        for cached_a, cached_b in itertools.product((False, True), repeat=2):
+            a, b = Ideal(ring, a_gens), Ideal(ring, b_gens)
+            if cached_a:
+                a.groebner()
+            if cached_b:
+                b.groebner()
+            product = a.product(b)
+            # No reduced basis is computed for the product's sake.
+            assert (a._gb is not None, b._gb is not None) == (cached_a, cached_b)
+            # A known basis no longer than the generator list is multiplied instead.
+            short = [
+                f.groebner() if known and len(f.groebner()) <= len(f.generators) else f.generators
+                for f, known in ((a, cached_a), (b, cached_b))
+            ]
+            used_basis += short[0] is not a.generators
+            used_generators += short[0] is a.generators
+            assert set(product.generators) <= {g * h for g in short[0] for h in short[1]}
+            assert all(in_ideal_by_row_reduction(f, product.generators) for f in raw), raw
+            assert all(in_ideal_by_row_reduction(f, raw) for f in product.generators), raw
+    assert used_basis and used_generators
 
 
 def test_linear_membership_agrees_with_groebner(R2):
