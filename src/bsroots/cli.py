@@ -421,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, ideal_required=True):
+    def common(sp, formats=("json", "text")):
         sp.add_argument("--ring", required=True, help='e.g. "poly p=5 vars=x,y"')
         sp.add_argument("--ideal", required=False, help='e.g. "x^2, x*y"')
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        sp.add_argument("--format", choices=formats, default="json")
 
     sp = sub.add_parser("jumps", help="differential jump sets per level")
     common(sp)
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_fpt)
 
     sp = sub.add_parser("nu", help="nu-invariants of a against c (F-threshold data)")
-    common(sp)
+    common(sp, formats=("json", "csv", "text"))
     sp.add_argument("--cideal", required=True, help="the ideal c")
     sp.add_argument("--levels", type=int, default=3)
     sp.set_defaults(handler=_cmd_nu)

@@ -8,8 +8,10 @@ differential ideal containing a; `cartier_preimage` is the adjoint.
 level is peeled at a time through the factorization
 a^m = (a^q)^[p] * a^(m0)  (valid once m0 >= (r-1)(p-1))
 together with the projection formula C^1(b^[p] c) = b * C^1(c).  It is the
-regular jump engine's only route to its labels; the direct route
-`eth_root(a.power(n), e)` serves the tests as the cross-check.
+only route to C^e * a^n in the program: the regular jump engine's labels, the
+nu-invariants and F-thresholds (a^n in c^[p^e] iff C^e * a^n in c), and the
+test-ideal chain.  The direct route `eth_root(a.power(n), e)` serves the tests
+as the cross-check.
 """
 
 from __future__ import annotations

@@ -3,7 +3,11 @@
 A level-e differential jump of an ideal a is an n with D^(e)*a^n strictly
 containing D^(e)*a^(n+1); the fundamental window [0, r*p^e) determines the
 rest through subtraction of p^e.  `nu_invariant` is the companion quantity
-max{n : a^n not contained in c^[p^e]} used by the threshold detectors.
+max{n : a^n not contained in c^[p^e]} used by the threshold detectors.  On a
+polynomial ring a^n lies in c^[p^e] exactly when C^e*a^n lies in c, so it is
+searched through peeled Cartier roots (`frobenius.eth_root_power`); the direct
+Frobenius-power search is kept only as the test oracle
+`nu_via_frobenius_power`.
 """
 
 from __future__ import annotations
@@ -117,7 +121,8 @@ def nu_invariant(a: Ideal, c: Ideal, e: int) -> int:
     """max{n >= 0 : a^n not contained in c^[p^e]} for ideals of a polynomial ring.
 
     Requires c proper and a inside the radical of c (otherwise no maximum
-    exists); both are decided exactly before the search.
+    exists); both are decided exactly before the search.  The containment is
+    tested as C^e*a^n inside c, which on a polynomial ring is equivalent.
     """
     check_nu_preconditions(a, c)
     return _largest_nu(a, c, e)
@@ -125,11 +130,19 @@ def nu_invariant(a: Ideal, c: Ideal, e: int) -> int:
 
 def _largest_nu(a: Ideal, c: Ideal, e: int) -> int:
     """`nu_invariant` for callers that have already checked its preconditions."""
-    check_level(e)
-    if a.is_zero():
-        return 0
-    frob = c.frobenius_power(e)
     # a^0 = (1) is never inside the proper ideal, and containment is monotone in n.
+    return largest_true(lambda n: not c.contains_ideal(frobenius.eth_root_power(a, n, e)))
+
+
+def nu_via_frobenius_power(a: Ideal, c: Ideal, e: int) -> int:
+    """`nu_invariant` by the direct search a^n not in c^[p^e]; a test oracle.
+
+    Builds every power a^n up to the answer and tests it against the Frobenius
+    power of c, with no Cartier root anywhere; the program itself always goes
+    through `nu_invariant`.
+    """
+    check_nu_preconditions(a, c)
+    frob = c.frobenius_power(check_level(e))
     return largest_true(lambda n: not frob.contains_ideal(a.power(n)))
 
 

@@ -377,18 +377,19 @@ class Ideal:
     minimized.
     """
 
-    __slots__ = ("ring", "generators", "declared_r", "_gb", "_power_cache")
+    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers")
 
     def __init__(self, ring: PolyRing, generators, declared_r: int | None = None):
         self.ring = ring
-        gens = tuple(g for g in generators if not g.is_zero())
+        given = tuple(generators)
+        gens = tuple(g for g in given if not g.is_zero())
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self.generators = gens
-        self.declared_r = declared_r if declared_r is not None else max(1, len(tuple(generators)))
+        self.declared_r = declared_r if declared_r is not None else max(1, len(given))
         self._gb = None
-        self._power_cache: dict[int, Ideal] = {}
+        self._powers: list[Ideal] | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -485,44 +486,19 @@ class Ideal:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
     def power(self, n: int) -> "Ideal":
-        """Generators of the n-th power (a^0 = (1) by convention).
+        """The n-th power (a^0 = (1) by convention).
 
-        Principal ideals use fast polynomial powering; otherwise an incremental
-        chain from the largest cached power, with factorization through
-        Frobenius powers when n is deep enough past the pigeonhole bound.
+        a^0, a^1, ... are kept in one list, grown on demand by multiplying its
+        last entry by a, so every power built on the way to a^n is kept too.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
-        if n == 0:
-            return Ideal(self.ring, (self.ring.one(),), declared_r=1)
-        if n == 1:
-            return self
-        if self.is_zero():
-            return self
-        cached = self._power_cache.get(n)
-        if cached is not None:
-            return cached
-        if len(self.generators) == 1:
-            result = Ideal(self.ring, (self.generators[0] ** n,), declared_r=1)
-        else:
-            result = self._chain_power(n)
-        self._power_cache[n] = result
-        return result
-
-    def _chain_power(self, n: int) -> "Ideal":
-        r = len(self.generators)
-        q = self.ring.p
-        # a^n = a^(n - m q) * (a^[q])^m once n >= m q + (r-1)(q-1)  (pigeonhole)
-        m = (n - (r - 1) * (q - 1)) // q if n >= q + (r - 1) * (q - 1) else 0
-        if m >= 2:
-            rest = self.power(n - m * q)
-            frob = self.frobenius_power(1).power(m)
-            return rest.product(frob)
-        best = max((k for k in self._power_cache if k < n), default=1)
-        current = self._power_cache.get(best, self)
-        for _ in range(n - best):
-            current = current.product(self)
-        return current
+        if self._powers is None:
+            self._powers = [Ideal(self.ring, (self.ring.one(),), declared_r=1), self]
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1].product(self))
+        return powers[n]
 
     def frobenius_power(self, e: int) -> "Ideal":
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""

@@ -7,9 +7,10 @@ the definition and asks for jumps within a fixed slack K of p^e*lam (the
 witnessed sequence then converges at rate (r+K)/p^e).  Surviving candidates
 closer than the level-E resolution are merged and the simplest member reported.
 
-F-thresholds and Cartier thresholds are computed on polynomial rings through
-two deliberately different routes (direct Frobenius-power containments versus
-peeled Cartier roots) so they can cross-check each other.
+F-thresholds and Cartier thresholds are the same sequence on a polynomial
+ring (a^n lies in c^[p^e] exactly when C^e*a^n lies in c), so both names run
+the one search through peeled Cartier roots; the direct Frobenius-power search
+survives only as the test oracle `jumps.nu_via_frobenius_power`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frobenius
-from .jumps import _largest_nu, check_nu_preconditions, largest_true
+from .jumps import _largest_nu, check_nu_preconditions
 from .padic import (
     check_interval, check_level, format_rational, grid_denominators, grid_points, rational_grid
 )
@@ -211,7 +212,10 @@ def _detect_limit(nu: dict[int, int], p: int, r: int) -> ThresholdSequence:
 def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     """The F-threshold data of a with respect to c: nu_e = max{n : a^n not in c^[p^e]}.
 
-    The preconditions of `nu_invariant` are checked once for all levels.
+    Ideals of a polynomial ring only, where nu_e is also the Cartier-threshold
+    sequence max{n : C^e*a^n not in c}; each level is searched through peeled
+    Cartier roots, as `nu_invariant` does.  The preconditions of
+    `nu_invariant` are checked once for all levels.
     """
     check_level(levels, least=1, what="levels")
     check_nu_preconditions(a, c)
@@ -219,19 +223,8 @@ def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     return _detect_limit(nu, a.ring.p, a.declared_r)
 
 
-def cartier_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
-    """Cartier-threshold data: max{n : C^e * a^n not contained in c} per level.
-
-    Computed through the Cartier-preimage reformulation with peeled roots;
-    on a polynomial ring it agrees with `f_threshold` level by level.
-    """
-    check_level(levels, least=1, what="levels")
-    check_nu_preconditions(a, c)
-    nu = {
-        e: largest_true(lambda n: not c.contains_ideal(frobenius.eth_root_power(a, n, e)))
-        for e in range(1, levels + 1)
-    }
-    return _detect_limit(nu, a.ring.p, a.declared_r)
+# Cartier-threshold data: the same sequence on a polynomial ring, by the same route.
+cartier_threshold = f_threshold
 
 
 # -- test ideals and F-jumping numbers ---------------------------------------------

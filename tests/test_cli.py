@@ -265,6 +265,26 @@ def test_verify_example_has_no_format_option(capsys):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jumps", "--level", "1"],
+        ["roots", "--levels", "1"],
+        ["thresholds", "--levels", "1"],
+        ["fpt", "--levels", "1"],
+        ["test-ideal", "--lam", "1/2"],
+        ["fjn", "--interval", "0:1"],
+    ],
+)
+def test_csv_format_only_on_nu(capsys, argv):
+    # Only `nu` has a CSV form; the other commands used to print text for it.
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--ring", "poly p=5 vars=x", "--ideal", "x", "--format", "csv", *rest])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_verify_example_library_entry():
     ok, lines = verify_example("9.5", p=3)
     assert ok

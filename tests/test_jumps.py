@@ -54,6 +54,18 @@ def test_proper_ideal_has_jumps_every_level(px):
         assert jump_set(px, a, e)
 
 
+def test_ideal_from_an_iterator_keeps_its_generator_count():
+    # The generators are read once; an exhausted iterator used to give r = 1,
+    # which shrank the window to [0, p^e) and lost the jump at 8.
+    pres = PolynomialRingPresentation(5, ("x", "y"))
+    R = pres.ring
+    a = Ideal(R, (R.parse(t) for t in ("x", "y")))
+    assert a.declared_r == 2
+    assert a.generators == (R.parse("x"), R.parse("y"))
+    assert jump_set(pres, a, 1) == (8,)
+    assert Ideal(R, iter([R.parse("x"), R.zero()])).declared_r == 2
+
+
 def test_veronese_window_jump_sets():
     vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
     a = vp.parse_ideal("x^2, x*y, y^2")

@@ -206,6 +206,27 @@ def test_ideal_power_basics(R2):
     assert principal.power(5) == R2.parse_ideal("x^5")
 
 
+def test_power_keeps_the_powers_built_on_the_way(R2, monkeypatch):
+    a = R2.parse_ideal("x^2 + y^3, x*y")
+    fifth = a.power(5)
+    products = []
+    original = Ideal.product
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "product", counting)
+    third = a.power(3)
+    assert products == []
+    monkeypatch.undo()
+    assert third == a.power(1).product(a.power(2))
+    assert fifth == third.product(a.power(2))
+    zero = Ideal(R2, ())
+    assert zero.power(0).is_unit()
+    assert zero.power(2).is_zero()
+
+
 def test_power_of_general_ideal_matches_repeated_product(R2):
     a = R2.parse_ideal("x^2 - y, x*y")
     by_product = a

@@ -26,6 +26,7 @@ from bsroots import (
     verify_root_to_level,
 )
 from bsroots import jumps, thresholds
+from bsroots.jumps import nu_via_frobenius_power
 from bsroots import test_ideal as tau_ideal
 from bsroots.rings import JumpEngine
 from bsroots.thresholds import threshold_candidates, verify_threshold
@@ -79,10 +80,20 @@ def test_f_threshold_radical_needs_a_high_power():
 
 
 def test_cartier_threshold_agrees_with_f_threshold(p5xy):
-    # Same numbers through the independent Cartier-preimage route.
-    for a_text, c_text in (("x", "x"), ("x, y", "x, y"), ("x^2 + y^3", "x, y")):
-        a, c = p5xy.parse_ideal(a_text), p5xy.parse_ideal(c_text)
-        assert cartier_threshold(a, c, levels=2).nu == f_threshold(a, c, levels=2).nu
+    # The Cartier-threshold sequence, the program's only route to nu, against
+    # the F-threshold sequence searched directly over Frobenius powers.
+    p3xyz = PolynomialRingPresentation(3, ("x", "y", "z"))
+    for pres, a_text, c_text, levels in (
+        (p5xy, "x", "x", 2),
+        (p5xy, "x, y", "x, y", 2),
+        (p5xy, "x^2 + y^3", "x, y", 2),
+        (p5xy, "x^2 + y^3", "x + y^2, y^3", 2),
+        # Level 1 only: the direct search needs about 28 s at level 2.
+        (p3xyz, "x^2 + y^3, y*z, x*z^2", "x, y, z", 1),
+    ):
+        a, c = pres.parse_ideal(a_text), pres.parse_ideal(c_text)
+        oracle = {e: nu_via_frobenius_power(a, c, e) for e in range(1, levels + 1)}
+        assert f_threshold(a, c, levels).nu == oracle, (a_text, c_text)
 
 
 def test_threshold_preconditions(p5xy):
