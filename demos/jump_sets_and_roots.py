@@ -22,14 +22,14 @@ from bsroots import (
 # -- the simplest case: a = (x) in F_5[x] ------------------------------------------
 
 pres = PolynomialRingPresentation(5, ("x",))
-a = pres.parse_ideal("x")
-table = jump_table(pres, a, (1, 2, 3))
+engine = jump_engine(pres, pres.parse_ideal("x"))
+table = jump_table(engine, (1, 2, 3))
 print("jump sets of (x) in F_5[x]:")
 print(" ", table.to_json())
 print("  (jumps sit at p^e - 1: the classical root -1 in disguise)")
 print()
 
-certs = bernstein_sato_roots(pres, a, levels=3)
+certs = bernstein_sato_roots(engine, levels=3)
 for cert in certs:
     witnesses = ", ".join(f"e={w.e}: {w.jump}" for w in cert.witnesses)
     print(f"root {cert}: witnesses {witnesses}")
@@ -43,18 +43,17 @@ print()
 # here in the ambient ring IS the computation for the summand.
 
 vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-m2 = vp.parse_ideal("x^2, x*y, y^2")
+engine = jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2"))
 print("jump sets of (x,y)^2, window [0, 3*p^e):")
 for e in (1, 2):
-    print(f"  level {e}:", list(jump_table(vp, m2, (e,)).levels[e]))
+    print(f"  level {e}:", list(jump_table(engine, (e,)).levels[e]))
 print()
 
-roots = bernstein_sato_roots(vp, m2, levels=2)
+roots = bernstein_sato_roots(engine, levels=2)
 print("certified roots:", ", ".join(str(c.candidate) for c in roots))
 print()
 
 # A refutation names the first level where every window slot misses.
-engine = jump_engine(vp, m2)
 refuted = verify_root_to_level(engine, Fraction(-2), 2)
 print(f"candidate -2 is {refuted}")
 print(f"  checked window values: {refuted.checked}")

@@ -17,19 +17,17 @@ from bsroots import (
     SemigroupRingPresentation,
     bernstein_sato_roots,
     differential_thresholds,
-    jump_set,
+    jump_engine,
 )
 
 
-def show(title, presentation, ideal, levels, root_levels, interval):
+def show(title, engine, levels, root_levels, interval):
     print(title)
     for e in levels:
-        print(f"  level {e} jumps:", list(jump_set(presentation, ideal, e)))
-    roots = bernstein_sato_roots(presentation, ideal, levels=root_levels)
+        print(f"  level {e} jumps:", list(engine.jump_set(e)))
+    roots = bernstein_sato_roots(engine, levels=root_levels)
     print("  roots:", ", ".join(str(c.candidate) for c in roots) or "(none)")
-    thresholds = differential_thresholds(
-        presentation, ideal, levels=root_levels, interval=interval
-    )
+    thresholds = differential_thresholds(engine, levels=root_levels, interval=interval)
     print("  thresholds:", ", ".join(str(c.value) for c in thresholds) or "(none)")
     print()
 
@@ -38,8 +36,7 @@ def show(title, presentation, ideal, levels, root_levels, interval):
 cross = CatalogPresentation(3, "cross_xy")
 show(
     "K[x,y]/(xy) at p=3, element x  (F-split; jump at 0 puts 0 among the roots)",
-    cross,
-    "x",
+    jump_engine(cross, "x"),
     (1, 2),
     3,
     (Fraction(0), Fraction(2)),
@@ -51,8 +48,7 @@ for p, root_levels in ((5, 3), (2, 5)):
     cusp = SemigroupRingPresentation(p, (2, 3))
     show(
         f"K[x^2,x^3] at p={p}, element x^2  (not F-split)",
-        cusp,
-        cusp.parse_ideal("x^2"),
+        jump_engine(cusp, cusp.parse_ideal("x^2")),
         (1, 2),
         root_levels,
         (Fraction(0), Fraction(3, 2)),
@@ -61,12 +57,12 @@ for p, root_levels in ((5, 3), (2, 5)):
 # The artinian quotient K[x]/(x^5): once p^e exceeds 4 every endomorphism of
 # the finite-dimensional algebra is level-e differential, and the closed-form
 # jump set collapses to {4}.
-art = CatalogPresentation(3, "artinian_x_pow", 4)
+art = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
 print("K[x]/(x^5) at p=3, element x")
 for e in (1, 2, 3):
-    print(f"  level {e} jumps:", list(jump_set(art, "x", e)))
-roots = bernstein_sato_roots(art, "x", levels=5)
+    print(f"  level {e} jumps:", list(art.jump_set(e)))
+roots = bernstein_sato_roots(art, levels=5)
 print("  roots:", ", ".join(str(c.candidate) for c in roots))
-thresholds = differential_thresholds(art, "x", levels=5, interval=(Fraction(0), Fraction(1)))
+thresholds = differential_thresholds(art, levels=5, interval=(Fraction(0), Fraction(1)))
 print("  thresholds:", ", ".join(str(c.value) for c in thresholds))
 print("  (a positive integer root, a threshold at zero: far from the F-split picture)")

@@ -15,11 +15,13 @@ from bsroots import (
     f_jumping_numbers,
     f_threshold,
     fpt,
+    jump_engine,
     test_ideal,
 )
 
 pres = PolynomialRingPresentation(5, ("x", "y", "z"))
 a = pres.parse_ideal("x^2*y*z, x*y^2*z, x*y*z^2")
+engine = jump_engine(pres, a)
 
 print("tau(a^lambda) along [1, 3/2]:")
 for lam in (Fraction(1), Fraction(9, 8), Fraction(5, 4), Fraction(29, 20), Fraction(3, 2)):
@@ -32,7 +34,7 @@ print("F-jumping numbers in [1, 3/2]:", ", ".join(str(v) for v in jumps))
 print("5/4 excluded:", Fraction(5, 4) not in jumps)
 print()
 
-roots = bernstein_sato_roots(pres, a, levels=2)
+roots = bernstein_sato_roots(engine, levels=2)
 print("Bernstein-Sato roots (certified to level 2):", ", ".join(str(c.candidate) for c in roots))
 print("  -5/4 is a root even though 5/4 never jumps tau.")
 print()
@@ -45,5 +47,5 @@ print(sequence.csv(pres.p).strip())
 print("exact limit:", sequence.limit)
 print()
 
-cert = fpt(pres, a, levels=3)
+cert = fpt(engine, levels=3)
 print(f"fpt(a) = {cert} -- the smallest certified differential threshold")

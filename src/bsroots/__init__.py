@@ -22,7 +22,7 @@ from .rings import (
     veronese_presentation,
 )
 from .frobenius import cartier_preimage, diff_closure, eth_root, eth_root_power
-from .jumps import JumpTable, is_jump, jump_set, jump_set_via_oracle, jump_table, nu_invariant
+from .jumps import JumpTable, jump_set_via_oracle, jump_table, nu_invariant
 from .roots import (
     AdmissibilityReport,
     RootCertificate,
@@ -70,8 +70,6 @@ __all__ = [
     "eth_root",
     "eth_root_power",
     "JumpTable",
-    "is_jump",
-    "jump_set",
     "jump_set_via_oracle",
     "jump_table",
     "nu_invariant",

@@ -20,6 +20,7 @@ from .padic import check_level, format_rational, parse_rational
 from .polyring import Ideal, ParseError
 from .rings import (
     CatalogPresentation,
+    JumpEngine,
     PolynomialRingPresentation,
     Presentation,
     SemigroupRingPresentation,
@@ -51,6 +52,11 @@ def _presentation_and_ideal(args) -> tuple[Presentation, object]:
     return presentation, ideal
 
 
+def _engine(args) -> JumpEngine:
+    """The one jump engine of the command's --ring/--ideal pair."""
+    return jump_engine(*_presentation_and_ideal(args))
+
+
 def _polynomial_pair(args):
     presentation, ideal = _presentation_and_ideal(args)
     if not isinstance(presentation, PolynomialRingPresentation):
@@ -71,11 +77,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> str:
 
 
 def _cmd_jumps(args) -> str:
-    presentation, ideal = _presentation_and_ideal(args)
+    engine = _engine(args)
     levels = sorted(set(args.level or [])) or list(
         range(1, check_level(args.levels, least=1, what="levels") + 1)
     )
-    table = jumps_mod.jump_table(presentation, ideal, levels)
+    table = jumps_mod.jump_table(engine, levels)
     lines = [f"p={table.p} r={table.r} producer={table.producer}"]
     for e in levels:
         lines.append(f"level {e}: {list(table.levels[e])}")
@@ -85,11 +91,10 @@ def _cmd_jumps(args) -> str:
 
 
 def _cmd_roots(args) -> str:
-    presentation, ideal = _presentation_and_ideal(args)
+    engine = _engine(args)
     interval = _parse_interval(args.interval) if args.interval else None
     certs = roots_mod.bernstein_sato_roots(
-        presentation,
-        ideal,
+        engine,
         levels=args.levels,
         denominator_bound=args.denom_bound,
         interval=interval,
@@ -104,11 +109,10 @@ def _cmd_roots(args) -> str:
 
 
 def _cmd_thresholds(args) -> str:
-    presentation, ideal = _presentation_and_ideal(args)
+    engine = _engine(args)
     interval = _parse_interval(args.interval) if args.interval else None
     certs = thr_mod.differential_thresholds(
-        presentation,
-        ideal,
+        engine,
         levels=args.levels,
         interval=interval,
         c_max=args.c_max,
@@ -137,8 +141,7 @@ def _cmd_thresholds(args) -> str:
 
 
 def _cmd_fpt(args) -> str:
-    presentation, ideal = _presentation_and_ideal(args)
-    cert = thr_mod.fpt(presentation, ideal, levels=args.levels)
+    cert = thr_mod.fpt(_engine(args), levels=args.levels)
     if cert is None:
         return _emit(args, {"fpt": None}, ["no certified threshold found"])
     payload = {
@@ -225,25 +228,25 @@ def _listed(values) -> str:
     return "{" + ", ".join(format_rational(Fraction(v)) for v in values) + "}"
 
 
-def _jump_checks(pres, a, levels, name: str, closed_form):
+def _jump_checks(engine: JumpEngine, levels, name: str, closed_form):
     """The level-e jump set against closed_form(e) at each level; name may use {e}, {jumps}."""
     for e in levels:
         expected = closed_form(e)
-        computed = jumps_mod.jump_set(pres, a, e)
+        computed = engine.jump_set(e)
         name_e = name.format(e=e, jumps=_listed(expected))
         yield (name_e, computed == expected, f"{list(computed)}")
 
 
-def _root_check(pres, a, levels: int, expected):
+def _root_check(engine: JumpEngine, levels: int, expected):
     """The certified root set against the listed roots."""
-    certs = roots_mod.bernstein_sato_roots(pres, a, levels=levels)
+    certs = roots_mod.bernstein_sato_roots(engine, levels=levels)
     got = {c.candidate for c in certs}
     return (f"roots = {_listed(expected)}", got == set(expected), _listed(sorted(got)))
 
 
-def _threshold_check(pres, a, levels: int, interval, where: str, expected):
+def _threshold_check(engine: JumpEngine, levels: int, interval, where: str, expected):
     """The certified thresholds in the interval against the listed ones."""
-    certs = thr_mod.differential_thresholds(pres, a, levels=levels, interval=interval)
+    certs = thr_mod.differential_thresholds(engine, levels=levels, interval=interval)
     got = {c.value for c in certs}
     return (f"thresholds{where} = {_listed(expected)}", got == set(expected), _listed(sorted(got)))
 
@@ -302,13 +305,13 @@ def _example_9_3(p: int, n: int):
     if p % 2 == 0:
         raise ValueError("example 9.3 needs p odd")
     pres = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
-    a = pres.parse_ideal("x^2, x*y, y^2")
+    engine = jump_engine(pres, pres.parse_ideal("x^2, x*y, y^2"))
     yield from _jump_checks(
-        pres, a, (1, 2), "jump set at level {e}", lambda e: veronese_square_jump_set(p, e)
+        engine, (1, 2), "jump set at level {e}", lambda e: veronese_square_jump_set(p, e)
     )
-    yield _root_check(pres, a, 2, (-1, Fraction(-3, 2)))
+    yield _root_check(engine, 2, (-1, Fraction(-3, 2)))
     expected_thr = (1, Fraction(3, 2), 2, Fraction(5, 2), 3)
-    yield _threshold_check(pres, a, 4 if p == 3 else 3, (0, 3), " in [0,3]", expected_thr)
+    yield _threshold_check(engine, 4 if p == 3 else 3, (0, 3), " in [0,3]", expected_thr)
 
 
 def _example_9_4(p: int, n: int):
@@ -328,23 +331,23 @@ def _example_9_4(p: int, n: int):
 
 def _example_9_5(p: int, n: int):
     """K[x,y]/(xy), element x: jumps {0, q-1}, roots {0, -1}, integer thresholds."""
-    pres = CatalogPresentation(p, "cross_xy")
+    engine = jump_engine(CatalogPresentation(p, "cross_xy"), "x")
     yield from _jump_checks(
-        pres, "x", (1, 2), "jump set at level {e} = {jumps}", lambda e: (0, p**e - 1)
+        engine, (1, 2), "jump set at level {e} = {jumps}", lambda e: (0, p**e - 1)
     )
-    yield _root_check(pres, "x", 3, (0, -1))
-    yield _threshold_check(pres, "x", 3, (0, 2), " in [0,2]", (0, 1, 2))
+    yield _root_check(engine, 3, (0, -1))
+    yield _threshold_check(engine, 3, (0, 2), " in [0,2]", (0, 1, 2))
 
 
 def _cusp_checks(p: int, levels, form: str, closed_form, roots, root_levels: int):
     """K[x^2,x^3], element x^2: jump sets against closed_form(p^e), roots, thresholds."""
     pres = SemigroupRingPresentation(p, (2, 3))
-    a = pres.parse_ideal("x^2")
+    engine = jump_engine(pres, pres.parse_ideal("x^2"))
     name = "engine jump set at level {e} = {{" + form + "}}"
-    yield from _jump_checks(pres, a, levels, name, lambda e: closed_form(p**e))
-    yield _root_check(pres, a, root_levels, roots)
+    yield from _jump_checks(engine, levels, name, lambda e: closed_form(p**e))
+    yield _root_check(engine, root_levels, roots)
     expected_thr = (Fraction(1, 2), 1, Fraction(3, 2))
-    yield _threshold_check(pres, a, root_levels, (0, Fraction(3, 2)), " in [0, 3/2]", expected_thr)
+    yield _threshold_check(engine, root_levels, (0, Fraction(3, 2)), " in [0, 3/2]", expected_thr)
 
 
 def _example_9_6(p: int, n: int):
@@ -372,18 +375,18 @@ def _example_9_7(p: int, n: int):
 
 def _example_9_8(p: int, n: int):
     """K[x]/(x^(n+1)), element x: root {n}, the only threshold is 0."""
-    pres = CatalogPresentation(p, "artinian_x_pow", n)
+    engine = jump_engine(CatalogPresentation(p, "artinian_x_pow", n), "x")
     e = 1
     while p**e <= n:
         e += 1
     yield from _jump_checks(
-        pres, "x", (e,), "jump set at level {e} (p^e > n) = {jumps}", lambda _: (n,)
+        engine, (e,), "jump set at level {e} (p^e > n) = {jumps}", lambda _: (n,)
     )
     # Candidates congruent to n modulo p^E mimic the root up to level E; three
     # levels past the closed-form threshold p^e > n removes them for the
     # default denominator bound.
-    yield _root_check(pres, "x", e + 3, (n,))
-    yield _threshold_check(pres, "x", 5, (0, 1), "", (0,))
+    yield _root_check(engine, e + 3, (n,))
+    yield _threshold_check(engine, 5, (0, 1), "", (0,))
 
 
 # id -> (default p, checks)

@@ -2,12 +2,14 @@
 
 A level-e differential jump of an ideal a is an n with D^(e)*a^n strictly
 containing D^(e)*a^(n+1); the fundamental window [0, r*p^e) determines the
-rest through subtraction of p^e.  `nu_invariant` is the companion quantity
-max{n : a^n not contained in c^[p^e]} used by the threshold detectors.  On a
-polynomial ring a^n lies in c^[p^e] exactly when C^e*a^n lies in c, so it is
-searched through peeled Cartier roots (`frobenius.eth_root_power`); the direct
-Frobenius-power search is kept only as the test oracle
-`nu_via_frobenius_power`.
+rest through subtraction of p^e.  Jump sets and single-jump queries are
+methods of the pair's `JumpEngine` (`engine.jump_set(e)`,
+`engine.is_jump(n, e)`); `jump_table` collects the sets of several levels.
+`nu_invariant` is the companion quantity max{n : a^n not contained in
+c^[p^e]} used by the threshold detectors.  On a polynomial ring a^n lies in
+c^[p^e] exactly when C^e*a^n lies in c, so it is searched through peeled
+Cartier roots (`frobenius.eth_root_power`); the direct Frobenius-power search
+is kept only as the test oracle `nu_via_frobenius_power`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from . import frobenius
 from .padic import check_level
 from .polyring import Ideal, RowSpan
-from .rings import Presentation, jump_engine
+from .rings import JumpEngine
 
 
 @dataclass
@@ -60,27 +62,12 @@ class JumpTable:
         return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def jump_set(presentation: Presentation, ideal, e: int) -> tuple[int, ...]:
-    """Sorted level-e jumps inside the fundamental window [0, r*p^e)."""
-    return jump_engine(presentation, ideal).jump_set(check_level(e))
-
-
-def jump_table(presentation: Presentation, ideal, levels) -> JumpTable:
-    engine = jump_engine(presentation, ideal)
+def jump_table(engine: JumpEngine, levels) -> JumpTable:
+    """The engine's jump sets at the given levels, with its p, r and producer."""
     table = JumpTable(p=engine.p, r=engine.r, producer=engine.producer)
     for e in levels:
-        table.levels[e] = engine.jump_set(check_level(e))
+        table.levels[e] = engine.jump_set(e)
     return table
-
-
-def is_jump(presentation: Presentation, ideal, e: int, n: int) -> bool:
-    """Whether n (any non-negative integer) is a level-e jump; direct engine test.
-
-    Subtracting p^e while n >= r(p^e - 1) + 1 is a sound refutation shortcut
-    (a jump at n forces one at n - p^e) but the direct comparison is always
-    available and is what is used here.
-    """
-    return jump_engine(presentation, ideal).is_jump(n, check_level(e))
 
 
 # -- nu invariants ---------------------------------------------------------------

@@ -152,11 +152,11 @@ class PolyRing:
             raise ParseError("empty term")
         return coeff, expo, pos
 
-    def parse_ideal(self, text: str, declared_r: int | None = None) -> "Ideal":
+    def parse_ideal(self, text: str) -> "Ideal":
         gens = [self.parse(part) for part in text.split(",") if part.strip()]
         if not gens:
             raise ParseError("empty ideal text")
-        return Ideal(self, gens, declared_r=declared_r)
+        return Ideal(self, gens)
 
 
 def _tokenize(text: str) -> list[str]:

@@ -142,6 +142,7 @@ class PolynomialRingPresentation:
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "variables", tuple(self.variables))
+        self.ring  # validate eagerly
 
     @property
     def ring(self) -> PolyRing:
@@ -174,6 +175,7 @@ class MonomialSubalgebraPresentation:
             "subalgebra_monomials",
             tuple(tuple(m) for m in self.subalgebra_monomials),
         )
+        self.ambient  # validate eagerly
 
     @property
     def ambient(self) -> PolyRing:
@@ -197,7 +199,7 @@ class MonomialSubalgebraPresentation:
         return "veronese" if self.is_whitelisted_veronese() else "assumed-extensible"
 
     def contains_monomial(self, exponents) -> bool:
-        """Membership of x^exponents in the monomial subalgebra (bounded search)."""
+        """Exact membership of x^exponents in the subalgebra: each subtraction lowers the degree."""
         target = tuple(exponents)
         if not any(target):
             return True
@@ -506,6 +508,7 @@ class JumpEngine:
         raise NotImplementedError
 
     def is_jump(self, n: int, e: int) -> bool:
+        """Whether n (any integer) is a level-e jump: the labels of n and n + 1 differ."""
         if n < 0:
             return False
         return self.d_label(n, e) != self.d_label(n + 1, e)
@@ -517,8 +520,9 @@ class JumpEngine:
         """
         return next((k for k in ks if self.is_jump(k, e)), None)
 
-    def jump_set(self, e: int, window: int | None = None) -> tuple[int, ...]:
-        hi = self.r * self.p**e if window is None else window
+    def jump_set(self, e: int) -> tuple[int, ...]:
+        """Sorted level-e jumps inside the fundamental window [0, r*p^e)."""
+        hi = self.r * self.p ** check_level(e)
         labels = [self.d_label(n, e) for n in range(hi + 1)]
         return tuple(n for n in range(hi) if labels[n] != labels[n + 1])
 
@@ -618,7 +622,7 @@ class MonomialQuotientEngine(JumpEngine):
         return self.root_interval or super().default_root_interval()
 
     def _compute_label(self, n: int, e: int):
-        q, relations = self.p**e, self.relations
+        q, relations = self.p ** check_level(e), self.relations
         m = [n * b for b in self.element]
         mu = [c % q for c in m]
         shifts = [(0,) * len(m)]  # the intersection of the colons, from the unit ideal

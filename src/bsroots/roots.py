@@ -4,7 +4,9 @@ A p-adic integer alpha is a root of a exactly when, for every level e, some
 s in {0, ..., r-1} makes truncation(alpha, e) + s*p^e a level-e differential
 jump.  A failure at one level is a proof that alpha is not a root (the failure
 propagates upward), so refutations are sound; survivors are reported as
-"certified to level E" since no effective bound on E is available.
+"certified to level E" since no effective bound on E is available.  Every
+entry point takes a `JumpEngine` (see `rings.jump_engine`), so the labels one
+check computes are reused by the next check on the same engine.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from .padic import (
     PAdicRational, check_interval, check_level, format_rational, grid_denominators, rational_grid
 )
-from .rings import JumpEngine, Presentation, jump_engine
+from .rings import JumpEngine
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ def verify_root_to_level(
 
 
 def bernstein_sato_roots(
-    presentation: Presentation,
-    ideal,
+    engine: JumpEngine,
     levels: int = 3,
     denominator_bound: int | None = None,
     interval: tuple[Fraction, Fraction] | None = None,
@@ -111,7 +112,6 @@ def bernstein_sato_roots(
     ceil(levels / 2) so a candidate shows at least two full periods.
     """
     check_level(levels, least=1, what="levels")
-    engine = jump_engine(presentation, ideal)
     if interval is None:
         interval = engine.default_root_interval()
     if denominator_bound is None:
@@ -141,9 +141,7 @@ class AdmissibilityReport:
         }
 
 
-def admissibility_report(
-    presentation: Presentation, ideal, levels: int = 3
-) -> AdmissibilityReport:
+def admissibility_report(engine: JumpEngine, levels: int = 3) -> AdmissibilityReport:
     """Jump counts per level; flags growth incompatible with a uniform bound.
 
     Bernstein-Sato admissibility demands #(jumps in [0, r*p^e)) <= C for all e;
@@ -152,7 +150,6 @@ def admissibility_report(
     "growth_detected" (counts strictly increase across every observed step).
     """
     check_level(levels, least=1, what="levels")
-    engine = jump_engine(presentation, ideal)
     report = AdmissibilityReport(r=engine.r)
     for e in range(1, levels + 1):
         report.counts[e] = len(engine.jump_set(e))

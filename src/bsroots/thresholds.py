@@ -6,6 +6,8 @@ presentations the per-level witness condition is a jump inside
 the definition and asks for jumps within a fixed slack K of p^e*lam (the
 witnessed sequence then converges at rate (r+K)/p^e).  Surviving candidates
 closer than the level-E resolution are merged and the simplest member reported.
+The differential detectors take a `JumpEngine` (see `rings.jump_engine`), so
+thresholds, roots and jump sets of one pair share its labels.
 
 F-thresholds and Cartier thresholds are the same sequence on a polynomial
 ring (a^n lies in c^[p^e] exactly when C^e*a^n lies in c), so both names run
@@ -25,7 +27,7 @@ from .padic import (
     check_interval, check_level, format_rational, grid_denominators, grid_points, rational_grid
 )
 from .polyring import Ideal
-from .rings import JumpEngine, Presentation, jump_engine
+from .rings import JumpEngine
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,7 @@ def threshold_candidates(
 
 
 def differential_thresholds(
-    presentation: Presentation,
-    ideal,
+    engine: JumpEngine,
     levels: int = 3,
     interval: tuple[Fraction, Fraction] | None = None,
     c_max: int | None = None,
@@ -133,7 +134,6 @@ def differential_thresholds(
     certification level E; each such cluster is reported once, through its
     smallest-denominator member.
     """
-    engine = jump_engine(presentation, ideal)
     if interval is None:
         interval = (Fraction(0), Fraction(engine.r))
     survivors = []
@@ -165,11 +165,9 @@ def _merge_clusters(
     return merged
 
 
-def fpt(
-    presentation: Presentation, ideal, levels: int = 3
-) -> ThresholdCertificate | None:
+def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
     """The smallest certified differential threshold in [0, r] (None for the unit ideal)."""
-    certificates = differential_thresholds(presentation, ideal, levels)
+    certificates = differential_thresholds(engine, levels)
     return certificates[0] if certificates else None
 
 

@@ -22,7 +22,6 @@ from bsroots import (
     f_jumping_numbers,
     fpt,
     jump_engine,
-    jump_set,
     jump_set_via_oracle,
     parse_ring_declaration,
     verify_root_to_level,
@@ -60,14 +59,14 @@ def test_criterion_1_veronese_example():
     with Criterion(1, "Veronese square: jump sets, roots, thresholds (p=3,5)", 60):
         for p in (3, 5):
             pres = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
-            a = pres.parse_ideal("x^2, x*y, y^2")
+            engine = jump_engine(pres, pres.parse_ideal("x^2, x*y, y^2"))
             for e in (1, 2):
-                assert jump_set(pres, a, e) == veronese_square_jump_set(p, e), (p, e)
-            roots = {c.candidate for c in bernstein_sato_roots(pres, a, levels=2)}
+                assert engine.jump_set(e) == veronese_square_jump_set(p, e), (p, e)
+            roots = {c.candidate for c in bernstein_sato_roots(engine, levels=2)}
             assert roots == {Fraction(-1), Fraction(-3, 2)}, p
             levels = 4 if p == 3 else 3
             thresholds = differential_thresholds(
-                pres, a, levels=levels, interval=(Fraction(0), Fraction(3))
+                engine, levels=levels, interval=(Fraction(0), Fraction(3))
             )
             assert {c.value for c in thresholds} == {
                 Fraction(1),
@@ -112,30 +111,30 @@ def test_criterion_4_singular_engines():
         # 9.6: the semigroup engine reproduces {(q+1)/2, q-1} for p in {3, 5}.
         for p in (3, 5):
             pres = SemigroupRingPresentation(p, (2, 3))
-            a = pres.parse_ideal("x^2")
+            engine = jump_engine(pres, pres.parse_ideal("x^2"))
             for e in (1, 2):
                 q = p**e
-                assert jump_set(pres, a, e) == tuple(sorted({(q + 1) // 2, q - 1}))
-            roots = {c.candidate for c in bernstein_sato_roots(pres, a, levels=3)}
+                assert engine.jump_set(e) == tuple(sorted({(q + 1) // 2, q - 1}))
+            roots = {c.candidate for c in bernstein_sato_roots(engine, levels=3)}
             assert roots == {Fraction(-1), Fraction(1, 2)}, p
         # 9.7: the p = 2 variant {q/2 - 1, q-1} with root set {-1}.
         even = SemigroupRingPresentation(2, (2, 3))
-        b = even.parse_ideal("x^2")
+        engine = jump_engine(even, even.parse_ideal("x^2"))
         for e in (1, 2, 3):
             q = 2**e
-            assert jump_set(even, b, e) == tuple(sorted({q // 2 - 1, q - 1}))
-        assert {c.candidate for c in bernstein_sato_roots(even, b, levels=5)} == {
+            assert engine.jump_set(e) == tuple(sorted({q // 2 - 1, q - 1}))
+        assert {c.candidate for c in bernstein_sato_roots(engine, levels=5)} == {
             Fraction(-1)
         }
         # 9.5: K[x,y]/(xy) gives {0, -1}.
-        cross = CatalogPresentation(3, "cross_xy")
-        assert {c.candidate for c in bernstein_sato_roots(cross, "x", levels=3)} == {
+        cross = jump_engine(CatalogPresentation(3, "cross_xy"), "x")
+        assert {c.candidate for c in bernstein_sato_roots(cross, levels=3)} == {
             Fraction(0),
             Fraction(-1),
         }
         # 9.8: K[x]/(x^5) gives {4}.
-        art = CatalogPresentation(3, "artinian_x_pow", 4)
-        assert {c.candidate for c in bernstein_sato_roots(art, "x", levels=5)} == {
+        art = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
+        assert {c.candidate for c in bernstein_sato_roots(art, levels=5)} == {
             Fraction(4)
         }
 
@@ -144,20 +143,20 @@ def test_criterion_5_principal_classical():
     with Criterion(5, "(x) in F_p[x] for p in {2,3,5}: roots, thresholds, fpt", 10):
         for p in (2, 3, 5):
             pres = PolynomialRingPresentation(p, ("x",))
-            a = pres.parse_ideal("x")
-            assert {c.candidate for c in bernstein_sato_roots(pres, a, levels=3)} == {
+            engine = jump_engine(pres, pres.parse_ideal("x"))
+            assert {c.candidate for c in bernstein_sato_roots(engine, levels=3)} == {
                 Fraction(-1)
             }, p
             levels = 4 if p in (2, 3) else 3
             thresholds = differential_thresholds(
-                pres, a, levels=levels, interval=(Fraction(0), Fraction(3))
+                engine, levels=levels, interval=(Fraction(0), Fraction(3))
             )
             assert [c.value for c in thresholds] == [
                 Fraction(1),
                 Fraction(2),
                 Fraction(3),
             ], p
-            assert fpt(pres, a, levels=levels).value == Fraction(1), p
+            assert fpt(engine, levels=levels).value == Fraction(1), p
 
 
 def _antichains_4x4():
@@ -178,8 +177,9 @@ def test_criterion_6_oracle_equivalence():
         count = 0
         for antichain in _antichains_4x4():
             a = Ideal(ring, [ring.monomial(m) for m in antichain])
+            engine = jump_engine(pres, a)
             for e in (1, 2):
-                assert jump_set_via_oracle(a, e) == jump_set(pres, a, e), (
+                assert jump_set_via_oracle(a, e) == engine.jump_set(e), (
                     antichain,
                     e,
                 )
@@ -254,34 +254,34 @@ def test_criterion_8_coset_correspondence():
     with Criterion(8, "roots/thresholds coset correspondence on fixtures 1, 4, 5", 10):
         # Fixture 1: the Veronese square at p = 5 (r = 3).
         pres = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-        a = pres.parse_ideal("x^2, x*y, y^2")
-        roots = [c.candidate for c in bernstein_sato_roots(pres, a, levels=2)]
+        engine = jump_engine(pres, pres.parse_ideal("x^2, x*y, y^2"))
+        roots = [c.candidate for c in bernstein_sato_roots(engine, levels=2)]
         thresholds = [
             c.value
             for c in differential_thresholds(
-                pres, a, levels=3, interval=(Fraction(0), Fraction(3))
+                engine, levels=3, interval=(Fraction(0), Fraction(3))
             )
         ]
         assert coset_correspondence_check(roots, thresholds, r=3, p=5).passed
         # Fixture 4: the F-split member of the catalog (K[x,y]/(xy), r = 1).
-        cross = CatalogPresentation(3, "cross_xy")
-        roots4 = [c.candidate for c in bernstein_sato_roots(cross, "x", levels=3)]
+        cross = jump_engine(CatalogPresentation(3, "cross_xy"), "x")
+        roots4 = [c.candidate for c in bernstein_sato_roots(cross, levels=3)]
         thresholds4 = [
             c.value
             for c in differential_thresholds(
-                cross, "x", levels=3, interval=(Fraction(0), Fraction(2))
+                cross, levels=3, interval=(Fraction(0), Fraction(2))
             )
         ]
         assert coset_correspondence_check(roots4, thresholds4, r=1, p=3).passed
         # Fixture 5: (x) in F_p[x] for p in {2, 3, 5} (r = 1).
         for p in (2, 3, 5):
             pres5 = PolynomialRingPresentation(p, ("x",))
-            a5 = pres5.parse_ideal("x")
-            roots5 = [c.candidate for c in bernstein_sato_roots(pres5, a5, levels=3)]
+            engine5 = jump_engine(pres5, pres5.parse_ideal("x"))
+            roots5 = [c.candidate for c in bernstein_sato_roots(engine5, levels=3)]
             thresholds5 = [
                 c.value
                 for c in differential_thresholds(
-                    pres5, a5, levels=4, interval=(Fraction(0), Fraction(3))
+                    engine5, levels=4, interval=(Fraction(0), Fraction(3))
                 )
             ]
             assert coset_correspondence_check(roots5, thresholds5, r=1, p=p).passed, p

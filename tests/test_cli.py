@@ -153,6 +153,11 @@ def test_parse_error_exit_code(capsys):
         capsys, "jumps", "--ring", "poly p=5 vars=x", "--ideal", "x + w"
     )
     assert code == EXIT_PARSE
+    # Variable names are checked while the declaration is parsed, not later.
+    for ring in ("poly p=5 vars=x,x", "poly p=5 vars=x,,y", "veronese p=5 vars=x,x degree=2"):
+        code, out, err = invoke(capsys, "jumps", "--ring", ring, "--ideal", "x")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("parse error: bad ring declaration"), ring
 
 
 def test_precondition_exit_code(capsys):
@@ -283,6 +288,20 @@ def test_csv_format_only_on_nu(capsys, argv):
         run([command, "--ring", "poly p=5 vars=x", "--ideal", "x", "--format", "csv", *rest])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "example_id,built",
+    [("9.2", 1), ("9.3", 1), ("9.4", 0), ("9.5", 1), ("9.6", 1), ("9.7", 1), ("9.8", 1)],
+)
+def test_each_worked_example_builds_one_engine(monkeypatch, example_id, built):
+    # The jump, root and threshold checks of an example share one engine.
+    engines = []
+    build = cli.jump_engine
+    monkeypatch.setattr(cli, "jump_engine", lambda *pair: engines.append(pair) or build(*pair))
+    ok, _ = verify_example(example_id)
+    assert ok
+    assert len(engines) == built
 
 
 def test_verify_example_library_entry():

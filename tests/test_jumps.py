@@ -13,8 +13,7 @@ from bsroots import (
     CatalogPresentation,
     PolynomialRingPresentation,
     SemigroupRingPresentation,
-    is_jump,
-    jump_set,
+    jump_engine,
     jump_set_via_oracle,
     jump_table,
     nu_invariant,
@@ -38,20 +37,20 @@ def px():
 
 
 def test_principal_variable_jump_set(px):
-    a = px.parse_ideal("x")
-    assert jump_set(px, a, 1) == (4,)
-    assert jump_set(px, a, 2) == (24,)
+    engine = jump_engine(px, px.parse_ideal("x"))
+    assert engine.jump_set(1) == (4,)
+    assert engine.jump_set(2) == (24,)
 
 
 def test_unit_ideal_has_no_jumps(px):
-    assert jump_set(px, px.parse_ideal("1"), 1) == ()
+    assert jump_engine(px, px.parse_ideal("1")).jump_set(1) == ()
 
 
 def test_proper_ideal_has_jumps_every_level(px):
     # Every proper nonzero ideal keeps a nonempty jump set at every level.
-    a = px.parse_ideal("x^3")
+    engine = jump_engine(px, px.parse_ideal("x^3"))
     for e in (1, 2, 3):
-        assert jump_set(px, a, e)
+        assert engine.jump_set(e)
 
 
 def test_ideal_from_an_iterator_keeps_its_generator_count():
@@ -62,27 +61,27 @@ def test_ideal_from_an_iterator_keeps_its_generator_count():
     a = Ideal(R, (R.parse(t) for t in ("x", "y")))
     assert a.declared_r == 2
     assert a.generators == (R.parse("x"), R.parse("y"))
-    assert jump_set(pres, a, 1) == (8,)
+    assert jump_engine(pres, a).jump_set(1) == (8,)
     assert Ideal(R, iter([R.parse("x"), R.zero()])).declared_r == 2
 
 
 def test_veronese_window_jump_sets():
     vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-    a = vp.parse_ideal("x^2, x*y, y^2")
-    assert jump_set(vp, a, 1) == (4, 6, 9, 11, 14)
-    assert jump_set(vp, a, 2) == (24, 36, 49, 61, 74)
+    engine = jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2"))
+    assert engine.jump_set(1) == (4, 6, 9, 11, 14)
+    assert engine.jump_set(2) == (24, 36, 49, 61, 74)
 
 
 def test_is_jump_periodicity_principal(px):
     # Principal ideal on a nonzerodivisor: jumps are p^e-periodic.
-    a = px.parse_ideal("x")
-    assert is_jump(px, a, 1, 9)
-    assert not is_jump(px, a, 1, 7)
-    assert is_jump(px, a, 1, 104)
+    engine = jump_engine(px, px.parse_ideal("x"))
+    assert engine.is_jump(9, 1)
+    assert not engine.is_jump(7, 1)
+    assert engine.is_jump(104, 1)
 
 
 def test_jump_table_json(px):
-    table = jump_table(px, px.parse_ideal("x"), (1, 2))
+    table = jump_table(jump_engine(px, px.parse_ideal("x")), (1, 2))
     payload = json.loads(table.to_json())
     assert payload == {"p": 5, "r": 1, "levels": {"1": [4], "2": [24]}}
 
@@ -108,10 +107,10 @@ def test_gap_propagation_f_split():
 
 
 def test_jump_table_nesting_validator(px):
-    table = jump_table(px, px.parse_ideal("x^2"), (1, 2, 3))
+    table = jump_table(jump_engine(px, px.parse_ideal("x^2")), (1, 2, 3))
     table.check_nesting()  # must not raise
     vp = parse_ring_declaration("veronese p=3 vars=x,y degree=2")
-    jump_table(vp, vp.parse_ideal("x^2, x*y, y^2"), (1, 2)).check_nesting()
+    jump_table(jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2")), (1, 2)).check_nesting()
 
 
 def test_jump_table_nesting_violation_raises_under_optimisation():
@@ -205,8 +204,9 @@ def test_oracle_route_matches_groebner_route():
     pres = PolynomialRingPresentation(2, ("x", "y"))
     for gens in ("x", "x, y", "x^2, x*y", "x^3, y^2", "x^2*y"):
         a = pres.parse_ideal(gens)
+        engine = jump_engine(pres, a)
         for e in (1, 2):
-            assert jump_set_via_oracle(a, e) == jump_set(pres, a, e), (gens, e)
+            assert jump_set_via_oracle(a, e) == engine.jump_set(e), (gens, e)
 
 
 @pytest.mark.parametrize("p,levels", [(2, (1, 2)), (3, (1,))])
@@ -215,8 +215,9 @@ def test_oracle_route_matches_on_three_variable_monomial_ideals(p, levels):
     pres = PolynomialRingPresentation(p, ("x", "y", "z"))
     for _ in range(8):
         a = random_proper_monomial_ideal(rng, pres.ring, max_degree=3)
+        engine = jump_engine(pres, a)
         for e in levels:
-            assert jump_set_via_oracle(a, e) == jump_set(pres, a, e), (a, e)
+            assert jump_set_via_oracle(a, e) == engine.jump_set(e), (a, e)
 
 
 def test_oracle_route_zero_and_unit():

@@ -12,10 +12,11 @@ from bsroots import (
     PolynomialRingPresentation,
     SemigroupIdeal,
     SemigroupRingPresentation,
+    bernstein_sato_roots,
     diff_closure,
     differential_thresholds,
     jump_engine,
-    jump_set,
+    jump_table,
     lift_ideal,
     parse_ring_declaration,
     semigroup_diff_closure,
@@ -230,10 +231,9 @@ def test_cusp_jump_sets_match_closed_form(p, e):
 
 
 def test_cross_xy_jump_sets():
-    pres = CatalogPresentation(3, "cross_xy")
-    assert jump_set(pres, "x", 1) == (0, 2)
-    assert jump_set(pres, "x", 2) == (0, 8)
-    engine = jump_engine(pres, "x")
+    engine = jump_engine(CatalogPresentation(3, "cross_xy"), "x")
+    assert engine.jump_set(1) == (0, 2)
+    assert engine.jump_set(2) == (0, 8)
     # Full set is q-periodic: translates of the window jumps.
     assert engine.is_jump(9, 2) and engine.is_jump(17, 2)
     assert not engine.is_jump(5, 2)
@@ -250,7 +250,7 @@ def test_semigroup_engine_computes_each_label_once(monkeypatch):
 
     monkeypatch.setattr(rings, "semigroup_diff_closure", counting)
     pres = SemigroupRingPresentation(5, (3, 5, 7))
-    differential_thresholds(pres, pres.parse_ideal("x^3"), levels=3)
+    differential_thresholds(jump_engine(pres, pres.parse_ideal("x^3")), levels=3)
     assert calls and max(calls.values()) == 1
 
 
@@ -276,12 +276,11 @@ def test_monomial_quotient_labels_match_closed_forms(p):
 
 
 def test_artinian_jump_sets():
-    pres = CatalogPresentation(3, "artinian_x_pow", 4)
-    assert jump_set(pres, "x", 2) == (4,)  # closed form once p^e > n
-    assert jump_set(pres, "x", 3) == (4,)
+    engine = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
+    assert engine.jump_set(2) == (4,)  # closed form once p^e > n
+    assert engine.jump_set(3) == (4,)
     # Below that bound the endomorphism enumeration gives the exact set.
-    assert jump_set(pres, "x", 1) == (1, 2)
-    engine = jump_engine(pres, "x")
+    assert engine.jump_set(1) == (1, 2)
     assert not engine.is_jump(4 + 9, 2)  # powers above n vanish; no translates
 
 
@@ -322,3 +321,46 @@ def test_artinian_validation():
         CatalogPresentation(3, "artinian_x_pow")
     with pytest.raises(ValueError):
         CatalogPresentation(3, "cross_xy", 4)
+
+
+# -- one engine per pair ----------------------------------------------------------------
+
+# One pair of each presentation kind, with the engine class it dispatches to.
+ENGINE_PAIRS = {
+    "poly": ("poly p=3 vars=x,y", "x^2, x*y", rings.RegularJumpEngine),
+    "veronese": ("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2", rings.RegularJumpEngine),
+    "semigroup": ("semigroup p=5 gens=3,5,7", "x^3", rings.SemigroupJumpEngine),
+    "catalog": ("catalog cross_xy p=3", "x", rings.MonomialQuotientEngine),
+}
+
+
+def _fresh_engine(kind):
+    declaration, ideal, engine_class = ENGINE_PAIRS[kind]
+    pres = parse_ring_declaration(declaration)
+    engine = jump_engine(pres, pres.parse_ideal(ideal))
+    assert type(engine) is engine_class
+    return engine
+
+
+@pytest.mark.parametrize("kind", ["poly", "semigroup", "catalog"])
+def test_every_engine_class_refuses_a_negative_level(kind):
+    engine = _fresh_engine(kind)
+    with pytest.raises(ValueError, match="must be an integer >="):
+        engine.is_jump(0, -1)
+    with pytest.raises(ValueError, match="must be an integer >="):
+        engine.jump_set(-1)
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_PAIRS))
+def test_a_shared_engine_answers_like_fresh_engines(kind):
+    # The labels, semigroup power lists and ideal power lists an engine keeps
+    # between calls must not change any later answer, in either call order.
+    calls = {
+        "table": lambda engine: jump_table(engine, (1, 2)),
+        "roots": lambda engine: bernstein_sato_roots(engine, levels=2),
+        "thresholds": lambda engine: differential_thresholds(engine, levels=2),
+    }
+    fresh = {name: call(_fresh_engine(kind)) for name, call in calls.items()}
+    for order in (("table", "roots", "thresholds"), ("thresholds", "roots", "table")):
+        shared = _fresh_engine(kind)
+        assert {name: calls[name](shared) for name in order} == fresh, order

@@ -108,21 +108,20 @@ def test_certificate_witnesses_recheck_independently():
 
 def test_roots_principal_variable():
     pres = PolynomialRingPresentation(5, ("x",))
-    assert frac_set(bernstein_sato_roots(pres, pres.parse_ideal("x"), levels=3)) == {
-        Fraction(-1)
-    }
+    engine = jump_engine(pres, pres.parse_ideal("x"))
+    assert frac_set(bernstein_sato_roots(engine, levels=3)) == {Fraction(-1)}
 
 
 def test_roots_unit_ideal_empty():
     pres = PolynomialRingPresentation(5, ("x", "y"))
-    assert bernstein_sato_roots(pres, pres.parse_ideal("1"), levels=2) == []
+    assert bernstein_sato_roots(jump_engine(pres, pres.parse_ideal("1")), levels=2) == []
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_roots_veronese(p):
     vp = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
-    a = vp.parse_ideal("x^2, x*y, y^2")
-    assert frac_set(bernstein_sato_roots(vp, a, levels=2)) == {
+    engine = jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2"))
+    assert frac_set(bernstein_sato_roots(engine, levels=2)) == {
         Fraction(-1),
         Fraction(-3, 2),
     }
@@ -130,32 +129,32 @@ def test_roots_veronese(p):
 
 def test_roots_cusp_both_characteristics():
     odd = SemigroupRingPresentation(5, (2, 3))
-    assert frac_set(bernstein_sato_roots(odd, odd.parse_ideal("x^2"), levels=3)) == {
+    odd_engine = jump_engine(odd, odd.parse_ideal("x^2"))
+    assert frac_set(bernstein_sato_roots(odd_engine, levels=3)) == {
         Fraction(-1),
         Fraction(1, 2),
     }
     even = SemigroupRingPresentation(2, (2, 3))
-    assert frac_set(bernstein_sato_roots(even, even.parse_ideal("x^2"), levels=5)) == {
+    even_engine = jump_engine(even, even.parse_ideal("x^2"))
+    assert frac_set(bernstein_sato_roots(even_engine, levels=5)) == {
         Fraction(-1)
     }
 
 
 def test_roots_cross_and_artinian_catalog():
-    cross = CatalogPresentation(3, "cross_xy")
-    assert frac_set(bernstein_sato_roots(cross, "x", levels=3)) == {
+    cross = jump_engine(CatalogPresentation(3, "cross_xy"), "x")
+    assert frac_set(bernstein_sato_roots(cross, levels=3)) == {
         Fraction(0),
         Fraction(-1),
     }
-    art = CatalogPresentation(3, "artinian_x_pow", 4)
-    assert frac_set(bernstein_sato_roots(art, "x", levels=5)) == {Fraction(4)}
+    art = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
+    assert frac_set(bernstein_sato_roots(art, levels=5)) == {Fraction(4)}
 
 
 def test_roots_cusp_catalog_explicit_interval():
-    cusp = CatalogPresentation(5, "cusp_semigroup")
+    cusp = jump_engine(CatalogPresentation(5, "cusp_semigroup"), "x^2")
     got = frac_set(
-        bernstein_sato_roots(
-            cusp, "x^2", levels=3, interval=(Fraction(-1), Fraction(1))
-        )
+        bernstein_sato_roots(cusp, levels=3, interval=(Fraction(-1), Fraction(1)))
     )
     assert got == {Fraction(-1), Fraction(1, 2)}
 
@@ -176,7 +175,7 @@ def test_root_interval_defaults():
 
 def test_certified_roots_pairwise_incongruent():
     vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-    certs = bernstein_sato_roots(vp, vp.parse_ideal("x^2, x*y, y^2"), levels=2)
+    certs = bernstein_sato_roots(jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2")), levels=2)
     seen = set()
     for cert in certs:
         from bsroots import PAdicRational
@@ -190,9 +189,8 @@ def test_root_dynamics_on_fixture():
     # For a certified root alpha there is i in [0, r(p-1)] with p*alpha + i
     # certified one level lower (F-split presentations).
     vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-    a = vp.parse_ideal("x^2, x*y, y^2")
-    engine = jump_engine(vp, a)
-    for cert in bernstein_sato_roots(vp, a, levels=2):
+    engine = jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2"))
+    for cert in bernstein_sato_roots(engine, levels=2):
         assert any(
             isinstance(
                 verify_root_to_level(engine, 5 * cert.candidate + i, 1),
@@ -207,7 +205,7 @@ def test_root_dynamics_on_fixture():
 
 def test_admissibility_counts_principal():
     pres = PolynomialRingPresentation(5, ("x",))
-    report = admissibility_report(pres, pres.parse_ideal("x"), levels=3)
+    report = admissibility_report(jump_engine(pres, pres.parse_ideal("x")), levels=3)
     assert report.counts == {1: 1, 2: 1, 3: 1}
     assert report.verdict == "consistent_with_admissible"
     assert report.bound_fit == (Fraction(0), Fraction(1))
@@ -215,14 +213,14 @@ def test_admissibility_counts_principal():
 
 def test_admissibility_counts_veronese():
     vp = parse_ring_declaration("veronese p=5 vars=x,y degree=2")
-    report = admissibility_report(vp, vp.parse_ideal("x^2, x*y, y^2"), levels=2)
+    report = admissibility_report(jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2")), levels=2)
     assert report.counts == {1: 5, 2: 5}
     assert report.verdict == "consistent_with_admissible"
 
 
 def test_admissibility_unit_ideal():
     pres = PolynomialRingPresentation(3, ("x",))
-    report = admissibility_report(pres, pres.parse_ideal("1"), levels=2)
+    report = admissibility_report(jump_engine(pres, pres.parse_ideal("1")), levels=2)
     assert report.counts == {1: 0, 2: 0}
     assert report.to_dict()["verdict"] == "consistent_with_admissible"
 
@@ -231,7 +229,7 @@ def test_roots_of_cusp_pair_at_level_two():
     # (x^2 + y^3, x*y) over F_5: the witnesses agree with an independent
     # route that roots raw generator products.
     pres = PolynomialRingPresentation(5, ("x", "y"))
-    certs = bernstein_sato_roots(pres, pres.parse_ideal("x^2 + y^3, x*y"), levels=2)
+    certs = bernstein_sato_roots(jump_engine(pres, pres.parse_ideal("x^2 + y^3, x*y")), levels=2)
     got = {c.candidate: [(w.e, w.jump, w.s) for w in c.witnesses] for c in certs}
     assert got == {
         Fraction(-2): [(1, 8, 1), (2, 48, 1)],

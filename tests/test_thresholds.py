@@ -18,9 +18,7 @@ from bsroots import (
     f_jumping_numbers,
     f_threshold,
     fpt,
-    is_jump,
     jump_engine,
-    jump_set,
     nu_invariant,
     parse_ring_declaration,
     verify_root_to_level,
@@ -123,20 +121,20 @@ def test_levels_below_one_and_negative_levels_are_refused(p5xy):
     a = p5xy.parse_ideal("x, y")
     engine = jump_engine(p5xy, a)
     for call in (
-        lambda: bernstein_sato_roots(p5xy, a, levels=0),
+        lambda: bernstein_sato_roots(engine, levels=0),
         lambda: verify_root_to_level(engine, Fraction(-1), 0),
-        lambda: admissibility_report(p5xy, a, levels=0),
-        lambda: differential_thresholds(p5xy, a, levels=0),
+        lambda: admissibility_report(engine, levels=0),
+        lambda: differential_thresholds(engine, levels=0),
         lambda: verify_threshold(engine, Fraction(1), 0),
         lambda: threshold_candidates(engine, 0, (Fraction(0), Fraction(1))),
-        lambda: fpt(p5xy, a, levels=-1),
+        lambda: fpt(engine, levels=-1),
         lambda: f_threshold(a, a, levels=0),
         lambda: cartier_threshold(a, a, levels=0),
         lambda: tau_ideal(a, Fraction(1), e_max=0),
         lambda: f_jumping_numbers(a, (Fraction(0), Fraction(1)), e_max=0),
         lambda: nu_invariant(a, a, -1),
-        lambda: jump_set(p5xy, a, -1),
-        lambda: is_jump(p5xy, a, -1, 0),
+        lambda: engine.jump_set(-1),
+        lambda: engine.is_jump(0, -1),
         lambda: eth_root_power(a, 3, -1),
     ):
         with pytest.raises(ValueError, match="must be an integer >="):
@@ -226,9 +224,10 @@ def test_fjn_agrees_with_differential_thresholds():
     pres = PolynomialRingPresentation(5, ("x",))
     a = pres.parse_ideal("x")
     fjn = set(f_jumping_numbers(a, (Fraction(0), Fraction(3)), e_max=3))
+    engine = jump_engine(pres, a)
     thresholds = {
         c.value
-        for c in differential_thresholds(pres, a, levels=3, interval=(Fraction(0), Fraction(3)))
+        for c in differential_thresholds(engine, levels=3, interval=(Fraction(0), Fraction(3)))
     }
     assert fjn == thresholds
 
@@ -239,7 +238,7 @@ def test_fjn_agrees_with_differential_thresholds():
 def test_thresholds_principal(p5xy):
     pres = PolynomialRingPresentation(5, ("x",))
     certs = differential_thresholds(
-        pres, pres.parse_ideal("x"), levels=3, interval=(Fraction(0), Fraction(3))
+        jump_engine(pres, pres.parse_ideal("x")), levels=3, interval=(Fraction(0), Fraction(3))
     )
     assert [c.value for c in certs] == [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -247,8 +246,8 @@ def test_thresholds_principal(p5xy):
 @pytest.mark.parametrize("p,levels", [(3, 4), (5, 3)])
 def test_thresholds_veronese(p, levels):
     vp = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
-    a = vp.parse_ideal("x^2, x*y, y^2")
-    certs = differential_thresholds(vp, a, levels=levels, interval=(Fraction(0), Fraction(3)))
+    engine = jump_engine(vp, vp.parse_ideal("x^2, x*y, y^2"))
+    certs = differential_thresholds(engine, levels=levels, interval=(Fraction(0), Fraction(3)))
     assert [c.value for c in certs] == [
         Fraction(1),
         Fraction(3, 2),
@@ -259,15 +258,15 @@ def test_thresholds_veronese(p, levels):
 
 
 def test_thresholds_cross_catalog():
-    cross = CatalogPresentation(3, "cross_xy")
-    certs = differential_thresholds(cross, "x", levels=3, interval=(Fraction(0), Fraction(2)))
+    cross = jump_engine(CatalogPresentation(3, "cross_xy"), "x")
+    certs = differential_thresholds(cross, levels=3, interval=(Fraction(0), Fraction(2)))
     assert [c.value for c in certs] == [Fraction(0), Fraction(1), Fraction(2)]
 
 
 def test_thresholds_cusp_definition_mode():
     pres = SemigroupRingPresentation(5, (2, 3))
-    a = pres.parse_ideal("x^2")
-    certs = differential_thresholds(pres, a, levels=3, interval=(Fraction(0), Fraction(3, 2)))
+    engine = jump_engine(pres, pres.parse_ideal("x^2"))
+    certs = differential_thresholds(engine, levels=3, interval=(Fraction(0), Fraction(3, 2)))
     assert [c.value for c in certs] == [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     assert all(c.slack == 2 for c in certs)
 
@@ -305,7 +304,7 @@ def _nearest_jumps_brute_force(engine, lam, levels):
         K = engine.threshold_slack
         lo = max(0, math.ceil(target - engine.r - K))
         hi = math.floor(target + K)
-        window = [j for j in engine.jump_set(e, window=hi + 1) if j >= lo]
+        window = [j for j in range(lo, hi + 1) if engine.is_jump(j, e)]
         if not window:
             return None
         picks.append(min(window, key=lambda j: (abs(j - target), j)))
@@ -364,8 +363,8 @@ def test_threshold_witness_search_labels_only_the_keys_it_visits(monkeypatch):
 
 
 def test_thresholds_artinian_merge_to_zero():
-    art = CatalogPresentation(3, "artinian_x_pow", 4)
-    certs = differential_thresholds(art, "x", levels=5, interval=(Fraction(0), Fraction(1)))
+    art = jump_engine(CatalogPresentation(3, "artinian_x_pow", 4), "x")
+    certs = differential_thresholds(art, levels=5, interval=(Fraction(0), Fraction(1)))
     assert [c.value for c in certs] == [Fraction(0)]
 
 
@@ -376,7 +375,7 @@ def test_no_jump_gap_blocks_thresholds(p5xy):
     a = pres.parse_ideal("x")
     engine = jump_engine(pres, a)
     e = 1
-    jumps = set(engine.jump_set(e, window=3 * 5))
+    jumps = {n for n in range(3 * 5) if engine.is_jump(n, e)}
     k, length = 0, 4  # [0, 4) misses the jump set {4, 9, 14}
     assert not any(j in jumps for j in range(k, k + length))
     for num in range(1, 20):
@@ -400,7 +399,9 @@ def test_f_threshold_limits_are_certified_thresholds(p5xy):
     # Every exact F-threshold limit shows up among the certified thresholds.
     a = p5xy.parse_ideal("x, y")
     limit = f_threshold(a, a, levels=3).limit
-    certs = differential_thresholds(p5xy, a, levels=3, interval=(Fraction(0), Fraction(3)))
+    certs = differential_thresholds(
+        jump_engine(p5xy, a), levels=3, interval=(Fraction(0), Fraction(3))
+    )
     assert limit in {c.value for c in certs}
 
 
@@ -409,12 +410,12 @@ def test_f_threshold_limits_are_certified_thresholds(p5xy):
 
 def test_fpt_principal():
     pres = PolynomialRingPresentation(5, ("x",))
-    assert fpt(pres, pres.parse_ideal("x"), levels=3).value == Fraction(1)
+    assert fpt(jump_engine(pres, pres.parse_ideal("x")), levels=3).value == Fraction(1)
 
 
 def test_fpt_cusp_polynomial():
     pres = PolynomialRingPresentation(7, ("x", "y"))
-    cert = fpt(pres, pres.parse_ideal("x^2 + y^3"), levels=3)
+    cert = fpt(jump_engine(pres, pres.parse_ideal("x^2 + y^3")), levels=3)
     assert cert.value == Fraction(5, 6)
 
 
@@ -427,12 +428,12 @@ def test_fpt_example_92_brute_forced(example92):
     assert seq.nu == {1: 3, 2: 18, 3: 93}
     assert seq.limit == Fraction(3, 4)
     # Level 2 cannot yet separate the clusters at 3/4 and 1; three levels can.
-    assert fpt(pres, a, levels=3).value == Fraction(3, 4)
+    assert fpt(jump_engine(pres, a), levels=3).value == Fraction(3, 4)
 
 
 def test_fpt_matches_f_threshold_at_maximal_ideal(p5xy):
     a = p5xy.parse_ideal("x, y")
-    assert fpt(p5xy, a, levels=3).value == f_threshold(a, a, levels=3).limit
+    assert fpt(jump_engine(p5xy, a), levels=3).value == f_threshold(a, a, levels=3).limit
 
 
 # -- coset correspondence -----------------------------------------------------------------
