@@ -2,24 +2,23 @@
 
 Differential jump sets, Bernstein-Sato roots, differential/F/Cartier
 thresholds, test ideals and F-jumping numbers, for polynomial rings and a
-restricted class of singular rings (level-differentially extensible monomial
-summands, numerical semigroup rings, and a small catalog of named rings).
+restricted class of singular rings (Veronese subrings, which are
+level-differentially extensible direct summands of a polynomial ring,
+numerical semigroup rings, and a small catalog of named rings).
 """
 
 from .padic import BasePFraction, PAdicRational, format_rational, parse_rational
 from .polyring import Ideal, ParseError, Polynomial, PolyRing
 from .rings import (
     CatalogPresentation,
-    MonomialSubalgebraPresentation,
     NumericalSemigroup,
     PolynomialRingPresentation,
     SemigroupIdeal,
     SemigroupRingPresentation,
+    VeronesePresentation,
     jump_engine,
-    lift_ideal,
     parse_ring_declaration,
     semigroup_diff_closure,
-    veronese_presentation,
 )
 from .frobenius import cartier_preimage, diff_closure, eth_root, eth_root_power
 from .jumps import JumpTable, jump_set_via_oracle, jump_table, nu_invariant
@@ -55,16 +54,14 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "CatalogPresentation",
-    "MonomialSubalgebraPresentation",
     "NumericalSemigroup",
     "PolynomialRingPresentation",
     "SemigroupIdeal",
     "SemigroupRingPresentation",
+    "VeronesePresentation",
     "jump_engine",
-    "lift_ideal",
     "parse_ring_declaration",
     "semigroup_diff_closure",
-    "veronese_presentation",
     "cartier_preimage",
     "diff_closure",
     "eth_root",

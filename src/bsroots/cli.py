@@ -33,12 +33,18 @@ EXIT_PRECONDITION = 1
 EXIT_PARSE = 2
 
 
-def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
+def _parse_rational(text: str, what: str, expected: str) -> Fraction:
+    """A rational from the command line; malformed text is a ParseError (exit code 2)."""
     try:
-        lo, _, hi = text.partition(":")
-        return (parse_rational(lo), parse_rational(hi))
+        return parse_rational(text)
     except ValueError as exc:
-        raise ParseError(f"bad interval {text!r}; expected lo:hi") from exc
+        raise ParseError(f"bad {what}; expected {expected}") from exc
+
+
+def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
+    lo, _, hi = text.partition(":")
+    what = f"interval {text!r}"
+    return (_parse_rational(lo, what, "lo:hi"), _parse_rational(hi, what, "lo:hi"))
 
 
 def _presentation_and_ideal(args) -> tuple[Presentation, object]:
@@ -61,8 +67,8 @@ def _polynomial_pair(args):
     presentation, ideal = _presentation_and_ideal(args)
     if not isinstance(presentation, PolynomialRingPresentation):
         raise ValueError(
-            "this command needs a polynomial ring; for summand presentations"
-            " run it on the ambient ring with the lifted ideal"
+            "this command needs a polynomial ring (a `poly` declaration);"
+            " it does not run on Veronese, semigroup or catalog rings"
         )
     return presentation, ideal
 
@@ -174,7 +180,7 @@ def _cmd_nu(args) -> str:
 
 def _cmd_test_ideal(args) -> str:
     presentation, ideal = _polynomial_pair(args)
-    lam = parse_rational(args.lam)
+    lam = _parse_rational(args.lam, f"--lam {args.lam!r}", "a rational such as 5/4")
     result = thr_mod.test_ideal(ideal, lam, e_max=args.e_max)
     payload = {
         "lambda": format_rational(lam),

@@ -3,10 +3,10 @@
 Four kinds of presentation are supported:
 
 * polynomial rings over F_p (the regular engine: Cartier-root comparisons);
-* monomial subalgebras that are level-differentially extensible direct
-  summands of a polynomial ring (computations run on the lifted ideal in the
-  ambient ring and are exactly equal; the built-in whitelist holds the full
-  Veronese subrings, anything else needs an explicit caller assertion);
+* Veronese subrings of a polynomial ring in two or more variables, which are
+  level-differentially extensible direct summands of it: the regular engine
+  runs on the extended ideal in the ambient ring, and its jump sets are
+  exactly those of the subring;
 * numerical semigroup rings K[x^s : s in S] (graded endomorphism enumeration
   over the subring of p^e-th powers);
 * a small catalog of named rings with a fixed element: the monomial
@@ -21,6 +21,7 @@ each is kept per (n, e) by `JumpEngine.d_label`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,7 @@ from math import gcd
 
 from . import frobenius
 from .padic import check_level, check_prime
-from .polyring import Ideal, ParseError, PolyRing, _monomials_of_degree, minimal_monomials
+from .polyring import Ideal, ParseError, PolyRing, minimal_monomials
 
 
 # -- numerical semigroups -------------------------------------------------------
@@ -153,85 +154,41 @@ class PolynomialRingPresentation:
 
 
 @dataclass(frozen=True)
-class MonomialSubalgebraPresentation:
-    """A monomial subalgebra R of S = F_p[vars], assumed to be a split summand.
+class VeronesePresentation:
+    """The degree-d Veronese subring R of S = F_p[vars]: monomials of total degree in dZ.
 
-    `assumed_level_diff_extensible` must be set (or the subalgebra must be on
-    the built-in whitelist, i.e. a full Veronese) before jump computations are
-    allowed: only level-differential extensibility makes the lifted jump sets
-    exactly equal rather than merely containing the original ones.
+    In two or more variables R is a level-differentially extensible direct
+    summand of S (example 9.3), so (R, a) and (S, aS) have the same jump sets
+    and the engine runs on aS.  F_p[x^d] is not: (x^d) jumps at ceil(q/d) - 1
+    in F_p[x] but not in F_p[x^d], so one variable takes degree 1 only.
     """
 
     p: int
     variables: tuple[str, ...]
-    subalgebra_monomials: tuple[tuple, ...]
-    assumed_level_diff_extensible: bool = False
+    degree: int
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self,
-            "subalgebra_monomials",
-            tuple(tuple(m) for m in self.subalgebra_monomials),
-        )
+        if self.degree < 1:
+            raise ValueError(f"Veronese degree must be at least 1, got {self.degree}")
         self.ambient  # validate eagerly
+        if self.degree > 1 and len(self.variables) == 1:
+            raise ValueError("F_p[x^d] is a polynomial ring; declare it with poly")
 
     @property
     def ambient(self) -> PolyRing:
         return _ring(self.p, self.variables)
 
-    def is_whitelisted_veronese(self) -> bool:
-        degrees = {sum(m) for m in self.subalgebra_monomials}
-        if len(degrees) != 1:
-            return False
-        (d,) = degrees
-        expected = {
-            m
-            for m in _monomials_of_degree(len(self.variables), d)
-        }
-        return set(self.subalgebra_monomials) == expected
-
-    def extensible(self) -> bool:
-        return self.assumed_level_diff_extensible or self.is_whitelisted_veronese()
-
-    def label(self) -> str:
-        return "veronese" if self.is_whitelisted_veronese() else "assumed-extensible"
-
-    def contains_monomial(self, exponents) -> bool:
-        """Exact membership of x^exponents in the subalgebra: each subtraction lowers the degree."""
-        target = tuple(exponents)
-        if not any(target):
-            return True
-        seen = {target}
-        stack = [target]
-        while stack:
-            cur = stack.pop()
-            for m in self.subalgebra_monomials:
-                nxt = tuple(a - b for a, b in zip(cur, m))
-                if any(a < 0 for a in nxt):
-                    continue
-                if not any(nxt):
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     def parse_ideal(self, text: str) -> Ideal:
         ideal = self.ambient.parse_ideal(text)
         for g in ideal.generators:
             for mono, _ in g.terms:
-                if not self.contains_monomial(mono):
+                if sum(mono) % self.degree:
                     raise ParseError(
                         f"monomial {mono} of {g} lies outside the subalgebra"
                     )
         return ideal
-
-
-def veronese_presentation(p: int, variables, degree: int) -> MonomialSubalgebraPresentation:
-    monomials = tuple(_monomials_of_degree(len(tuple(variables)), degree))
-    return MonomialSubalgebraPresentation(p, tuple(variables), monomials)
 
 
 @dataclass(frozen=True)
@@ -321,7 +278,7 @@ class CatalogPresentation:
 
 Presentation = (
     PolynomialRingPresentation
-    | MonomialSubalgebraPresentation
+    | VeronesePresentation
     | SemigroupRingPresentation
     | CatalogPresentation
 )
@@ -371,7 +328,7 @@ def parse_ring_declaration(text: str) -> Presentation:
         if head == "poly":
             return PolynomialRingPresentation(int(need("p")), tuple(need("vars").split(",")))
         if head == "veronese":
-            return veronese_presentation(
+            return VeronesePresentation(
                 int(need("p")), tuple(need("vars").split(",")), int(need("degree"))
             )
         if head == "semigroup":
@@ -380,31 +337,13 @@ def parse_ring_declaration(text: str) -> Presentation:
             )
         if not positional:
             raise ParseError("catalog declaration needs an identifier")
-        ident, _, arg = positional[0].partition("(")
-        n = int(arg.rstrip(")").removeprefix("n=")) if arg else None
-        return CatalogPresentation(int(need("p")), ident, n)
+        word = re.fullmatch(r"(\w+)(?:\((?:n=)?(\d+)\))?", positional[0])
+        if word is None:
+            raise ParseError(f"catalog word {positional[0]!r} is not ident, ident(n) or ident(n=n)")
+        ident, arg = word.groups()
+        return CatalogPresentation(int(need("p")), ident, None if arg is None else int(arg))
     except (ValueError, ParseError) as exc:
         raise ParseError(f"bad ring declaration {text!r}: {exc}") from exc
-
-
-# -- lifting into the ambient polynomial ring ------------------------------------
-
-
-def lift_ideal(presentation: MonomialSubalgebraPresentation, ideal: Ideal) -> Ideal:
-    """The extension aS of an ideal of R to the ambient polynomial ring S.
-
-    Only allowed for level-differentially extensible presentations, where the
-    jump sets of (R, a) and (S, aS) coincide exactly; for a mere split summand
-    only one containment would hold, which is refused.
-    """
-    if not presentation.extensible():
-        raise ValueError(
-            "subalgebra is not certified level-differentially extensible;"
-            " pass assumed_level_diff_extensible=True to assert it"
-        )
-    if ideal.ring != presentation.ambient:
-        raise ValueError("ideal must be written in the ambient coordinates")
-    return Ideal(presentation.ambient, ideal.generators, declared_r=ideal.declared_r)
 
 
 # -- semigroup differential closure ----------------------------------------------
@@ -510,6 +449,7 @@ class JumpEngine:
     def is_jump(self, n: int, e: int) -> bool:
         """Whether n (any integer) is a level-e jump: the labels of n and n + 1 differ."""
         if n < 0:
+            check_level(e)  # for n >= 0 the label computation checks it
             return False
         return self.d_label(n, e) != self.d_label(n + 1, e)
 
@@ -642,9 +582,10 @@ def jump_engine(presentation: Presentation, ideal) -> JumpEngine:
         if not isinstance(ideal, Ideal):
             raise TypeError("polynomial presentations need an Ideal")
         return RegularJumpEngine(ideal)
-    if isinstance(presentation, MonomialSubalgebraPresentation):
-        lifted = lift_ideal(presentation, ideal)
-        return RegularJumpEngine(lifted, producer="summand")
+    if isinstance(presentation, VeronesePresentation):
+        if ideal.ring != presentation.ambient:
+            raise ValueError("ideal must be written in the ambient coordinates")
+        return RegularJumpEngine(ideal, producer="summand")
     if isinstance(presentation, SemigroupRingPresentation):
         if not isinstance(ideal, SemigroupIdeal):
             raise TypeError("semigroup presentations need a SemigroupIdeal")

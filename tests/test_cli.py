@@ -160,6 +160,15 @@ def test_parse_error_exit_code(capsys):
         assert err.startswith("parse error: bad ring declaration"), ring
 
 
+@pytest.mark.parametrize("lam", ["abc", "1/0"])
+def test_malformed_lambda_exits_2(capsys, lam):
+    code, out, err = invoke(
+        capsys, "test-ideal", "--ring", "poly p=5 vars=x", "--ideal", "x", "--lam", lam
+    )
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: bad --lam")
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = invoke(
         capsys,

@@ -12,19 +12,18 @@ from bsroots import (
     PolynomialRingPresentation,
     SemigroupIdeal,
     SemigroupRingPresentation,
+    VeronesePresentation,
     bernstein_sato_roots,
     diff_closure,
     differential_thresholds,
     jump_engine,
+    jump_set_via_oracle,
     jump_table,
-    lift_ideal,
     parse_ring_declaration,
     semigroup_diff_closure,
-    veronese_presentation,
 )
 from bsroots import rings
-from bsroots.polyring import Ideal
-from bsroots.rings import MonomialSubalgebraPresentation
+from bsroots.polyring import Ideal, _monomials_of_degree
 from propchecks import (
     artinian_label,
     check_labels_match_oracle,
@@ -68,7 +67,7 @@ def test_semigroup_trivial():
     "text,kind",
     [
         ("poly p=5 vars=x,y,z", PolynomialRingPresentation),
-        ("veronese p=5 vars=x,y degree=2", MonomialSubalgebraPresentation),
+        ("veronese p=5 vars=x,y degree=2", VeronesePresentation),
         ("semigroup p=5 gens=2,3", SemigroupRingPresentation),
         ("catalog cross_xy p=3", CatalogPresentation),
         ("catalog artinian_x_pow(4) p=3", CatalogPresentation),
@@ -91,6 +90,12 @@ def test_parse_ring_declaration_errors():
         "poly p=5 p=7 vars=x",
         "catalog cross_xy cusp_semigroup p=3",
         "semigroup p=5 gens=2,3 cusp",
+        # A catalog word is ident, ident(<int>) or ident(n=<int>), nothing looser.
+        "catalog artinian_x_pow(n=2 p=3",
+        "catalog artinian_x_pow(n=2)) p=3",
+        # A Veronese degree below one names no subring.
+        "veronese p=5 vars=x,y degree=0",
+        "veronese p=5 vars=x,y degree=-1",
     ):
         with pytest.raises(ParseError):
             parse_ring_declaration(text)
@@ -104,49 +109,94 @@ def test_catalog_fixes_its_element():
         cat.parse_ideal("x^3")
 
 
-# -- Veronese / monomial subalgebra lifting ----------------------------------------
+# -- Veronese subrings ----------------------------------------------------------------
 
 
-def test_veronese_whitelisted_and_lifts():
-    pres = veronese_presentation(5, ("x", "y"), 2)
-    assert pres.is_whitelisted_veronese()
-    assert pres.extensible()
-    a = pres.parse_ideal("x^2, x*y, y^2")
-    lifted = lift_ideal(pres, a)
-    assert lifted.ring == pres.ambient
-    assert lifted.declared_r == 3
+def _veronese_engine(p, variables, degree, ideal):
+    pres = VeronesePresentation(p, variables, degree)
+    return jump_engine(pres, pres.parse_ideal(ideal))
+
+
+def test_veronese_engine_runs_on_the_declared_ideal():
+    pres = VeronesePresentation(5, ("x", "y"), 2)
+    engine = jump_engine(pres, pres.parse_ideal("x^2, x*y, y^2"))
+    assert type(engine) is rings.RegularJumpEngine
+    assert engine.producer == "summand"
+    assert engine.ideal.ring == pres.ambient
+    assert engine.r == 3  # the declared generator count
+
+
+def test_veronese_engine_refuses_an_ideal_of_another_ring():
+    pres = VeronesePresentation(5, ("x", "y"), 2)
+    with pytest.raises(ValueError, match="ambient coordinates"):
+        jump_engine(pres, PolyRing(5, ("x", "y", "z")).parse_ideal("x^2"))
 
 
 def test_veronese_rejects_outside_monomials():
-    pres = veronese_presentation(5, ("x", "y"), 2)
+    pres = VeronesePresentation(5, ("x", "y"), 2)
     with pytest.raises(ParseError):
         pres.parse_ideal("x")  # odd degree: not in the subalgebra
     with pytest.raises(ParseError):
         pres.parse_ideal("x^2 + y")
 
 
-def test_non_whitelisted_subalgebra_requires_flag():
-    pres = MonomialSubalgebraPresentation(5, ("x", "y"), ((2, 0), (0, 2)))
-    assert not pres.is_whitelisted_veronese()  # x*y missing: not the full square
-    a = pres.parse_ideal("x^2")
-    with pytest.raises(ValueError):
-        lift_ideal(pres, a)
-    asserted = MonomialSubalgebraPresentation(
-        5, ("x", "y"), ((2, 0), (0, 2)), assumed_level_diff_extensible=True
-    )
-    assert asserted.label() == "assumed-extensible"
-    lift_ideal(asserted, asserted.parse_ideal("x^2"))
+def _veronese_products(nvars, degree, cap):
+    """Exponents up to total degree cap that are products of degree-`degree` monomials."""
+    found = {(0,) * nvars}
+    frontier = set(found)
+    while frontier:
+        frontier = {
+            tuple(a + b for a, b in zip(m, g))
+            for m in frontier
+            for g in _monomials_of_degree(nvars, degree)
+            if sum(m) + degree <= cap
+        } - found
+        found |= frontier
+    return found
+
+
+@pytest.mark.parametrize(
+    "nvars,degree", [(1, 1)] + [(n, d) for n in (2, 3) for d in (1, 2, 3)]
+)
+def test_veronese_membership_matches_products_of_generators(nvars, degree):
+    variables = ("x", "y", "z")[:nvars]
+    pres = VeronesePresentation(3, variables, degree)
+    cap = 7
+    products = _veronese_products(nvars, degree, cap)
+    for total in range(cap + 1):
+        for mono in _monomials_of_degree(nvars, total):
+            text = "*".join(f"{v}^{a}" for v, a in zip(variables, mono) if a) or "1"
+            try:
+                pres.parse_ideal(text)
+                accepted = True
+            except ParseError:
+                accepted = False
+            assert accepted == (mono in products), (text, degree)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_veronese_non_monomial_jump_sets_match_oracle(p):
+    engine = _veronese_engine(p, ("x", "y"), 2, "x^2+y^2, x*y")
+    for e in (1, 2):
+        assert engine.jump_set(e) == jump_set_via_oracle(engine.ideal, e)
 
 
 def test_unit_ideal_lifts_to_unit():
-    pres = veronese_presentation(3, ("x", "y"), 2)
-    assert lift_ideal(pres, pres.parse_ideal("1")).is_unit()
+    assert _veronese_engine(3, ("x", "y"), 2, "1").ideal.is_unit()
 
 
 def test_second_veronese_of_one_variable():
-    pres = veronese_presentation(5, ("x",), 2)
-    lifted = lift_ideal(pres, pres.parse_ideal("x^2"))
-    assert [str(g) for g in lifted.generators] == ["x^2"]
+    # F_5[x^2] is the polynomial ring in t = x^2, where (t) jumps only at
+    # q - 1 = 4; in F_5[x], (x^2) also jumps at 2.  The ambient route would
+    # answer (2, 4), so the declaration is refused.
+    poly = PolynomialRingPresentation(5, ("x",))
+    assert jump_engine(poly, poly.parse_ideal("x^2")).jump_set(1) == (2, 4)
+    with pytest.raises(ValueError, match="polynomial ring"):
+        VeronesePresentation(5, ("x",), 2)
+    with pytest.raises(ParseError):
+        parse_ring_declaration("veronese p=5 vars=x degree=2")
+    one = _veronese_engine(5, ("x",), 1, "x^2")  # degree 1 is F_5[x] itself
+    assert [str(g) for g in one.ideal.generators] == ["x^2"]
 
 
 # -- the semigroup differential-closure engine --------------------------------------
@@ -345,8 +395,9 @@ def _fresh_engine(kind):
 @pytest.mark.parametrize("kind", ["poly", "semigroup", "catalog"])
 def test_every_engine_class_refuses_a_negative_level(kind):
     engine = _fresh_engine(kind)
-    with pytest.raises(ValueError, match="must be an integer >="):
-        engine.is_jump(0, -1)
+    for call in (lambda: engine.is_jump(0, -1), lambda: engine.is_jump(-1, -1)):
+        with pytest.raises(ValueError, match="must be an integer >="):
+            call()
     with pytest.raises(ValueError, match="must be an integer >="):
         engine.jump_set(-1)
 
