@@ -12,6 +12,10 @@ only route to C^e * a^n in the program: the regular jump engine's labels, the
 nu-invariants and F-thresholds (a^n in c^[p^e] iff C^e * a^n in c), and the
 test-ideal chain.  The direct route `eth_root(a.power(n), e)` serves the tests
 as the cross-check.
+
+Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
+result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
+canonical label of b; every level and every caller on the same a share it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,13 @@ def eth_root(a: Ideal, e: int) -> Ideal:
 
 
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
-    """C^e * a^n by exponent peeling; avoids building a^n for large n."""
+    """C^e * a^n by exponent peeling; avoids building a^n for large n.
+
+    Each step's result C^1(a^m0 * extra) is looked up in `a._peels` under
+    (m0, extra.canonical_label()) and computed only on a miss.  The key is
+    exact: the reduced basis is unique, so equal labels mean equal ideals.
+    The memo lives on a, as long as a does, beside its list of powers.
+    """
     if n < 0:
         raise ValueError("power must be >= 0")
     check_level(e)
@@ -69,8 +79,10 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     ring = a.ring
     p = ring.p
     r = max(1, len(a.generators))
-    unit = Ideal(ring, (ring.one(),), declared_r=1)
-    extra = unit
+    if a._peels is None:
+        a._peels = {}
+    peels = a._peels
+    extra = Ideal(ring, (ring.one(),), declared_r=1)
     m = n
     for _ in range(e):
         base = (r - 1) * (p - 1)
@@ -78,9 +90,12 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
             m0 = base + (m - base) % p
         else:
             m0 = m
-        quotient = (m - m0) // p
-        extra = eth_root(a.power(m0).product(extra), 1)
-        m = quotient
+        key = (m0, extra.canonical_label())
+        peeled = peels.get(key)
+        if peeled is None:
+            peeled = peels[key] = eth_root(a.power(m0).product(extra), 1)
+        extra = peeled
+        m = (m - m0) // p
     return a.power(m).product(extra)
 
 

@@ -374,10 +374,13 @@ class Ideal:
 
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
-    minimized.
+    minimized.  Three caches fill in place on first use: the reduced basis
+    (`_gb`), the powers a^0, a^1, ... built so far (`_powers`) and the peel
+    memo of `frobenius.eth_root_power` (`_peels`, C^1(a^m0 * b) keyed by m0
+    and the canonical label of b).
     """
 
-    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers")
+    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_peels")
 
     def __init__(self, ring: PolyRing, generators, declared_r: int | None = None):
         self.ring = ring
@@ -390,6 +393,7 @@ class Ideal:
         self.declared_r = declared_r if declared_r is not None else max(1, len(given))
         self._gb = None
         self._powers: list[Ideal] | None = None
+        self._peels: dict | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -575,8 +579,8 @@ def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
     Pending monomials sit in a heap keyed by (-deg m, m reversed), so the
     degrevlex-largest one pops first; a monomial that cancels stays in the heap
     and is skipped when it pops.  Each term is reduced by the first basis
-    element whose lead divides it, and every basis lead coefficient is
-    inverted once per call.
+    element whose lead divides it; zero elements are skipped, and a lead
+    coefficient is inverted only when its element reduces a term.
 
     With `lead_only`, reduction stops at the first irreducible term and returns
     that term plus the unreduced rest: a polynomial congruent to f modulo the
@@ -588,11 +592,6 @@ def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
         return f
     ring = f.ring
     p = ring.p
-    leads = [
-        (b.leading_monomial(), pow(b.leading_coefficient(), -1, p), b.terms)
-        for b in basis
-        if not b.is_zero()
-    ]
     work = dict(f.terms)
     heap = [(-sum(m), m[::-1], m) for m in work]
     heapq.heapify(heap)
@@ -602,9 +601,11 @@ def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
-        for lead, inverse, terms in leads:
-            if _divides(lead, mono):
-                factor = coeff * inverse % p
+        for b in basis:
+            terms = b.terms
+            if terms and _divides(terms[0][0], mono):
+                lead, lead_coeff = terms[0]
+                factor = coeff * pow(lead_coeff, -1, p) % p
                 shift = _mono_quot(mono, lead)
                 # The lead term cancels work[mono], already popped; the rest
                 # of the terms are smaller than mono.

@@ -11,6 +11,7 @@ from bsroots import (
     diff_closure,
     eth_root,
     eth_root_power,
+    frobenius,
     jump_engine,
     parse_ring_declaration,
 )
@@ -144,6 +145,56 @@ def test_eth_root_power_matches_direct_three_variables():
     # Powers past the pigeonhole bound, where peeling factors through a^[p].
     for n in (60, 64, 65, 70):
         assert eth_root_power(a, n, 2) == eth_root(a.power(n), 2), n
+
+
+@pytest.mark.parametrize(
+    "ring,ideal,e_max,n_max",
+    [
+        # Full windows [0, r*p^e] at levels 1-2, the bottom of the level-3 one.
+        ("poly p=5 vars=x,y", "x^2+y^3, x*y", 3, 50),
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 2, None),
+        ("poly p=13 vars=x,y", "x^4+y^6", 1, None),
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 2, 13),
+    ],
+)
+def test_peel_memo_in_scrambled_order(ring, ideal, e_max, n_max):
+    # One ideal answers every (n, e), n descending and the levels in the order
+    # 1, 3, 2 at each n, so its peel memo is filled by one level and read by
+    # the others.  The direct route runs on a fresh ideal, powers ascending so
+    # that each power's reduced basis is known when the next one is built.
+    pres = parse_ring_declaration(ring)
+    shared = pres.parse_ideal(ideal)
+    fresh = pres.parse_ideal(ideal)
+    p, r = shared.ring.p, shared.declared_r
+    keys = [
+        (n, e)
+        for n in range(r * p**e_max + 1)
+        for e in range(1, e_max + 1)
+        if n <= r * p**e and (n_max is None or n <= n_max)
+    ]
+    expected = {(n, e): eth_root(fresh.power(n), e) for n, e in keys}
+    for n, e in sorted(keys, key=lambda k: (-k[0], k[1] % 2, k[1])):
+        assert eth_root_power(shared, n, e) == expected[n, e], (n, e)
+
+
+@pytest.mark.parametrize(
+    "ring,ideal,most",
+    [
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 60),  # 246 without the memo
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 100),  # 1,128 without it
+    ],
+)
+def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
+    calls = []
+
+    def counted(a, e):
+        calls.append(e)
+        return eth_root(a, e)
+
+    monkeypatch.setattr(frobenius, "eth_root", counted)
+    pres = parse_ring_declaration(ring)
+    jump_engine(pres, pres.parse_ideal(ideal)).jump_set(3)
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize(
