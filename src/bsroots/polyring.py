@@ -494,6 +494,9 @@ class Ideal:
 
         a^0, a^1, ... are kept in one list, grown on demand by multiplying its
         last entry by a, so every power built on the way to a^n is kept too.
+        The last entry's reduced basis is computed before each product: its
+        raw generator list, interreduced only by lead terms, about triples in
+        length per power on (x^2 + y^3, yz, xz^2).
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
@@ -501,6 +504,7 @@ class Ideal:
             self._powers = [Ideal(self.ring, (self.ring.one(),), declared_r=1), self]
         powers = self._powers
         while len(powers) <= n:
+            powers[-1].groebner()
             powers.append(powers[-1].product(self))
         return powers[n]
 

@@ -22,9 +22,8 @@ each is kept per (n, e) by `JumpEngine.d_label`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import frobenius
@@ -36,7 +35,15 @@ from .polyring import Ideal, ParseError, PolyRing, minimal_monomials
 
 
 class NumericalSemigroup:
-    """A cofinite additive subsemigroup of Z>=0, given by generators with gcd 1."""
+    """A cofinite additive subsemigroup of Z>=0, given by generators with gcd 1.
+
+    Equal generator sets give equal semigroups.  By Schur's bound (Brauer,
+    Amer. J. Math. 1942) the Frobenius number is at most
+    (g_1 - 1)(g_k - 1) - 1 for the least and largest generators g_1 and g_k,
+    so one reachability table up to g_1 * g_k decides the conductor.  The
+    admissible shift tables of `shift_generators` are kept per (q, j) on the
+    semigroup and live as long as it does.
+    """
 
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -48,27 +55,20 @@ class NumericalSemigroup:
         if g != 1:
             raise ValueError(f"generators {gens} have gcd {g}; no finite conductor")
         self.generators = tuple(gens)
-        # Grow the reachability table until a full run of gens[0] consecutive
-        # representable values appears; everything beyond such a run is
-        # representable, so the conductor is certified without number theory.
-        bound = gens[0] * gens[-1] + 1
-        while True:
-            table = [False] * (bound + 1)
-            table[0] = True
-            for s in range(1, bound + 1):
-                table[s] = any(s >= g and table[s - g] for g in gens)
-            conductor = 0
-            for s in range(bound, -1, -1):
-                if not table[s]:
-                    conductor = s + 1
-                    break
-            if conductor + gens[0] <= bound and all(
-                table[conductor + i] for i in range(gens[0])
-            ):
-                break
-            bound *= 2
-        self._table = table
-        self.conductor = conductor
+        table = [True]
+        for s in range(1, gens[0] * gens[-1] + 1):
+            table.append(any(s >= g and table[s - g] for g in gens))
+        self.conductor = max((s + 1 for s, member in enumerate(table) if not member), default=0)
+        self._table = table[: self.conductor]
+        self._shifts: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NumericalSemigroup):
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash(self.generators)
 
     def __contains__(self, s: int) -> bool:
         if s < 0:
@@ -89,6 +89,34 @@ class NumericalSemigroup:
                 s += q
             out.append(s)
         return out
+
+    def shift_generators(self, q: int, j: int) -> tuple[int, ...]:
+        """Minimal degree shifts d that keep every s in S with s = j (mod q) inside S.
+
+        x^s -> x^(s+d) on the class of j extends to an endomorphism over the
+        subring of q-th powers iff s + d lies in S for every s of S in the
+        class; beyond the conductor (plus slack for negative d) this is
+        automatic.  Computed when first asked and kept per (q, j).
+        """
+        shifts = self._shifts.get((q, j))
+        if shifts is not None:
+            return shifts
+        c = self.conductor
+        least = j
+        while least not in self:
+            least += q
+        admissible = []
+        d = -least
+        while not admissible or d <= admissible[0] + c:
+            if all(s + d in self for s in range(least, c + max(0, -d), q) if s in self):
+                admissible.append(d)
+            d += 1
+        gens: list[int] = []
+        for d in admissible:
+            if not any(d - g in self for g in gens):
+                gens.append(d)
+        shifts = self._shifts[(q, j)] = tuple(gens)
+        return shifts
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.generators}"
@@ -130,24 +158,15 @@ class SemigroupIdeal:
 # -- presentations --------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _ring(p: int, variables: tuple[str, ...]) -> PolyRing:
-    return PolyRing(p, variables)
-
-
 @dataclass(frozen=True)
 class PolynomialRingPresentation:
     p: int
     variables: tuple[str, ...]
+    ring: PolyRing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_prime(self.p)
         object.__setattr__(self, "variables", tuple(self.variables))
-        self.ring  # validate eagerly
-
-    @property
-    def ring(self) -> PolyRing:
-        return _ring(self.p, self.variables)
+        object.__setattr__(self, "ring", PolyRing(self.p, self.variables))
 
     def parse_ideal(self, text: str) -> Ideal:
         return self.ring.parse_ideal(text)
@@ -166,19 +185,16 @@ class VeronesePresentation:
     p: int
     variables: tuple[str, ...]
     degree: int
+    ambient: PolyRing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "variables", tuple(self.variables))
         if self.degree < 1:
             raise ValueError(f"Veronese degree must be at least 1, got {self.degree}")
-        self.ambient  # validate eagerly
+        object.__setattr__(self, "ambient", PolyRing(self.p, self.variables))
         if self.degree > 1 and len(self.variables) == 1:
             raise ValueError("F_p[x^d] is a polynomial ring; declare it with poly")
-
-    @property
-    def ambient(self) -> PolyRing:
-        return _ring(self.p, self.variables)
 
     def parse_ideal(self, text: str) -> Ideal:
         ideal = self.ambient.parse_ideal(text)
@@ -195,17 +211,14 @@ class VeronesePresentation:
 class SemigroupRingPresentation:
     p: int
     semigroup_generators: tuple[int, ...]
+    semigroup: NumericalSemigroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(
             self, "semigroup_generators", tuple(int(g) for g in self.semigroup_generators)
         )
-        self.semigroup  # validate eagerly
-
-    @property
-    def semigroup(self) -> NumericalSemigroup:
-        return _semigroup(self.semigroup_generators)
+        object.__setattr__(self, "semigroup", NumericalSemigroup(self.semigroup_generators))
 
     def parse_ideal(self, text: str) -> SemigroupIdeal:
         exps = []
@@ -217,11 +230,6 @@ class SemigroupRingPresentation:
         if not exps:
             raise ParseError("empty semigroup ideal text")
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
-
-
-@lru_cache(maxsize=32)
-def _semigroup(generators: tuple[int, ...]) -> NumericalSemigroup:
-    return NumericalSemigroup(generators)
 
 
 def _parse_power_of_x(text: str) -> int:
@@ -349,71 +357,13 @@ def parse_ring_declaration(text: str) -> Presentation:
 # -- semigroup differential closure ----------------------------------------------
 
 
-class _SemigroupLevelData:
-    """Per-level admissible-shift tables for End_{R^(p^e)}(R) on K[x^S]."""
-
-    def __init__(self, S: NumericalSemigroup, q: int):
-        self.S = S
-        self.q = q
-        self.min_in_class = S.apery(q)
-        self._shift_gens: dict[int, tuple[int, ...]] = {}
-
-    def _admissible(self, j: int, d: int) -> bool:
-        # x^s -> x^(s+d) on the class of j extends to an R^(p^e)-endomorphism
-        # iff s + d lands in S for every s in the class; beyond the conductor
-        # (plus slack for negative d) this is automatic.
-        S, q = self.S, self.q
-        limit = S.conductor + max(0, -d)
-        s = self.min_in_class[j]
-        while s < limit:
-            if s in S and (s + d) not in S:
-                return False
-            s += q
-        return True
-
-    def shift_generators(self, j: int) -> tuple[int, ...]:
-        """Minimal admissible degree shifts for the residue class j."""
-        cached = self._shift_gens.get(j)
-        if cached is not None:
-            return cached
-        S = self.S
-        lo = -self.min_in_class[j]
-        first = None
-        admissible = []
-        d = lo
-        while True:
-            if self._admissible(j, d):
-                if first is None:
-                    first = d
-                admissible.append(d)
-            if first is not None and d >= first + S.conductor:
-                break
-            d += 1
-        gens = []
-        for d in admissible:
-            if not any(d == g or (d - g) in S for g in gens):
-                gens.append(d)
-        result = tuple(gens)
-        self._shift_gens[j] = result
-        return result
-
-
 def semigroup_diff_closure(
     S: NumericalSemigroup, ideal: SemigroupIdeal, e: int, p: int
 ) -> SemigroupIdeal:
     """D^(e) * ideal as a semigroup ideal (union over the minimal exponents)."""
-    data = _semigroup_level_data(S.generators, p ** check_level(e))
-    out = []
-    for m in ideal.exponents:
-        for d in data.shift_generators(m % data.q):
-            if m + d >= 0:
-                out.append(m + d)
+    q = p ** check_level(e)
+    out = [m + d for m in ideal.exponents for d in S.shift_generators(q, m % q) if m + d >= 0]
     return SemigroupIdeal(S, minimal_semigroup_exponents(S, out))
-
-
-@lru_cache(maxsize=128)
-def _semigroup_level_data(generators: tuple[int, ...], q: int) -> _SemigroupLevelData:
-    return _SemigroupLevelData(_semigroup(generators), q)
 
 
 # -- jump engines ----------------------------------------------------------------

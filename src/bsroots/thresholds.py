@@ -136,33 +136,25 @@ def differential_thresholds(
     """
     if interval is None:
         interval = (Fraction(0), Fraction(engine.r))
-    survivors = []
-    for lam in threshold_candidates(engine, levels, interval, c_max, b_max):
-        certificate = verify_threshold(engine, lam, levels)
-        if certificate is not None:
-            survivors.append(certificate)
+    survivors = [
+        lam
+        for lam in threshold_candidates(engine, levels, interval, c_max, b_max)
+        if verify_threshold(engine, lam, levels) is not None
+    ]
     merge_gap = Fraction(2 * (engine.r + engine.threshold_slack), engine.p**levels)
-    return _merge_clusters(survivors, merge_gap)
-
-
-def _merge_clusters(
-    certificates: list[ThresholdCertificate], merge_gap: Fraction
-) -> list[ThresholdCertificate]:
-    if not certificates:
-        return []
-    certificates = sorted(certificates, key=lambda c: c.value)
-    clusters: list[list[ThresholdCertificate]] = [[certificates[0]]]
-    for cert in certificates[1:]:
-        if cert.value - clusters[-1][-1].value <= merge_gap:
-            clusters[-1].append(cert)
+    clusters: list[list[Fraction]] = []
+    for lam in survivors:  # the candidates come sorted
+        if clusters and lam - clusters[-1][-1] <= merge_gap:
+            clusters[-1].append(lam)
         else:
-            clusters.append([cert])
-    merged = []
+            clusters.append([lam])
+    certificates = []
     for cluster in clusters:
-        head = min(cluster, key=lambda c: (c.value.denominator, c.value))
-        others = tuple(c.value for c in cluster if c.value != head.value)
-        merged.append(replace(head, merged=others))
-    return merged
+        head = min(cluster, key=lambda lam: (lam.denominator, lam))
+        # The head's labels are all computed by now, so this check only reads them.
+        certificate = verify_threshold(engine, head, levels)
+        certificates.append(replace(certificate, merged=tuple(v for v in cluster if v != head)))
+    return certificates
 
 
 def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
@@ -302,12 +294,14 @@ def f_jumping_numbers(
     grid point.  A grid point with p-part c in its denominator needs roughly
     c + 3 levels of chain to certify (c to enter the periodic ceiling regime,
     two for agreement, one of slack next to a jump), hence the bound
-    e_max - 3 on c.
+    e_max - 3 on c.  The zero ideal has none: tau(0^lam) = 0 for every lam > 0.
     """
     check_level(e_max, least=1, what="e_max")
     lo, hi = check_interval(interval)
     if lo < 0:
         raise ValueError("interval must satisfy 0 <= lo <= hi")
+    if a.is_zero():
+        return []
     denominators = grid_denominators(a.ring.p, max(0, e_max - 3), b_max)
     points = rational_grid(lo, hi, denominators)
     if lo > 0:

@@ -145,6 +145,15 @@ def test_fjn_command(capsys):
     assert json.loads(out)["f_jumping_numbers"] == ["1", "2"]
 
 
+def test_fjn_of_the_zero_ideal_is_empty(capsys):
+    # tau(0^lam) = 0 for every lam > 0, so no interval holds a jump.
+    for interval in ("0:1/2", "1/2:1"):
+        code, out, _ = invoke(
+            capsys, "fjn", "--ring", "poly p=5 vars=x,y", "--ideal", "0", "--interval", interval
+        )
+        assert (code, out) == (EXIT_OK, '{"f_jumping_numbers":[]}\n'), interval
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "jumps", "--ring", "poly p=5", "--ideal", "x")
     assert code == EXIT_PARSE

@@ -9,6 +9,7 @@ A method (other than a dunder) counts as used when some code in `src/bsroots`,
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,21 +34,30 @@ def _exported(trees) -> set[str]:
     return names
 
 
-def _references(trees, name: str, own_body: ast.AST, kinds=(ast.Name, ast.Attribute)) -> int:
-    skip = {id(node) for node in ast.walk(own_body)}
-    count = 0
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if id(node) in skip or not isinstance(node, kinds):
-                continue
-            if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
-                count += 1
-    return count
+def _counts(nodes, attributes_only: bool = False) -> Counter:
+    """How often each identifier is named (`x`) or used as an attribute (`y.x`)."""
+    counts = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.Name) and not attributes_only:
+            counts[node.id] += 1
+    return counts
+
+
+def _everything(trees):
+    return (node for tree in trees.values() for node in ast.walk(tree))
+
+
+def _references(total: Counter, name: str, own_body: ast.AST, attributes_only=False) -> int:
+    """References to name outside own_body: every tree's count less the body's own."""
+    return total[name] - _counts(ast.walk(own_body), attributes_only)[name]
 
 
 def unused_functions() -> list[str]:
     trees = _parse(PACKAGE)
     exported = _exported(trees)
+    total = _counts(_everything(trees))
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -55,7 +65,7 @@ def unused_functions() -> list[str]:
                 continue
             if "oracle" in (ast.get_docstring(node) or ""):
                 continue
-            if not _references(trees, node.name, node):
+            if not _references(total, node.name, node):
                 unused.append(f"{module}:{node.name}")
     return unused
 
@@ -63,6 +73,7 @@ def unused_functions() -> list[str]:
 def unused_methods() -> list[str]:
     package = _parse(PACKAGE)
     everywhere = {**package, **_parse(ROOT / "tests"), **_parse(ROOT / "demos")}
+    total = _counts(_everything(everywhere), attributes_only=True)
     unused = []
     for module, tree in package.items():
         for cls in ast.walk(tree):
@@ -71,7 +82,7 @@ def unused_methods() -> list[str]:
             for node in cls.body:
                 if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
                     continue
-                if not _references(everywhere, node.name, node, kinds=ast.Attribute):
+                if not _references(total, node.name, node, attributes_only=True):
                     unused.append(f"{module}:{cls.name}.{node.name}")
     return unused
 

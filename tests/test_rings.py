@@ -1,5 +1,7 @@
 """Tests for ring presentations, the semigroup engine and the catalog."""
 
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -347,23 +349,75 @@ def test_artinian_labels_under_vanishing():
     assert engine.d_label(4, 1) == ((3,),)
 
 
-def test_presentation_caches_are_bounded():
-    caches = (rings._ring, rings._semigroup, rings._semigroup_level_data)
-    most = max(cache.cache_info().maxsize for cache in caches)
+def test_rings_keeps_no_module_caches():
+    assert [name for name in dir(rings) if hasattr(getattr(rings, name), "cache_info")] == []
     S = NumericalSemigroup((2, 3))
 
     def cusp_closure_of_x8():
         return semigroup_diff_closure(S, SemigroupIdeal.from_exponents(S, (8,)), 1, 5)
 
     first = cusp_closure_of_x8()
-    for k in range(most + 5):
-        PolynomialRingPresentation(5, (f"x{k}",)).ring
+    for k in range(40):
         T = SemigroupRingPresentation(5, (2, 2 * k + 5)).semigroup
         semigroup_diff_closure(T, SemigroupIdeal.from_exponents(T, (2,)), 1, 5)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.currsize <= info.maxsize, cache
     assert cusp_closure_of_x8().exponents == first.exponents == frozenset({5})
+
+
+def _reachable(gens, bound):
+    """Membership in the semigroup spanned by gens, for 0..bound, by brute force."""
+    reach = [True] + [False] * bound
+    for s in range(1, bound + 1):
+        reach[s] = any(reach[s - g] for g in gens if g <= s)
+    return reach
+
+
+def test_conductor_matches_brute_force_reachability():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 60:
+        gens = sorted({rng.randint(1, 30) for _ in range(rng.randint(1, 4))})
+        if math.gcd(*gens) != 1:
+            continue
+        bound = 2 * gens[0] * gens[-1]
+        reach = _reachable(gens, bound)
+        S = NumericalSemigroup(gens)
+        assert S.conductor == max((s + 1 for s in range(bound + 1) if not reach[s]), default=0)
+        assert [s in S for s in range(bound + 1)] == reach, gens
+        checked += 1
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (4, 5, 6, 7)])
+def test_shift_generators_match_the_definition(gens):
+    S = NumericalSemigroup(gens)
+    c = S.conductor
+    for q in (2, 3, 4, 5, 8, 9, 25, 27):
+        reach = _reachable(gens, 4 * (c + q))
+        for j in range(q):
+            # Past 2(c + q) every class member s has s + d > c for the shifts tried.
+            members = [s for s in range(j, 2 * c + 2 * q, q) if reach[s]]
+            # d = c is always admissible, and a generator above first + c is
+            # first plus an element of S, so every generator lies in [-least, 2c].
+            admissible = [
+                d for d in range(-members[0], 2 * c + 1)
+                if all(reach[s + d] for s in members)
+            ]
+            minimal = tuple(
+                d for d in admissible if not any(reach[d - g] for g in admissible if g < d)
+            )
+            assert S.shift_generators(q, j) == minimal, (q, j)
+            assert S.shift_generators(q, j) is S.shift_generators(q, j)
+
+
+def test_equal_presentations_give_equal_ideals():
+    first, second = (SemigroupRingPresentation(5, (2, 3)) for _ in range(2))
+    a, b = first.parse_ideal("x^2"), second.parse_ideal("x^2")
+    assert first.semigroup is not second.semigroup
+    assert a == b and hash(a) == hash(b)
+    assert NumericalSemigroup((3, 2)) == NumericalSemigroup((2, 3))
+    assert hash(NumericalSemigroup((3, 2))) == hash(NumericalSemigroup((2, 3)))
+    assert NumericalSemigroup((2, 3)) != NumericalSemigroup((2, 5))
+    f, g = (PolynomialRingPresentation(5, ("x", "y")).parse_ideal("x^2, y") for _ in range(2))
+    assert f == g and hash(f) == hash(g)
 
 
 def test_artinian_validation():
