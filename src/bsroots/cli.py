@@ -49,13 +49,9 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction]:
 
 def _presentation_and_ideal(args) -> tuple[Presentation, object]:
     presentation = parse_ring_declaration(args.ring)
-    if isinstance(presentation, CatalogPresentation):
-        ideal = presentation.parse_ideal(getattr(args, "ideal", None))
-    else:
-        if not getattr(args, "ideal", None):
-            raise ParseError("--ideal is required for this ring")
-        ideal = presentation.parse_ideal(args.ideal)
-    return presentation, ideal
+    if not args.ideal and not isinstance(presentation, CatalogPresentation):
+        raise ParseError("--ideal is required for this ring")
+    return presentation, presentation.parse_ideal(args.ideal)
 
 
 def _engine(args) -> JumpEngine:

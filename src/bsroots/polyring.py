@@ -128,7 +128,10 @@ class PolyRing:
             tok = tokens[pos]
             if tok in ("+", "-"):
                 break
-            if tok == "*":
+            if tok == "*":  # between two factors only: `x**2`, `*x` and `x*-y` are refused
+                after = tokens[pos + 1] if pos + 1 < len(tokens) else ""
+                if not saw_factor or not (after.isdigit() or after.isidentifier()):
+                    raise ParseError("'*' must stand between two factors")
                 pos += 1
                 continue
             if tok.isdigit():
@@ -159,6 +162,9 @@ class PolyRing:
         return Ideal(self, gens)
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also accepts '²'
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i = 0
@@ -169,9 +175,9 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "+-*^":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(text[i:j])
             i = j

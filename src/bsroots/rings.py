@@ -1,5 +1,11 @@
 """Ring presentations and their differential-jump engines.
 
+One class per ring kind.  Each declares the keys of its declaration in KEYS
+(key -> reader of its value, in the order of its constructor's arguments),
+parses ideal text with `parse_ideal`, and builds the jump engine of an ideal
+it parsed with `engine`, refusing any other.  A new kind adds one such class
+and one entry in the `{head: class}` table of `parse_ring_declaration`.
+
 Four kinds of presentation are supported:
 
 * polynomial rings over F_p (the regular engine: Cartier-root comparisons);
@@ -158,8 +164,14 @@ class SemigroupIdeal:
 # -- presentations --------------------------------------------------------------
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
 @dataclass(frozen=True)
 class PolynomialRingPresentation:
+    KEYS = {"p": int, "vars": _comma_list}
+
     p: int
     variables: tuple[str, ...]
     ring: PolyRing = field(init=False, repr=False, compare=False)
@@ -171,6 +183,13 @@ class PolynomialRingPresentation:
     def parse_ideal(self, text: str) -> Ideal:
         return self.ring.parse_ideal(text)
 
+    def engine(self, ideal: Ideal) -> JumpEngine:
+        if not isinstance(ideal, Ideal):
+            raise TypeError("polynomial presentations need an Ideal")
+        if ideal.ring != self.ring:
+            raise ValueError(f"the ideal lies in {ideal.ring}, not in {self.ring}")
+        return RegularJumpEngine(ideal)
+
 
 @dataclass(frozen=True)
 class VeronesePresentation:
@@ -181,6 +200,8 @@ class VeronesePresentation:
     and the engine runs on aS.  F_p[x^d] is not: (x^d) jumps at ceil(q/d) - 1
     in F_p[x] but not in F_p[x^d], so one variable takes degree 1 only.
     """
+
+    KEYS = {"p": int, "vars": _comma_list, "degree": int}
 
     p: int
     variables: tuple[str, ...]
@@ -206,9 +227,16 @@ class VeronesePresentation:
                     )
         return ideal
 
+    def engine(self, ideal: Ideal) -> JumpEngine:
+        if not isinstance(ideal, Ideal) or ideal.ring != self.ambient:
+            raise ValueError("ideal must be written in the ambient coordinates")
+        return RegularJumpEngine(ideal, producer="summand")
+
 
 @dataclass(frozen=True)
 class SemigroupRingPresentation:
+    KEYS = {"p": int, "gens": _comma_list}
+
     p: int
     semigroup_generators: tuple[int, ...]
     semigroup: NumericalSemigroup = field(init=False, repr=False, compare=False)
@@ -231,6 +259,13 @@ class SemigroupRingPresentation:
             raise ParseError("empty semigroup ideal text")
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
 
+    def engine(self, ideal: SemigroupIdeal) -> JumpEngine:
+        if not isinstance(ideal, SemigroupIdeal):
+            raise TypeError("semigroup presentations need a SemigroupIdeal")
+        if ideal.semigroup != self.semigroup:
+            raise ValueError(f"the ideal lies over {ideal.semigroup}, not {self.semigroup}")
+        return SemigroupJumpEngine(self.p, ideal)
+
 
 def _parse_power_of_x(text: str) -> int:
     text = text.replace(" ", "")
@@ -246,7 +281,23 @@ def _parse_power_of_x(text: str) -> int:
     raise ParseError(f"expected a power of x, got {text!r}")
 
 
-CATALOG_KINDS = ("cross_xy", "cusp_semigroup", "artinian_x_pow")
+# word -> (its fixed element, the engine of (p, n)); only artinian_x_pow takes n.
+_CATALOG = {
+    "cross_xy": ("x", lambda p, n: MonomialQuotientEngine(p, ((1, 1),), (1, 0), 0)),
+    "cusp_semigroup": (
+        "x^2",
+        lambda p, n: SemigroupJumpEngine(
+            p, SemigroupIdeal.from_exponents(NumericalSemigroup((2, 3)), (2,)), "catalog"
+        ),
+    ),
+    # The sole root of K[x]/(x^(n+1)) is n itself: jump sets stabilize to {n}.
+    "artinian_x_pow": (
+        "x",
+        lambda p, n: MonomialQuotientEngine(
+            p, ((n + 1,),), (1,), n, (Fraction(0), Fraction(n))
+        ),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -256,7 +307,12 @@ class CatalogPresentation:
     cross_xy:        K[x,y]/(xy), fixed element x (colon formula)
     cusp_semigroup:  K[x^2,x^3], fixed element x^2 (semigroup engine on <2,3>)
     artinian_x_pow:  K[x]/(x^(n+1)), fixed element x, parameter n (colon formula)
+
+    The kind may carry its parameter as a declaration writes it, as in
+    `artinian_x_pow(4)` or `artinian_x_pow(n=4)`.
     """
+
+    KEYS = {"p": int, None: str}  # None: the bare word that names the ring
 
     p: int
     kind: str
@@ -264,7 +320,11 @@ class CatalogPresentation:
 
     def __post_init__(self):
         check_prime(self.p)
-        if self.kind not in CATALOG_KINDS:
+        word = re.fullmatch(r"(\w+)\((?:n=)?(\d+)\)", self.kind)
+        if word and self.n is None:
+            object.__setattr__(self, "kind", word[1])
+            object.__setattr__(self, "n", int(word[2]))
+        if self.kind not in _CATALOG:
             raise ValueError(f"unknown catalog ring {self.kind!r}")
         if self.kind == "artinian_x_pow":
             if self.n is None or self.n < 1:
@@ -272,16 +332,17 @@ class CatalogPresentation:
         elif self.n is not None:
             raise ValueError(f"{self.kind} takes no parameter")
 
-    def canonical_element(self) -> str:
-        return {"cross_xy": "x", "cusp_semigroup": "x^2", "artinian_x_pow": "x"}[self.kind]
-
     def parse_ideal(self, text: str | None) -> str:
-        expected = self.canonical_element()
+        expected = _CATALOG[self.kind][0]
         if text is not None and text.replace(" ", "") not in (expected, ""):
             raise ParseError(
                 f"catalog ring {self.kind} is declared with the element {expected!r} only"
             )
         return expected
+
+    def engine(self, element: str) -> JumpEngine:
+        self.parse_ideal(element)
+        return _CATALOG[self.kind][1](self.p, self.n)
 
 
 Presentation = (
@@ -292,65 +353,44 @@ Presentation = (
 )
 
 
-# head -> the keys its declaration takes; only `catalog` takes a word, its ring.
-_DECLARATION_KEYS = {
-    "poly": ("p", "vars"),
-    "veronese": ("p", "vars", "degree"),
-    "semigroup": ("p", "gens"),
-    "catalog": ("p",),
+# declaration head -> its presentation class
+_PRESENTATIONS = {
+    "poly": PolynomialRingPresentation,
+    "veronese": VeronesePresentation,
+    "semigroup": SemigroupRingPresentation,
+    "catalog": CatalogPresentation,
 }
 
 
 def parse_ring_declaration(text: str) -> Presentation:
     """Parse declarations like `poly p=5 vars=x,y` or `catalog cross_xy p=3`.
 
-    A key the declaration does not take, a repeated key or an extra word is
-    refused rather than ignored.
+    The head names the presentation class.  The class reads the value of each
+    key of its KEYS, in that order, into its constructor; a bare word stands
+    under the key None.  A key the class does not take, a repeated key, an
+    extra word or a missing key is refused rather than ignored.
     """
     parts = text.split()
     if not parts:
         raise ParseError("empty ring declaration")
-    head, rest = parts[0], parts[1:]
-    if head not in _DECLARATION_KEYS:
-        raise ParseError(f"unknown ring declaration {head!r}")
-    kv = {}
-    positional = []
-    for item in rest:
+    cls = _PRESENTATIONS.get(parts[0])
+    if cls is None:
+        raise ParseError(f"unknown ring declaration {parts[0]!r}")
+    values = {}
+    for item in parts[1:]:
         key, eq, value = item.partition("=")
         if not eq or "(" in key:  # `artinian_x_pow(n=2)` is a word, not a key
-            positional.append(item)
-        elif key not in _DECLARATION_KEYS[head] or key in kv:
+            key, value = None, item
+        if key not in cls.KEYS or key in values:
             raise ParseError(f"ring declaration {text!r} cannot take {item!r}")
-        else:
-            kv[key] = value
-    extra = positional[1:] if head == "catalog" else positional
-    if extra:
-        raise ParseError(f"ring declaration {text!r} has extra words {extra}")
-
-    def need(key):
-        if key not in kv:
-            raise ParseError(f"ring declaration {text!r} is missing {key}=")
-        return kv[key]
-
+        values[key] = value
+    for key in cls.KEYS:
+        if key not in values:
+            what = "a ring name" if key is None else f"{key}="
+            raise ParseError(f"ring declaration {text!r} is missing {what}")
     try:
-        if head == "poly":
-            return PolynomialRingPresentation(int(need("p")), tuple(need("vars").split(",")))
-        if head == "veronese":
-            return VeronesePresentation(
-                int(need("p")), tuple(need("vars").split(",")), int(need("degree"))
-            )
-        if head == "semigroup":
-            return SemigroupRingPresentation(
-                int(need("p")), tuple(int(g) for g in need("gens").split(","))
-            )
-        if not positional:
-            raise ParseError("catalog declaration needs an identifier")
-        word = re.fullmatch(r"(\w+)(?:\((?:n=)?(\d+)\))?", positional[0])
-        if word is None:
-            raise ParseError(f"catalog word {positional[0]!r} is not ident, ident(n) or ident(n=n)")
-        ident, arg = word.groups()
-        return CatalogPresentation(int(need("p")), ident, None if arg is None else int(arg))
-    except (ValueError, ParseError) as exc:
+        return cls(*(read(values[key]) for key, read in cls.KEYS.items()))
+    except ValueError as exc:
         raise ParseError(f"bad ring declaration {text!r}: {exc}") from exc
 
 
@@ -445,18 +485,12 @@ class RegularJumpEngine(JumpEngine):
 
 
 class SemigroupJumpEngine(JumpEngine):
-    def __init__(
-        self,
-        presentation: SemigroupRingPresentation,
-        ideal: SemigroupIdeal,
-        producer: str = "semigroup",
-    ):
+    def __init__(self, p: int, ideal: SemigroupIdeal, producer: str = "semigroup"):
         super().__init__()
-        self.presentation = presentation
+        self.p = p
         self.producer = producer
-        self.S = presentation.semigroup
+        self.S = ideal.semigroup
         self.ideal = ideal
-        self.p = presentation.p
         self.r = ideal.declared_r
         # F-split would force all Bernstein-Sato roots into [-r, 0]; the only
         # semigroup ring certified here is the polynomial ring S = <1>.
@@ -527,26 +561,5 @@ class MonomialQuotientEngine(JumpEngine):
 
 
 def jump_engine(presentation: Presentation, ideal) -> JumpEngine:
-    """Dispatch a presentation/ideal pair to its jump engine."""
-    if isinstance(presentation, PolynomialRingPresentation):
-        if not isinstance(ideal, Ideal):
-            raise TypeError("polynomial presentations need an Ideal")
-        return RegularJumpEngine(ideal)
-    if isinstance(presentation, VeronesePresentation):
-        if ideal.ring != presentation.ambient:
-            raise ValueError("ideal must be written in the ambient coordinates")
-        return RegularJumpEngine(ideal, producer="summand")
-    if isinstance(presentation, SemigroupRingPresentation):
-        if not isinstance(ideal, SemigroupIdeal):
-            raise TypeError("semigroup presentations need a SemigroupIdeal")
-        return SemigroupJumpEngine(presentation, ideal)
-    if isinstance(presentation, CatalogPresentation):
-        p, n = presentation.p, presentation.n
-        if presentation.kind == "cusp_semigroup":
-            cusp = SemigroupRingPresentation(p, (2, 3))
-            return SemigroupJumpEngine(cusp, cusp.parse_ideal("x^2"), producer="catalog")
-        if presentation.kind == "cross_xy":
-            return MonomialQuotientEngine(p, ((1, 1),), (1, 0), 0)
-        # The sole root of K[x]/(x^(n+1)) is n itself: jump sets stabilize to {n}.
-        return MonomialQuotientEngine(p, ((n + 1,),), (1,), n, (Fraction(0), Fraction(n)))
-    raise TypeError(f"unsupported presentation {presentation!r}")
+    """The jump engine of a presentation and an ideal (or element) it parsed."""
+    return presentation.engine(ideal)

@@ -169,6 +169,15 @@ def test_parse_error_exit_code(capsys):
         assert err.startswith("parse error: bad ring declaration"), ring
 
 
+@pytest.mark.parametrize("ideal", ["x**2+y**3", "x^\u00b2"])
+def test_malformed_polynomial_exits_2(capsys, ideal):
+    code, out, err = invoke(
+        capsys, "jumps", "--ring", "poly p=5 vars=x,y", "--ideal", ideal, "--level", "1"
+    )
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ")
+
+
 @pytest.mark.parametrize("lam", ["abc", "1/0"])
 def test_malformed_lambda_exits_2(capsys, lam):
     code, out, err = invoke(

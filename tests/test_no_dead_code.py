@@ -1,8 +1,12 @@
-"""Every function and method in bsroots has a caller, is exported, or is a test oracle.
+"""Every function, method and module-level name in bsroots is used, exported, or a test oracle.
 
 A module-level function counts as used when some code in `src/bsroots` outside
 its own body names it, or when the package's `__all__` lists it.  A test
 oracle has no caller in the package by design and says so in its docstring.
+
+A module-level name bound by assignment (other than a dunder) counts as used
+on the same terms as a module-level function: some code in `src/bsroots`
+outside its own statement names it, or `__all__` lists it.
 
 A method (other than a dunder) counts as used when some code in `src/bsroots`,
 `tests/` or `demos/` outside its own body names it as an attribute (`x.name`).
@@ -70,6 +74,31 @@ def unused_functions() -> list[str]:
     return unused
 
 
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """The names a module-level assignment binds, dunders left out."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def unused_assignments() -> list[str]:
+    trees = _parse(PACKAGE)
+    exported = _exported(trees)
+    total = _counts(_everything(trees))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _assigned_names(node)
+        if name not in exported and not _references(total, name, node)
+    ]
+
+
 def unused_methods() -> list[str]:
     package = _parse(PACKAGE)
     everywhere = {**package, **_parse(ROOT / "tests"), **_parse(ROOT / "demos")}
@@ -93,3 +122,7 @@ def test_every_function_is_used():
 
 def test_every_method_is_used():
     assert unused_methods() == []
+
+
+def test_every_module_level_assignment_is_used():
+    assert unused_assignments() == []

@@ -40,11 +40,24 @@ def test_parse_and_canonical_text(R2):
 
 def test_parse_implicit_product_and_signs(R2):
     assert R2.parse("x y") == R2.parse("x*y")
+    assert R2.parse("2x y") == R2.parse("2*x*y") == R2.parse("x*2*y")
     assert R2.parse("-x + - y") == R2.parse("4*x + 4*y")
     with pytest.raises(ParseError):
         R2.parse("x + w")
     with pytest.raises(ParseError):
         R2.parse("x ^")
+
+
+@pytest.mark.parametrize("text", ["x**2 + y**3", "*x", "x*", "x*-y", "x * * y"])
+def test_parse_refuses_a_star_between_fewer_than_two_factors(R2, text):
+    with pytest.raises(ParseError, match="between two factors"):
+        R2.parse(text)
+
+
+@pytest.mark.parametrize("text", ["x^\u00b2", "\u00b2 x", "x^\u0663"])
+def test_parse_takes_ascii_digits_only(R2, text):
+    with pytest.raises(ParseError):
+        R2.parse(text)
 
 
 def test_degrevlex_order(R2):

@@ -103,12 +103,49 @@ def test_parse_ring_declaration_errors():
             parse_ring_declaration(text)
 
 
+def test_a_declared_catalog_word_carries_its_parameter():
+    expected = CatalogPresentation(3, "artinian_x_pow", 2)
+    for word in ("artinian_x_pow(2)", "artinian_x_pow(n=2)"):
+        assert parse_ring_declaration(f"catalog {word} p=3") == expected
+        assert CatalogPresentation(3, word) == expected
+
+
 def test_catalog_fixes_its_element():
     cat = CatalogPresentation(3, "cusp_semigroup")
     assert cat.parse_ideal(None) == "x^2"
     assert cat.parse_ideal("x^2") == "x^2"
     with pytest.raises(ParseError):
         cat.parse_ideal("x^3")
+
+
+# -- an engine takes only what its presentation parsed ----------------------------
+
+
+def test_polynomial_engine_refuses_an_ideal_of_another_ring():
+    pres = PolynomialRingPresentation(5, ("x", "y"))
+    with pytest.raises(ValueError, match="not in PolyRing"):
+        jump_engine(pres, PolynomialRingPresentation(7, ("x",)).parse_ideal("x"))
+
+
+def test_semigroup_engine_refuses_an_ideal_of_another_semigroup():
+    cusp = SemigroupRingPresentation(5, (2, 3))
+    with pytest.raises(ValueError, match="lies over NumericalSemigroup"):
+        jump_engine(cusp, SemigroupRingPresentation(5, (3, 5)).parse_ideal("x^3, x^5"))
+    # Parsed in <2,3>, the same text is (x^3): one minimal generator.
+    engine = jump_engine(cusp, cusp.parse_ideal("x^3, x^5"))
+    assert (engine.r, engine.jump_set(1)) == (1, (2, 3, 4))
+
+
+def test_catalog_engine_refuses_any_element_but_its_own():
+    cusp = CatalogPresentation(5, "cusp_semigroup")
+    with pytest.raises(ParseError, match="with the element 'x\\^2' only"):
+        jump_engine(cusp, "x^3")
+
+
+def test_veronese_engine_refuses_a_non_ideal():
+    pres = VeronesePresentation(5, ("x", "y"), 2)
+    with pytest.raises(ValueError, match="ambient coordinates"):
+        jump_engine(pres, "x^2")
 
 
 # -- Veronese subrings ----------------------------------------------------------------
