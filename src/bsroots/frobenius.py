@@ -13,6 +13,9 @@ nu-invariants and F-thresholds (a^n in c^[p^e] iff C^e * a^n in c), and the
 test-ideal chain.  The direct route `eth_root(a.power(n), e)` serves the tests
 as the cross-check.
 
+Root coefficients and monomial roots read each packed monomial as its
+exponent tuple, split or floor-divide it by p^e, and pack the root again.
+
 Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
 result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
 canonical label of b; every level and every caller on the same a share it.
@@ -31,13 +34,14 @@ def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
     returns the nonzero g_mu.  Scalars ride along unchanged since c^(p^e) = c
     in F_p.
     """
-    q = f.ring.p**e
+    ring = f.ring
+    q = ring.p**e
     buckets: dict[tuple, dict] = {}
-    for mono, coeff in f.terms:
-        mu = tuple(a % q for a in mono)
-        root = tuple(a // q for a in mono)
-        buckets.setdefault(mu, {})[root] = coeff
-    return [f.ring.polynomial(terms) for terms in buckets.values()]
+    for mono, coeff in f.packed:
+        exponents = ring.unpack(mono)
+        mu = tuple([a % q for a in exponents])
+        buckets.setdefault(mu, {})[ring.pack([a // q for a in exponents])] = coeff
+    return [ring.packed_polynomial(terms) for terms in buckets.values()]
 
 
 def eth_root(a: Ideal, e: int) -> Ideal:
@@ -53,14 +57,15 @@ def eth_root(a: Ideal, e: int) -> Ideal:
         return a
     basis = a.groebner()
     if a.is_monomial_ideal():
-        q = a.ring.p**e
+        ring = a.ring
+        q = ring.p**e
         return _monomial_ideal(
-            a.ring, (tuple(x // q for x in b.leading_monomial()) for b in basis)
+            ring, (ring.pack([x // q for x in b.leading_monomial()]) for b in basis)
         )
     coefficients = []
     for g in basis:
         coefficients.extend(poly_root_coefficients(g, e))
-    return Ideal(a.ring, _interreduce_generators(a.ring, coefficients))
+    return Ideal(a.ring, _interreduce_generators(coefficients))
 
 
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:

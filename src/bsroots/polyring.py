@@ -4,12 +4,31 @@ The term order is fixed globally to degrevlex with the variable order taken
 from the ring declaration, so every ideal has one reduced Groebner basis and
 every printed object is byte-stable.
 
-Monomial ideals are handled as sets of exponent tuples from end to end: they
-are built in one place, `_monomial_ideal`, which minimalizes the exponents
-once and keeps the minimal monomials as both the generators and the reduced
-Groebner basis.  Products of monomial ideals are Minkowski sums of exponent
-sets, and their Cartier roots (`frobenius.eth_root`) floor-divide exponents,
-so neither builds a polynomial product nor runs Buchberger.
+Inside the kernel a monomial is one Python int, packed per ring (Monagan and
+Pearce, "Sparse polynomial division using a heap", J. Symb. Comp. 2011).
+Exponent e_i is stored as M - e_i in a field of `_FIELD_BITS` = 64 bits with
+a guard bit above it, M = 2^64 - 1; the first variable's field is the lowest,
+and the total degree sits above the last field.  With this layout
+integer order is degrevlex, and with C the packed zero monomial and G the
+guard bits:
+
+- the product of a and b is a + b - C,
+- the quotient b / a is b - a + C,
+- a divides b exactly when (a - b) & G == 0.
+
+An exponent past M is refused with a ValueError when it is packed and after
+any product that could reach it (a product whose degree stays within M cannot);
+it never wraps into the next field.  Exponent tuples appear only at the
+boundary: parsing and printing, the `Polynomial.terms` and
+`leading_monomial()` views, `PolyRing.polynomial` on a dict of tuples, the
+digit split of Cartier roots, and the `RowSpan` oracle.
+
+Monomial ideals are handled as sets of packed monomials from end to end:
+they are built in one place, `_monomial_ideal`, which minimalizes the
+monomials once and keeps the minimal ones as both the generators and the
+reduced Groebner basis.  Products of monomial ideals are Minkowski sums, and
+their Cartier roots (`frobenius.eth_root`) floor-divide exponents, so neither
+builds a polynomial product nor runs Buchberger.
 
 Other ideals go through the Groebner kernel.  `_buchberger` prunes pairs with
 the Gebauer-Moller update as each basis element is added, and pops the
@@ -32,15 +51,23 @@ from .padic import check_level, check_prime
 Monomial = tuple  # exponent vector, one entry per ring variable
 Term = tuple  # (Monomial, coefficient)
 
+_FIELD_BITS = 64  # bits per exponent field: exponents below 2^64, enough for p^e at deep levels
+
 
 class ParseError(ValueError):
     """Raised for malformed polynomial / ideal / ring text."""
 
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with the degrevlex order on the declared variables."""
+    """F_p[x_1, ..., x_n] with the degrevlex order on the declared variables.
 
-    __slots__ = ("p", "variables", "nvars")
+    The ring also fixes the packing of its monomials (see the module
+    docstring): `zero_monomial` is C, `guards` is G, `degree_shift` is the
+    position of the total-degree field and `max_exponent` is M.
+    """
+
+    __slots__ = ("p", "variables", "nvars", "zero_monomial", "guards", "degree_shift", "_shifts")
+    max_exponent = (1 << _FIELD_BITS) - 1
 
     def __init__(self, p: int, variables: tuple[str, ...] | list[str]):
         self.p = check_prime(p)
@@ -54,6 +81,11 @@ class PolyRing:
                 raise ValueError(f"bad variable name {name!r}")
         self.variables = variables
         self.nvars = len(variables)
+        stride = _FIELD_BITS + 1
+        self._shifts = tuple(range(0, self.nvars * stride, stride))
+        self.zero_monomial = sum(self.max_exponent << s for s in self._shifts)
+        self.guards = sum(1 << (s + _FIELD_BITS) for s in self._shifts)
+        self.degree_shift = self.nvars * stride
 
     def __eq__(self, other) -> bool:
         return (
@@ -68,27 +100,74 @@ class PolyRing:
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, vars={','.join(self.variables)})"
 
-    def monomial_key(self, m: Monomial):
-        # degrevlex: higher total degree wins; ties broken so that the last
-        # nonzero entry of the difference is negative for the larger monomial.
-        return (sum(m), tuple(-e for e in reversed(m)))
+    # -- packed monomials -----------------------------------------------------
+
+    def pack(self, exponents) -> int:
+        """The packed monomial of an exponent tuple; its integer order is degrevlex."""
+        exponents = tuple(exponents)
+        if len(exponents) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {exponents}")
+        packed = self.zero_monomial
+        for shift, e in zip(self._shifts, exponents):
+            if not 0 <= e <= self.max_exponent:
+                raise ValueError(
+                    f"exponent {e} lies outside the packed field [0, {self.max_exponent}]"
+                )
+            packed -= e << shift
+        return packed + (sum(exponents) << self.degree_shift)
+
+    monomial_key = pack  # the degrevlex sort key of an exponent tuple
+
+    def unpack(self, mono: int) -> Monomial:
+        top = self.max_exponent
+        return tuple([top - ((mono >> s) & top) for s in self._shifts])
+
+    def degree(self, mono: int) -> int:
+        return mono >> self.degree_shift
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials: the smaller field, field by field."""
+        guards = self.guards
+        # The guard of a field stays set in (a | G) - b where b's exponent is
+        # at least a's; no field borrows from the next.
+        at_least = ((a | guards) - b) & guards
+        from_b = at_least - (at_least >> _FIELD_BITS)
+        fields = (b & from_b) | (a & (self.zero_monomial ^ from_b))
+        top = self.max_exponent
+        degree = 0
+        for s in self._shifts:
+            degree += top - ((fields >> s) & top)
+        return fields | (degree << self.degree_shift)
+
+    def check_width(self, monos) -> None:
+        """Refuse packed products with an exponent past the field width.
+
+        Such a product sets the guard bit of its lowest overflowing field, so
+        it never equals a valid monomial.
+        """
+        guards = self.guards
+        if any(m & guards for m in monos):
+            raise ValueError(
+                f"a product has an exponent past the packed field width "
+                f"({self.max_exponent}) in {self}"
+            )
+
+    def packed_polynomial(self, terms: dict[int, int]) -> "Polynomial":
+        """The polynomial of a {packed monomial: coefficient} dict."""
+        p = self.p
+        reduced = [(m, c % p) for m, c in terms.items() if c % p]
+        reduced.sort(reverse=True)
+        return Polynomial(self, tuple(reduced))
 
     def polynomial(self, terms: dict[Monomial, int]) -> "Polynomial":
-        reduced = {}
-        for mono, coeff in terms.items():
-            c = coeff % self.p
-            if c:
-                reduced[tuple(mono)] = c
-        ordered = tuple(
-            sorted(reduced.items(), key=lambda t: self.monomial_key(t[0]), reverse=True)
-        )
-        return Polynomial(self, ordered)
+        p = self.p
+        return self.packed_polynomial({self.pack(m): c for m, c in terms.items() if c % p})
 
     def zero(self) -> "Polynomial":
-        return self.polynomial({})
+        return Polynomial(self, ())
 
     def one(self) -> "Polynomial":
-        return self.polynomial({(0,) * self.nvars: 1})
+        return Polynomial(self, ((self.zero_monomial, 1),))
 
     def variable(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
@@ -193,50 +272,58 @@ def _tokenize(text: str) -> list[str]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms stored in descending degrevlex order."""
+    """Immutable sparse polynomial; terms stored in descending degrevlex order.
 
-    __slots__ = ("ring", "terms", "_hash")
+    `packed` holds the (packed monomial, coefficient) pairs; `terms` is their
+    view with exponent tuples.
+    """
 
-    def __init__(self, ring: PolyRing, ordered_terms: tuple[Term, ...]):
+    __slots__ = ("ring", "packed", "_hash")
+
+    def __init__(self, ring: PolyRing, packed_terms: tuple[tuple[int, int], ...]):
         self.ring = ring
-        self.terms = ordered_terms
+        self.packed = packed_terms
         self._hash = None
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        unpack = self.ring.unpack
+        return tuple((unpack(m), c) for m, c in self.packed)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_one(self) -> bool:
-        return (
-            len(self.terms) == 1
-            and self.terms[0][1] == 1
-            and not any(self.terms[0][0])
-        )
+        return self.packed == ((self.ring.zero_monomial, 1),)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.packed) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
+        return not self.packed or (
+            len(self.packed) == 1 and self.packed[0][0] == self.ring.zero_monomial
+        )
 
     def total_degree(self) -> int:
-        if not self.terms:
+        # The lead has the largest degree: the degree field sits on top.
+        if not self.packed:
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        return self.ring.degree(self.packed[0][0])
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring.unpack(self.packed[0][0])
 
     def leading_coefficient(self) -> int:
-        if not self.terms:
+        if not self.packed:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.packed:
             return self
-        inv = pow(self.terms[0][1], -1, self.ring.p)
+        inv = pow(self.packed[0][1], -1, self.ring.p)
         if inv == 1:
             return self
         return self.scale(inv)
@@ -248,31 +335,35 @@ class Polynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, (k * c) % p) for m, k in self.terms))
+        return Polynomial(self.ring, tuple((m, (k * c) % p) for m, k in self.packed))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        acc = dict(self.packed)
+        for m, c in other.packed:
             acc[m] = acc.get(m, 0) + c
-        return self.ring.polynomial(acc)
+        return self.ring.packed_polynomial(acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for m, c in other.terms:
+        acc = dict(self.packed)
+        for m, c in other.packed:
             acc[m] = acc.get(m, 0) - c
-        return self.ring.polynomial(acc)
+        return self.ring.packed_polynomial(acc)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(self.ring.p - 1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        p = self.ring.p
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
+        ring = self.ring
+        p = ring.p
+        zero = ring.zero_monomial
+        acc: dict[int, int] = {}
+        for m1, c1 in self.packed:
+            for m2, c2 in other.packed:
+                m = m1 + m2 - zero
                 acc[m] = (acc.get(m, 0) + c1 * c2) % p
-        return self.ring.polynomial(acc)
+        if self.total_degree() + other.total_degree() > ring.max_exponent:
+            ring.check_width(acc)
+        return ring.packed_polynomial(acc)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -288,38 +379,42 @@ class Polynomial:
             n = base_needed
         return result
 
-    def term_multiple(self, mono: Monomial, coeff: int) -> "Polynomial":
-        p = self.ring.p
+    def term_multiple(self, mono: int, coeff: int) -> "Polynomial":
+        """The product with the term coeff * mono, mono a packed monomial."""
+        ring = self.ring
+        p = ring.p
         coeff %= p
-        return Polynomial(
-            self.ring,
-            tuple(
-                (tuple(a + b for a, b in zip(m, mono)), (c * coeff) % p)
-                for m, c in self.terms
-            ),
-        )
+        shift = mono - ring.zero_monomial
+        packed = tuple((m + shift, (c * coeff) % p) for m, c in self.packed)
+        if self.total_degree() + ring.degree(mono) > ring.max_exponent:
+            ring.check_width(m for m, _ in packed)
+        return Polynomial(ring, packed)
 
     def frobenius(self, e: int) -> "Polynomial":
         """The p^e-th power, computed term-by-term (c^(p^e) = c over F_p)."""
-        q = self.ring.p**e
+        ring = self.ring
+        q = ring.p**e
         return Polynomial(
-            self.ring, tuple((tuple(a * q for a in m), c) for m, c in self.terms)
+            ring,
+            tuple(
+                (ring.pack([a * q for a in ring.unpack(m)]), c) for m, c in self.packed
+            ),
         )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
+            self._hash = hash((self.ring, self.packed))
         return self._hash
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for mono, coeff in self.terms:
@@ -338,39 +433,31 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
-
-
-def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
-
-
-def _mono_quot(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m1, m2))
-
-
 def _support(m: Monomial) -> frozenset:
     return frozenset(i for i, a in enumerate(m) if a)
 
 
-def minimal_monomials(monos) -> list[Monomial]:
-    """Minimal elements under divisibility (the minimal monomial generators).
+def minimal_monomials(ring: PolyRing, monos) -> list[int]:
+    """Minimal packed monomials under divisibility (the minimal monomial generators).
 
     A divisor of strictly smaller degree is the only way to dominate (equal
     degree forces equality), so candidates are only checked against the
-    already-kept monomials of lower degree.
+    already-kept monomials of lower degree.  Ascending integer order is
+    ascending degree.
     """
-    by_degree = sorted(set(monos), key=sum)
-    kept: list[Monomial] = []
+    guards, degree_shift = ring.guards, ring.degree_shift
+    kept: list[int] = []
     smaller_end = 0
     current_degree = None
-    for m in by_degree:
-        d = sum(m)
+    for m in sorted(set(monos)):
+        d = m >> degree_shift
         if d != current_degree:
             smaller_end = len(kept)
             current_degree = d
-        if not any(_divides(k, m) for k in kept[:smaller_end]):
+        for k in kept[:smaller_end]:
+            if not (k - m) & guards:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -422,7 +509,7 @@ class Ideal:
             if not self.generators:
                 self._gb = ()
             elif self.is_monomial_ideal():
-                leads = (g.leading_monomial() for g in self.generators)
+                leads = (g.packed[0][0] for g in self.generators)
                 self._gb = _monomial_ideal(self.ring, leads).generators
             else:
                 self._gb = _buchberger(self.ring, self.generators)
@@ -438,8 +525,8 @@ class Ideal:
             return False
         basis = self.groebner()
         if all(b.is_monomial() for b in basis) and f.is_monomial():
-            lead = f.leading_monomial()
-            return any(_divides(b.leading_monomial(), lead) for b in basis)
+            lead, guards = f.packed[0][0], self.ring.guards
+            return any(not (b.packed[0][0] - lead) & guards for b in basis)
         return _reduce_full(f, basis, lead_only=True).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -454,8 +541,8 @@ class Ideal:
         return hash((self.ring, self.groebner()))
 
     def canonical_label(self):
-        """Hashable canonical form (the reduced basis as term tuples)."""
-        return tuple(b.terms for b in self.groebner())
+        """Hashable canonical form (the reduced basis as packed term tuples)."""
+        return tuple(b.packed for b in self.groebner())
 
     # -- constructions ------------------------------------------------------
 
@@ -476,14 +563,17 @@ class Ideal:
         if other.is_one_ideal_fast():
             return self
         if self.is_monomial_ideal() and other.is_monomial_ideal():
-            mine = [b.leading_monomial() for b in self.groebner()]
-            theirs = [b.leading_monomial() for b in other.groebner()]
-            return _monomial_ideal(
-                self.ring,
-                {tuple(a + b for a, b in zip(m1, m2)) for m1 in mine for m2 in theirs},
-            )
+            ring = self.ring
+            mine = [b.packed[0][0] for b in self.groebner()]
+            theirs = [b.packed[0][0] for b in other.groebner()]
+            zero = ring.zero_monomial
+            monos = {m1 + m2 - zero for m1 in mine for m2 in theirs}
+            # Each basis is sorted in descending order, so its first lead has the top degree.
+            if ring.degree(mine[0]) + ring.degree(theirs[0]) > ring.max_exponent:
+                ring.check_width(monos)
+            return _monomial_ideal(ring, monos)
         gens = [g * h for g in self._short_generators() for h in other._short_generators()]
-        return Ideal(self.ring, _interreduce_generators(self.ring, gens))
+        return Ideal(self.ring, _interreduce_generators(gens))
 
     def _short_generators(self) -> tuple[Polynomial, ...]:
         """The cached reduced basis when known and no longer than the generators, else those."""
@@ -553,20 +643,20 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-def _monomial_ideal(ring: PolyRing, exponents) -> Ideal:
-    """The monomial ideal (x^m : m in exponents), its reduced basis already set.
+def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
+    """The monomial ideal generated by packed monomials, its reduced basis already set.
 
-    The minimal exponents, sorted in descending order, give monic one-term
+    The minimal monomials, sorted in descending order, give monic one-term
     generators that are also the reduced Groebner basis.
     """
-    monos = minimal_monomials(exponents)
-    monos.sort(key=ring.monomial_key, reverse=True)
+    monos = minimal_monomials(ring, monos)
+    monos.sort(reverse=True)
     ideal = Ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in monos))
     ideal._gb = ideal.generators
     return ideal
 
 
-def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
+def _interreduce_generators(gens) -> list[Polynomial]:
     """Drop generators whose normal form vanishes against the others.
 
     Only a zero test is needed, so each reduction stops at its first
@@ -574,7 +664,7 @@ def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
     """
     gens = [g for g in gens if not g.is_zero()]
     kept: list[Polynomial] = []
-    for g in sorted(gens, key=lambda h: ring.monomial_key(h.leading_monomial())):
+    for g in sorted(gens, key=lambda h: h.packed[0][0]):
         if not _reduce_full(g, kept, lead_only=True).is_zero():
             kept.append(g)
     return kept
@@ -586,11 +676,13 @@ def _interreduce_generators(ring: PolyRing, gens) -> list[Polynomial]:
 def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
     """Full reduction (every term) of f against the basis.
 
-    Pending monomials sit in a heap keyed by (-deg m, m reversed), so the
-    degrevlex-largest one pops first; a monomial that cancels stays in the heap
-    and is skipped when it pops.  Each term is reduced by the first basis
+    Pending monomials sit in a heap of negated packed monomials, so the
+    degrevlex-largest one pops first; a monomial that cancels stays in the
+    heap and is skipped when it pops.  Each term is reduced by the first basis
     element whose lead divides it; zero elements are skipped, and a lead
-    coefficient is inverted only when its element reduces a term.
+    coefficient is inverted only when its element reduces a term.  Every new
+    monomial is below the popped one, so no exponent can pass the field width
+    unless the degree of f does.
 
     With `lead_only`, reduction stops at the first irreducible term and returns
     that term plus the unreduced rest: a polynomial congruent to f modulo the
@@ -602,30 +694,34 @@ def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
         return f
     ring = f.ring
     p = ring.p
-    work = dict(f.terms)
-    heap = [(-sum(m), m[::-1], m) for m in work]
+    guards = ring.guards
+    wide = f.total_degree() > ring.max_exponent
+    work = dict(f.packed)
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     while heap:
-        mono = heapq.heappop(heap)[2]
+        mono = -heapq.heappop(heap)
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
         for b in basis:
-            terms = b.terms
-            if terms and _divides(terms[0][0], mono):
+            terms = b.packed
+            if terms and not (terms[0][0] - mono) & guards:
                 lead, lead_coeff = terms[0]
                 factor = coeff * pow(lead_coeff, -1, p) % p
-                shift = _mono_quot(mono, lead)
+                shift = mono - lead  # m2 * (mono / lead) is m2 + shift
                 # The lead term cancels work[mono], already popped; the rest
                 # of the terms are smaller than mono.
                 for m2, c2 in terms[1:]:
-                    m = tuple(a + s for a, s in zip(m2, shift))
+                    m = m2 + shift
                     old = work.get(m)
                     val = ((old or 0) - factor * c2) % p
                     if val:
                         if old is None:
-                            heapq.heappush(heap, (-sum(m), m[::-1], m))
+                            if wide:
+                                ring.check_width((m,))
+                            heapq.heappush(heap, -m)
                         work[m] = val
                     elif old is not None:
                         del work[m]
@@ -633,9 +729,17 @@ def _reduce_full(f: Polynomial, basis, lead_only: bool = False) -> Polynomial:
         else:
             if lead_only:
                 work[mono] = coeff
-                return ring.polynomial(work)
+                return ring.packed_polynomial(work)
             remainder[mono] = coeff
-    return ring.polynomial(remainder)
+    return ring.packed_polynomial(remainder)
+
+
+def _has_divisor(mono: int, monos, guards: int) -> bool:
+    """Whether one of the packed monomials divides mono."""
+    for d in monos:
+        if not (d - mono) & guards:
+            return True
+    return False
 
 
 def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
@@ -651,46 +755,50 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
       differs from both lcm(i, h) and lcm(j, h);
     - every active element whose lead lm(h) divides leaves the active set.
 
-    Pairs wait in a heap ordered by lcm, smallest first; a pruned pair leaves
-    the dict of live pairs and is skipped when it pops.  S-polynomials are
-    reduced against the active set only and just until their lead is
+    Pairs wait in a heap ordered by packed lcm, smallest first; a pruned pair
+    leaves the dict of live pairs and is skipped when it pops.  S-polynomials
+    are reduced against the active set only and just until their lead is
     irreducible, which is all the pair update needs.  At the end the active
     set is minimalized (an input generator's lead can be divisible by an
     earlier one's) and each survivor is tail-reduced against the others.
     """
     if any(g.is_constant() for g in generators if not g.is_zero()):
         return (ring.one(),)
+    guards, zero, lcm_of = ring.guards, ring.zero_monomial, ring.lcm
     basis: list[Polynomial] = []
-    leads: list[Monomial] = []
+    leads: list[int] = []
     active: list[int] = []
-    live: dict[tuple[int, int], Monomial] = {}
+    live: dict[tuple[int, int], int] = {}
     queue: list = []
 
     def update(h: Polynomial) -> None:
         k = len(basis)
-        lm_h = h.leading_monomial()
-        # New pairs; the later ones in `new` are those still to be examined.
-        new = [(i, _mono_lcm(leads[i], lm_h)) for i in active]
-        kept = []
-        for idx, (i, lcm) in enumerate(new):
-            coprime = not any(a and b for a, b in zip(leads[i], lm_h))
+        lm_h = h.packed[0][0]
+        # The lcms of the new pairs (i, h), i active; the later ones are those
+        # still to be examined.
+        new_lcms = [lcm_of(leads[i], lm_h) for i in active]
+        kept, kept_lcms = [], []
+        for idx, (i, lcm) in enumerate(zip(active, new_lcms)):
+            # Coprime leads: the lcm is their product.
+            coprime = lcm == leads[i] + lm_h - zero
             if coprime or not (
-                any(_divides(other, lcm) for _, other in new[idx + 1 :])
-                or any(_divides(other, lcm) for _, other, _ in kept)
+                _has_divisor(lcm, new_lcms[idx + 1 :], guards)
+                or _has_divisor(lcm, kept_lcms, guards)
             ):
                 kept.append((i, lcm, coprime))
+                kept_lcms.append(lcm)
         for key, lcm in list(live.items()):
             if (
-                _divides(lm_h, lcm)
-                and lcm != _mono_lcm(leads[key[0]], lm_h)
-                and lcm != _mono_lcm(leads[key[1]], lm_h)
+                not (lm_h - lcm) & guards
+                and lcm != lcm_of(leads[key[0]], lm_h)
+                and lcm != lcm_of(leads[key[1]], lm_h)
             ):
                 del live[key]
         for i, lcm, coprime in kept:
             if not coprime:
                 live[(k, i)] = lcm
-                heapq.heappush(queue, (ring.monomial_key(lcm), k, i, lcm))
-        active[:] = [i for i in active if not _divides(lm_h, leads[i])]
+                heapq.heappush(queue, (lcm, k, i))
+        active[:] = [i for i in active if (lm_h - leads[i]) & guards]
         active.append(k)
         basis.append(h)
         leads.append(lm_h)
@@ -699,12 +807,12 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
         if not g.is_zero():
             update(g.monic())
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         if live.pop((i, j), None) is None:
             continue
         fi, fj = basis[i], basis[j]
-        s_poly = fi.term_multiple(_mono_quot(lcm, leads[i]), 1) - fj.term_multiple(
-            _mono_quot(lcm, leads[j]), 1
+        s_poly = fi.term_multiple(lcm - leads[i] + zero, 1) - fj.term_multiple(
+            lcm - leads[j] + zero, 1
         )
         remainder = _reduce_full(s_poly, [basis[k] for k in active], lead_only=True)
         if remainder.is_zero():
@@ -718,7 +826,7 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
         basis[i]
         for i in active
         if not any(
-            k != i and _divides(leads[k], leads[i]) and (leads[k] != leads[i] or k < i)
+            k != i and not (leads[k] - leads[i]) & guards and (leads[k] != leads[i] or k < i)
             for k in active
         )
     ]
@@ -727,7 +835,7 @@ def _buchberger(ring: PolyRing, generators) -> tuple[Polynomial, ...]:
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1 :]
         reduced.append(_reduce_full(g, others).monic())
-    reduced.sort(key=lambda g: ring.monomial_key(g.leading_monomial()), reverse=True)
+    reduced.sort(key=lambda g: g.packed[0][0], reverse=True)
     return tuple(reduced)
 
 
@@ -753,8 +861,8 @@ class RowSpan:
     Built once by incremental Gauss over F_p (rows as sparse {column: coeff});
     membership queries then reduce against the stored pivots.  No Groebner
     machinery is involved, which makes this the test oracle for
-    `Ideal.contains`.  Complete for monomial ideals; a documented bounded
-    check otherwise.
+    `Ideal.contains`; it works on exponent tuples, not on packed monomials.
+    Complete for monomial ideals; a documented bounded check otherwise.
     """
 
     def __init__(self, ring: PolyRing, generators, cap: int):
@@ -769,9 +877,10 @@ class RowSpan:
         for g in generators:
             if g.is_zero() or g.total_degree() > cap:
                 continue
+            terms = g.terms
             for shift in monomials_up_to_degree(ring.nvars, cap - g.total_degree()):
                 vec = {}
-                for m, c in g.terms:
+                for m, c in terms:
                     mono = tuple(a + b for a, b in zip(m, shift))
                     if mono in self._col_index:
                         vec[self._col_index[mono]] = c

@@ -34,7 +34,7 @@ from math import gcd
 
 from . import frobenius
 from .padic import check_level, check_prime
-from .polyring import Ideal, ParseError, PolyRing, minimal_monomials
+from .polyring import _DIGITS, Ideal, ParseError, PolyRing, minimal_monomials
 
 
 # -- numerical semigroups -------------------------------------------------------
@@ -168,9 +168,20 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
+def _natural(text: str) -> int:
+    """A number in ASCII digits only; int() also takes '+3', '1_0', '-0' and '\u0663'."""
+    if not text or not set(text) <= _DIGITS:
+        raise ParseError(f"expected a number in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _natural_list(text: str) -> tuple[int, ...]:
+    return tuple(map(_natural, text.split(",")))
+
+
 @dataclass(frozen=True)
 class PolynomialRingPresentation:
-    KEYS = {"p": int, "vars": _comma_list}
+    KEYS = {"p": _natural, "vars": _comma_list}
 
     p: int
     variables: tuple[str, ...]
@@ -201,7 +212,7 @@ class VeronesePresentation:
     in F_p[x] but not in F_p[x^d], so one variable takes degree 1 only.
     """
 
-    KEYS = {"p": int, "vars": _comma_list, "degree": int}
+    KEYS = {"p": _natural, "vars": _comma_list, "degree": _natural}
 
     p: int
     variables: tuple[str, ...]
@@ -218,7 +229,15 @@ class VeronesePresentation:
             raise ValueError("F_p[x^d] is a polynomial ring; declare it with poly")
 
     def parse_ideal(self, text: str) -> Ideal:
-        ideal = self.ambient.parse_ideal(text)
+        return self._inside(self.ambient.parse_ideal(text))
+
+    def engine(self, ideal: Ideal) -> JumpEngine:
+        if not isinstance(ideal, Ideal) or ideal.ring != self.ambient:
+            raise ValueError("ideal must be written in the ambient coordinates")
+        return RegularJumpEngine(self._inside(ideal), producer="summand")
+
+    def _inside(self, ideal: Ideal) -> Ideal:
+        """The ideal itself, once each term of each generator has degree in dZ."""
         for g in ideal.generators:
             for mono, _ in g.terms:
                 if sum(mono) % self.degree:
@@ -227,15 +246,10 @@ class VeronesePresentation:
                     )
         return ideal
 
-    def engine(self, ideal: Ideal) -> JumpEngine:
-        if not isinstance(ideal, Ideal) or ideal.ring != self.ambient:
-            raise ValueError("ideal must be written in the ambient coordinates")
-        return RegularJumpEngine(ideal, producer="summand")
-
 
 @dataclass(frozen=True)
 class SemigroupRingPresentation:
-    KEYS = {"p": int, "gens": _comma_list}
+    KEYS = {"p": _natural, "gens": _natural_list}
 
     p: int
     semigroup_generators: tuple[int, ...]
@@ -273,8 +287,8 @@ def _parse_power_of_x(text: str) -> int:
         return 1
     if text.startswith("x^"):
         try:
-            return int(text[2:])
-        except ValueError as exc:
+            return _natural(text[2:])
+        except ParseError as exc:
             raise ParseError(f"bad monomial {text!r}") from exc
     if text == "1":
         return 0
@@ -283,7 +297,10 @@ def _parse_power_of_x(text: str) -> int:
 
 # word -> (its fixed element, the engine of (p, n)); only artinian_x_pow takes n.
 _CATALOG = {
-    "cross_xy": ("x", lambda p, n: MonomialQuotientEngine(p, ((1, 1),), (1, 0), 0)),
+    "cross_xy": (
+        "x",
+        lambda p, n: MonomialQuotientEngine(PolyRing(p, ("x", "y")), ((1, 1),), (1, 0), 0),
+    ),
     "cusp_semigroup": (
         "x^2",
         lambda p, n: SemigroupJumpEngine(
@@ -294,7 +311,7 @@ _CATALOG = {
     "artinian_x_pow": (
         "x",
         lambda p, n: MonomialQuotientEngine(
-            p, ((n + 1,),), (1,), n, (Fraction(0), Fraction(n))
+            PolyRing(p, ("x",)), ((n + 1,),), (1,), n, (Fraction(0), Fraction(n))
         ),
     ),
 }
@@ -312,7 +329,7 @@ class CatalogPresentation:
     `artinian_x_pow(4)` or `artinian_x_pow(n=4)`.
     """
 
-    KEYS = {"p": int, None: str}  # None: the bare word that names the ring
+    KEYS = {"p": _natural, None: str}  # None: the bare word that names the ring
 
     p: int
     kind: str
@@ -320,7 +337,7 @@ class CatalogPresentation:
 
     def __post_init__(self):
         check_prime(self.p)
-        word = re.fullmatch(r"(\w+)\((?:n=)?(\d+)\)", self.kind)
+        word = re.fullmatch(r"(\w+)\((?:n=)?([0-9]+)\)", self.kind)
         if word and self.n is None:
             object.__setattr__(self, "kind", word[1])
             object.__setattr__(self, "n", int(word[2]))
@@ -518,7 +535,8 @@ class MonomialQuotientEngine(JumpEngine):
     mu = m mod q, to x^(q*u + t), and it preserves I iff x^(q*c_g + t) lies in
     I for every minimal generator g of I, where c_g = ceil((g - mu)^+ / q).
     Hence D^(e)*x^m = I + x^(q*u) * (intersection over g of I : x^(q*c_g)),
-    and the label is its set of minimal exponent vectors.
+    and the label is its set of minimal exponent vectors.  S is the given
+    PolyRing; the colons and intersections run on its packed monomials.
     """
 
     producer = "catalog"
@@ -526,15 +544,17 @@ class MonomialQuotientEngine(JumpEngine):
 
     def __init__(
         self,
-        p: int,
+        ring: PolyRing,
         relations: tuple[tuple[int, ...], ...],
         element: tuple[int, ...],
         threshold_slack: int,
         root_interval: tuple[Fraction, Fraction] | None = None,
     ):
         super().__init__()
-        self.p = p
+        self.ring = ring
+        self.p = ring.p
         self.relations = relations
+        self._packed_relations = [ring.pack(g) for g in relations]
         self.element = element
         # Squarefree I gives a Stanley-Reisner ring, which is F-split; any
         # other monomial quotient is not reduced, so it is not F-split.
@@ -546,18 +566,19 @@ class MonomialQuotientEngine(JumpEngine):
         return self.root_interval or super().default_root_interval()
 
     def _compute_label(self, n: int, e: int):
-        q, relations = self.p ** check_level(e), self.relations
+        ring, relations = self.ring, self._packed_relations
+        q, zero = self.p ** check_level(e), ring.zero_monomial
         m = [n * b for b in self.element]
         mu = [c % q for c in m]
-        shifts = [(0,) * len(m)]  # the intersection of the colons, from the unit ideal
-        for g in relations:
-            c = [q * -(-max(0, gi - ui) // q) for gi, ui in zip(g, mu)]
-            colon = [tuple(max(0, hi - ci) for hi, ci in zip(h, c)) for h in relations]
-            shifts = minimal_monomials(
-                tuple(map(max, s, t)) for s in shifts for t in colon
-            )
-        gens = [tuple(mi - ui + t for mi, ui, t in zip(m, mu, s)) for s in shifts]
-        return tuple(sorted(minimal_monomials([*gens, *relations])))
+        shifts = [zero]  # the intersection of the colons, from the unit ideal
+        for g in self.relations:
+            c = ring.pack([q * -(-max(0, gi - ui) // q) for gi, ui in zip(g, mu)])
+            colon = [ring.lcm(h, c) - c + zero for h in relations]  # I : x^c
+            shifts = minimal_monomials(ring, (ring.lcm(s, t) for s in shifts for t in colon))
+        base = ring.pack([mi - ui for mi, ui in zip(m, mu)]) - zero
+        gens = [base + s for s in shifts]
+        ring.check_width(gens)
+        return tuple(sorted(map(ring.unpack, minimal_monomials(ring, [*gens, *relations]))))
 
 
 def jump_engine(presentation: Presentation, ideal) -> JumpEngine:

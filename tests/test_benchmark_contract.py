@@ -57,3 +57,17 @@ def test_record_imports_and_subclasses_the_package(monkeypatch):
     for name in ("poly_root_coefficients", "_detect_limit", "cartier_threshold"):
         assert callable(getattr(record, name)), name
     assert issubclass(record.RawRootEngine, rings.RegularJumpEngine)
+
+
+def test_record_routes_run_on_exponent_tuples(monkeypatch):
+    # record.py reads `terms`, `leading_monomial()` and `monomial_key` as
+    # exponent tuples, builds polynomials from tuple dicts and compares
+    # canonical labels of its own ideals.
+    record = _load(monkeypatch, "record")
+    pres = rings.PolynomialRingPresentation(5, ("x", "y"))
+    a = pres.parse_ideal("x^2+y^3, x*y")
+    assert record.RawRootEngine(a).jump_set(1) == rings.RegularJumpEngine(a).jump_set(1)
+    nu = record.raw_nu(
+        ["nu", "--ring", "poly p=5 vars=x", "--ideal", "x", "--cideal", "x^3", "--levels", "2"]
+    )
+    assert nu == {1: 3 * 5 - 1, 2: 3 * 25 - 1}

@@ -178,6 +178,26 @@ def test_malformed_polynomial_exits_2(capsys, ideal):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize(
+    "ring,ideal",
+    [
+        ("semigroup p=5 gens=2,3", "x^1_0"),
+        ("semigroup p=5 gens=2,3", "x^+3"),
+        ("semigroup p=5 gens=2,3", "x^\u0663"),
+        ("semigroup p=5 gens=2,3", "x^-0"),
+        ("poly p=+5 vars=x", "x"),
+        ("veronese p=5 vars=x,y degree=+2", "x^2"),
+        ("semigroup p=5 gens=2,_3", "x^2"),
+        ("catalog artinian_x_pow(\u0663) p=5", "x"),
+    ],
+)
+def test_numbers_in_ascii_digits_only_exit_2(capsys, ring, ideal):
+    # int() reads '1_0' as 10, '+3' and '\u0663' as 3 and '-0' as 0.
+    code, out, err = invoke(capsys, "jumps", "--ring", ring, "--ideal", ideal, "--level", "1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ")
+
+
 @pytest.mark.parametrize("lam", ["abc", "1/0"])
 def test_malformed_lambda_exits_2(capsys, lam):
     code, out, err = invoke(

@@ -70,7 +70,7 @@ def test_poly_root_coefficients_reassemble():
         buckets.setdefault(mu, {})[tuple(a // q for a in mono)] = coeff
     total = R.zero()
     for mu, terms in buckets.items():
-        total = total + R.polynomial(terms).frobenius(1).term_multiple(mu, 1)
+        total = total + R.polynomial(terms).frobenius(1).term_multiple(R.pack(mu), 1)
     assert total == f
     assert len(poly_root_coefficients(f, 1)) == len(buckets)
 

@@ -5,12 +5,9 @@ import random
 
 import pytest
 
-from bsroots import Ideal, ParseError, PolyRing
+from bsroots import Ideal, ParseError, PolyRing, cli
 from bsroots.polyring import (
     Polynomial,
-    _divides,
-    _mono_lcm,
-    _mono_quot,
     _reduce_full,
     linear_membership,
     minimal_monomials,
@@ -96,11 +93,18 @@ def test_reduced_groebner(R2, gens, expected):
     )
 
 
+def _divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
 def _s_polynomial(f, g):
-    lcm = _mono_lcm(f.leading_monomial(), g.leading_monomial())
-    return f.term_multiple(_mono_quot(lcm, f.leading_monomial()), 1) - g.term_multiple(
-        _mono_quot(lcm, g.leading_monomial()), 1
-    )
+    # From exponent tuples, so that the packed lcm is not checked against itself.
+    lcm = tuple(map(max, f.leading_monomial(), g.leading_monomial()))
+
+    def cofactor(h):
+        return f.ring.pack([a - b for a, b in zip(lcm, h.leading_monomial())])
+
+    return f.term_multiple(cofactor(f), 1) - g.term_multiple(cofactor(g), 1)
 
 
 def _check_reduced_groebner_basis(ring, gens):
@@ -273,9 +277,95 @@ def test_normal_form_is_linear(R2):
     assert a.normal_form(f + g) == a.normal_form(f) + a.normal_form(g)
 
 
-def test_minimal_monomials_filters_dominated():
+# -- packed monomials against exponent tuples --------------------------------------
+
+
+def _old_degrevlex_key(m):
+    # The tuple sort key the packed order replaced, kept here as the oracle.
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _random_exponents(rng, ring, top):
+    return tuple(rng.randint(0, top) for _ in range(ring.nvars))
+
+
+@pytest.fixture(params=[1, 2, 3, 4], ids=lambda n: f"{n}vars")
+def ring_and_rng(request):
+    n = request.param
+    return PolyRing(5, ("x", "y", "z", "w")[:n]), random.Random(700 + n)
+
+
+def test_pack_round_trips_and_orders_like_the_tuple_key(ring_and_rng):
+    ring, rng = ring_and_rng
+    top = ring.max_exponent
+    monos = [_random_exponents(rng, ring, rng.choice((3, 40, top))) for _ in range(300)]
+    monos += [(0,) * ring.nvars, (top,) * ring.nvars]
+    for m in monos:
+        assert ring.unpack(ring.pack(m)) == m
+        assert ring.degree(ring.pack(m)) == sum(m)
+    assert sorted(monos, key=ring.pack) == sorted(monos, key=_old_degrevlex_key)
+    for a, b in zip(monos, monos[1:]):
+        assert (ring.pack(a) < ring.pack(b)) == (_old_degrevlex_key(a) < _old_degrevlex_key(b))
+
+
+def test_guard_mask_divisibility_products_quotients_and_lcms(ring_and_rng):
+    ring, rng = ring_and_rng
+    zero, guards = ring.zero_monomial, ring.guards
+    for _ in range(400):
+        top = rng.choice((2, 9, ring.max_exponent // 2))
+        a, b = _random_exponents(rng, ring, top), _random_exponents(rng, ring, top)
+        if rng.random() < 0.3:  # plant a divisor
+            b = tuple(x + y for x, y in zip(a, _random_exponents(rng, ring, 2)))
+        pa, pb = ring.pack(a), ring.pack(b)
+        divides = all(x <= y for x, y in zip(a, b))
+        assert (not (pa - pb) & guards) is divides, (a, b)
+        assert pa + pb - zero == ring.pack([x + y for x, y in zip(a, b)])
+        if divides:
+            assert pb - pa + zero == ring.pack([y - x for x, y in zip(a, b)])
+        assert ring.lcm(pa, pb) == ring.pack(list(map(max, a, b)))
+        assert ring.monomial(a) * ring.monomial(b) == ring.monomial([x + y for x, y in zip(a, b)])
+
+
+def test_exponents_past_the_field_width_raise(ring_and_rng, capsys):
+    ring, _ = ring_and_rng
+    top = ring.max_exponent
+    x = ring.variable(ring.variables[0])
+    wide = ring.monomial((top,) + (0,) * (ring.nvars - 1))
+    for bad in (top + 1, -1):
+        with pytest.raises(ValueError, match="packed field"):
+            ring.pack((bad,) + (0,) * (ring.nvars - 1))
+    with pytest.raises(ValueError, match="past the packed field width"):
+        wide * x
+    with pytest.raises(ValueError, match="past the packed field width"):
+        x.term_multiple(wide.packed[0][0], 1)
+    with pytest.raises(ValueError, match="past the packed field width"):
+        Ideal(ring, [wide]).product(Ideal(ring, [x]))
+    e = 1
+    while ring.p**e <= top:
+        e += 1
+    with pytest.raises(ValueError, match="packed field"):
+        x.frobenius(e)
+    if ring.nvars > 1:
+        # Reducing x*y^top by x - y leaves y^(top + 1).
+        y = ring.variable(ring.variables[1])
+        f = x * ring.monomial((0, top) + (0,) * (ring.nvars - 2))
+        with pytest.raises(ValueError, match="past the packed field width"):
+            _reduce_full(f, [x - y])
+    # The CLI refuses with exit code 1, not a traceback: once when the text is
+    # packed, once when a power of the ideal is built.
+    declaration = f"poly p=5 vars={','.join(ring.variables)}"
+    for exponent in (top + 1, top):
+        argv = ["jumps", "--ring", declaration, "--ideal", f"x^{exponent}", "--level", "1"]
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), exponent
+        assert "packed field" in captured.err
+
+
+def test_minimal_monomials_filters_dominated(R2):
     monos = [(2, 0), (1, 1), (2, 1), (3, 0), (0, 2)]
-    assert set(minimal_monomials(monos)) == {(2, 0), (1, 1), (0, 2)}
+    kept = minimal_monomials(R2, map(R2.pack, monos))
+    assert set(map(R2.unpack, kept)) == {(2, 0), (1, 1), (0, 2)}
 
 
 @pytest.mark.parametrize("nvars", (2, 3))

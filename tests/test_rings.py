@@ -171,6 +171,15 @@ def test_veronese_engine_refuses_an_ideal_of_another_ring():
         jump_engine(pres, PolyRing(5, ("x", "y", "z")).parse_ideal("x^2"))
 
 
+@pytest.mark.parametrize("text", ["x", "x^2 + y"])
+def test_veronese_engine_refuses_an_ideal_outside_the_subalgebra(text):
+    # The ambient ideal (x) is not an ideal of the Veronese ring; its engine
+    # would report the jumps of (x) in F_5[x,y].
+    pres = VeronesePresentation(5, ("x", "y"), 2)
+    with pytest.raises(ParseError, match="outside the subalgebra"):
+        jump_engine(pres, PolyRing(5, ("x", "y")).parse_ideal(text))
+
+
 def test_veronese_rejects_outside_monomials():
     pres = VeronesePresentation(5, ("x", "y"), 2)
     with pytest.raises(ParseError):
