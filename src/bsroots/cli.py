@@ -16,7 +16,7 @@ from . import jumps as jumps_mod
 from . import roots as roots_mod
 from . import thresholds as thr_mod
 from .frobenius import eth_root
-from .padic import check_level, format_rational, parse_rational
+from .padic import check_level, format_rational, parse_integer, parse_rational
 from .polyring import Ideal, ParseError
 from .rings import (
     CatalogPresentation,
@@ -80,8 +80,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> str:
 
 def _cmd_jumps(args) -> str:
     engine = _engine(args)
+    count = 2 if args.levels is None else args.levels
     levels = sorted(set(args.level or [])) or list(
-        range(1, check_level(args.levels, least=1, what="levels") + 1)
+        range(1, check_level(count, least=1, what="levels") + 1)
     )
     table = jumps_mod.jump_table(engine, levels)
     lines = [f"p={table.p} r={table.r} producer={table.producer}"]
@@ -433,53 +434,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("jumps", help="differential jump sets per level")
     common(sp)
-    sp.add_argument("--level", type=int, action="append", help="single level (repeatable)")
-    sp.add_argument("--levels", type=int, default=2, help="range 1..E when --level absent")
+    # --level and --levels exclude each other.  The default of 2 levels is set in
+    # _cmd_jumps: argparse tells a given value from the default by identity, so
+    # `--levels 2` would slip past the check if 2 were the default here.
+    level = sp.add_mutually_exclusive_group()
+    level.add_argument("--level", type=parse_integer, action="append", help="one level, repeatable")
+    level.add_argument("--levels", type=parse_integer, help="range 1..E (default 2)")
     sp.set_defaults(handler=_cmd_jumps)
 
     sp = sub.add_parser("roots", help="Bernstein-Sato roots, certified to a level")
     common(sp)
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--denom-bound", type=int, default=None)
+    sp.add_argument("--levels", type=parse_integer, default=3)
+    sp.add_argument("--denom-bound", type=parse_integer)
     sp.add_argument("--interval", default=None, help="lo:hi as rationals")
     sp.set_defaults(handler=_cmd_roots)
 
     sp = sub.add_parser("thresholds", help="differential thresholds in an interval")
     common(sp)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=parse_integer, default=3)
     sp.add_argument("--interval", default=None)
-    sp.add_argument("--c-max", type=int, default=None, help="p-power part of denominators")
-    sp.add_argument("--b-max", type=int, default=None, help="(p^b - 1) part of denominators")
+    sp.add_argument("--c-max", type=parse_integer, help="p-power part of denominators")
+    sp.add_argument("--b-max", type=parse_integer, help="(p^b - 1) part of denominators")
     sp.set_defaults(handler=_cmd_thresholds)
 
     sp = sub.add_parser("fpt", help="smallest certified differential threshold")
     common(sp)
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=parse_integer, default=3)
     sp.set_defaults(handler=_cmd_fpt)
 
     sp = sub.add_parser("nu", help="nu-invariants of a against c (F-threshold data)")
     common(sp, formats=("json", "csv", "text"))
     sp.add_argument("--cideal", required=True, help="the ideal c")
-    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--levels", type=parse_integer, default=3)
     sp.set_defaults(handler=_cmd_nu)
 
     sp = sub.add_parser("test-ideal", help="tau(a^lambda) with stabilization flag")
     common(sp)
     sp.add_argument("--lam", required=True, help="exponent lambda, e.g. 5/4")
-    sp.add_argument("--e-max", type=int, default=4)
+    sp.add_argument("--e-max", type=parse_integer, default=4)
     sp.set_defaults(handler=_cmd_test_ideal)
 
     sp = sub.add_parser("fjn", help="F-jumping numbers in an interval")
     common(sp)
     sp.add_argument("--interval", required=True)
-    sp.add_argument("--e-max", type=int, default=4)
-    sp.add_argument("--b-max", type=int, default=1)
+    sp.add_argument("--e-max", type=parse_integer, default=4)
+    sp.add_argument("--b-max", type=parse_integer, default=1)
     sp.set_defaults(handler=_cmd_fjn)
 
     sp = sub.add_parser("verify-example", help="recompute a built-in worked example")
     sp.add_argument("id", choices=sorted(EXAMPLES))
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None, help="parameter for 9.8")
+    sp.add_argument("--p", type=parse_integer)
+    sp.add_argument("--n", type=parse_integer, help="parameter for 9.8")
     sp.set_defaults(handler=_cmd_verify_example)
 
     return parser

@@ -136,7 +136,7 @@ def nu_via_frobenius_power(a: Ideal, c: Ideal, e: int) -> int:
 # -- Groebner-free route, used as an independent oracle --------------------------
 
 
-def jump_set_via_oracle(a: Ideal, e: int, window: int | None = None) -> tuple[int, ...]:
+def jump_set_via_oracle(a: Ideal, e: int) -> tuple[int, ...]:
     """Level-e jumps of a polynomial-ring ideal without Groebner bases; a test oracle.
 
     n is a jump iff a^n is not contained in D^(e)*a^(n+1) = (C^e*a^(n+1))^[p^e].
@@ -146,7 +146,7 @@ def jump_set_via_oracle(a: Ideal, e: int, window: int | None = None) -> tuple[in
     ring = a.ring
     q = ring.p**e
     r = max(1, len(a.generators))
-    hi = r * q if window is None else window
+    hi = r * q
 
     def raw_power(n: int):
         gens = [ring.one()]

@@ -13,6 +13,7 @@ inputs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,16 +159,20 @@ class BasePFraction:
         return int((self.truncation(e) - prev) * self.p**e)
 
 
+def parse_integer(text: str) -> int:
+    """Digits 0-9 with an optional leading '-'; int() would also take '+3', '1_0', '\u0663'."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"expected an integer in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (den omitted when 1) into an exact Fraction."""
-    text = text.strip()
+    """Parse "num/den" (den omitted when 1), each part read by `parse_integer`, into a Fraction."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(text))
+        return Fraction(parse_integer(num), parse_integer(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}") from exc
+        raise ValueError(f"cannot parse rational {text.strip()!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

@@ -235,10 +235,8 @@ class PolyRing:
         return coeff, expo, pos
 
     def parse_ideal(self, text: str) -> "Ideal":
-        gens = [self.parse(part) for part in text.split(",") if part.strip()]
-        if not gens:
-            raise ParseError("empty ideal text")
-        return Ideal(self, gens)
+        """Parse a comma-separated list of generators; an empty item is refused, not skipped."""
+        return Ideal(self, [self.parse(part) for part in text.split(",")])
 
 
 _DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also accepts '²'

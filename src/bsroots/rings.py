@@ -1,10 +1,15 @@
 """Ring presentations and their differential-jump engines.
 
 One class per ring kind.  Each declares the keys of its declaration in KEYS
-(key -> reader of its value, in the order of its constructor's arguments),
-parses ideal text with `parse_ideal`, and builds the jump engine of an ideal
-it parsed with `engine`, refusing any other.  A new kind adds one such class
-and one entry in the `{head: class}` table of `parse_ring_declaration`.
+(key -> reader of its value, in the order of its constructor's arguments;
+every number goes through `padic.parse_integer`), parses ideal text with
+`parse_ideal`, and builds the jump engine of an ideal it parsed with `engine`,
+refusing any other.  A new kind adds one such class and one entry in the
+`{head: class}` table of `parse_ring_declaration`.
+
+`parse_ideal` parses in the coordinate ring, built once per presentation, with
+`PolyRing.parse_ideal`, then checks membership: Veronese terms of degree in
+dZ, monic monomials x^s with s in S, or the catalog ring's fixed element alone.
 
 Four kinds of presentation are supported:
 
@@ -33,8 +38,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import frobenius
-from .padic import check_level, check_prime
-from .polyring import _DIGITS, Ideal, ParseError, PolyRing, minimal_monomials
+from .padic import check_level, check_prime, parse_integer
+from .polyring import Ideal, ParseError, PolyRing, minimal_monomials
 
 
 # -- numerical semigroups -------------------------------------------------------
@@ -168,20 +173,9 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
-def _natural(text: str) -> int:
-    """A number in ASCII digits only; int() also takes '+3', '1_0', '-0' and '\u0663'."""
-    if not text or not set(text) <= _DIGITS:
-        raise ParseError(f"expected a number in ASCII digits, got {text!r}")
-    return int(text)
-
-
-def _natural_list(text: str) -> tuple[int, ...]:
-    return tuple(map(_natural, text.split(",")))
-
-
 @dataclass(frozen=True)
 class PolynomialRingPresentation:
-    KEYS = {"p": _natural, "vars": _comma_list}
+    KEYS = {"p": parse_integer, "vars": _comma_list}
 
     p: int
     variables: tuple[str, ...]
@@ -212,7 +206,7 @@ class VeronesePresentation:
     in F_p[x] but not in F_p[x^d], so one variable takes degree 1 only.
     """
 
-    KEYS = {"p": _natural, "vars": _comma_list, "degree": _natural}
+    KEYS = {"p": parse_integer, "vars": _comma_list, "degree": parse_integer}
 
     p: int
     variables: tuple[str, ...]
@@ -249,11 +243,12 @@ class VeronesePresentation:
 
 @dataclass(frozen=True)
 class SemigroupRingPresentation:
-    KEYS = {"p": _natural, "gens": _natural_list}
+    KEYS = {"p": parse_integer, "gens": lambda text: tuple(map(parse_integer, text.split(",")))}
 
     p: int
     semigroup_generators: tuple[int, ...]
     semigroup: NumericalSemigroup = field(init=False, repr=False, compare=False)
+    ring: PolyRing = field(init=False, repr=False, compare=False)  # F_p[x], holding K[S]
 
     def __post_init__(self):
         check_prime(self.p)
@@ -261,16 +256,17 @@ class SemigroupRingPresentation:
             self, "semigroup_generators", tuple(int(g) for g in self.semigroup_generators)
         )
         object.__setattr__(self, "semigroup", NumericalSemigroup(self.semigroup_generators))
+        object.__setattr__(self, "ring", PolyRing(self.p, ("x",)))
 
     def parse_ideal(self, text: str) -> SemigroupIdeal:
-        exps = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            exps.append(_parse_power_of_x(part))
-        if not exps:
-            raise ParseError("empty semigroup ideal text")
+        """The ideal of K[S] spanned by monic monomials x^s of F_p[x], each s in S."""
+        ideal = self.ring.parse_ideal(text)
+        if len(ideal.generators) < ideal.declared_r:
+            raise ParseError("the zero polynomial is not a monomial")
+        for g in ideal.generators:
+            if not g.is_monomial() or g.leading_coefficient() != 1:
+                raise ParseError(f"expected a monic monomial in x, got {g}")
+        exps = [g.leading_monomial()[0] for g in ideal.generators]
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
 
     def engine(self, ideal: SemigroupIdeal) -> JumpEngine:
@@ -281,37 +277,27 @@ class SemigroupRingPresentation:
         return SemigroupJumpEngine(self.p, ideal)
 
 
-def _parse_power_of_x(text: str) -> int:
-    text = text.replace(" ", "")
-    if text == "x":
-        return 1
-    if text.startswith("x^"):
-        try:
-            return _natural(text[2:])
-        except ParseError as exc:
-            raise ParseError(f"bad monomial {text!r}") from exc
-    if text == "1":
-        return 0
-    raise ParseError(f"expected a power of x, got {text!r}")
-
-
-# word -> (its fixed element, the engine of (p, n)); only artinian_x_pow takes n.
+# word -> (its variables, its fixed element, the engine of (ring, n)); only
+# artinian_x_pow takes n.
 _CATALOG = {
     "cross_xy": (
+        ("x", "y"),
         "x",
-        lambda p, n: MonomialQuotientEngine(PolyRing(p, ("x", "y")), ((1, 1),), (1, 0), 0),
+        lambda ring, n: MonomialQuotientEngine(ring, ((1, 1),), (1, 0), 0),
     ),
     "cusp_semigroup": (
+        ("x",),
         "x^2",
-        lambda p, n: SemigroupJumpEngine(
-            p, SemigroupIdeal.from_exponents(NumericalSemigroup((2, 3)), (2,)), "catalog"
+        lambda ring, n: SemigroupJumpEngine(
+            ring.p, SemigroupIdeal.from_exponents(NumericalSemigroup((2, 3)), (2,)), "catalog"
         ),
     ),
     # The sole root of K[x]/(x^(n+1)) is n itself: jump sets stabilize to {n}.
     "artinian_x_pow": (
+        ("x",),
         "x",
-        lambda p, n: MonomialQuotientEngine(
-            PolyRing(p, ("x",)), ((n + 1,),), (1,), n, (Fraction(0), Fraction(n))
+        lambda ring, n: MonomialQuotientEngine(
+            ring, ((n + 1,),), (1,), n, (Fraction(0), Fraction(n))
         ),
     ),
 }
@@ -329,18 +315,19 @@ class CatalogPresentation:
     `artinian_x_pow(4)` or `artinian_x_pow(n=4)`.
     """
 
-    KEYS = {"p": _natural, None: str}  # None: the bare word that names the ring
+    KEYS = {"p": parse_integer, None: str}  # None: the bare word that names the ring
 
     p: int
     kind: str
     n: int | None = None
+    ring: PolyRing = field(init=False, repr=False, compare=False)  # the ambient ring
 
     def __post_init__(self):
         check_prime(self.p)
         word = re.fullmatch(r"(\w+)\((?:n=)?([0-9]+)\)", self.kind)
         if word and self.n is None:
             object.__setattr__(self, "kind", word[1])
-            object.__setattr__(self, "n", int(word[2]))
+            object.__setattr__(self, "n", parse_integer(word[2]))
         if self.kind not in _CATALOG:
             raise ValueError(f"unknown catalog ring {self.kind!r}")
         if self.kind == "artinian_x_pow":
@@ -348,18 +335,20 @@ class CatalogPresentation:
                 raise ValueError("artinian_x_pow needs a parameter n >= 1")
         elif self.n is not None:
             raise ValueError(f"{self.kind} takes no parameter")
+        object.__setattr__(self, "ring", PolyRing(self.p, _CATALOG[self.kind][0]))
 
     def parse_ideal(self, text: str | None) -> str:
-        expected = _CATALOG[self.kind][0]
-        if text is not None and text.replace(" ", "") not in (expected, ""):
-            raise ParseError(
-                f"catalog ring {self.kind} is declared with the element {expected!r} only"
-            )
+        """The fixed element, when the text is absent or blank or lists that element alone."""
+        expected = _CATALOG[self.kind][1]
+        if text is not None and text.strip():
+            ideal = self.ring.parse_ideal(text)
+            if ideal.declared_r != 1 or ideal.generators != (self.ring.parse(expected),):
+                raise ParseError(f"{self.kind} is declared with the element {expected!r} only")
         return expected
 
     def engine(self, element: str) -> JumpEngine:
         self.parse_ideal(element)
-        return _CATALOG[self.kind][1](self.p, self.n)
+        return _CATALOG[self.kind][2](self.ring, self.n)
 
 
 Presentation = (

@@ -198,7 +198,79 @@ def test_numbers_in_ascii_digits_only_exit_2(capsys, ring, ideal):
     assert err.startswith("parse error: ")
 
 
-@pytest.mark.parametrize("lam", ["abc", "1/0"])
+@pytest.mark.parametrize("command,interval", [("roots", "0:+3/2"), ("fjn", "0:3/\u0662")])
+def test_interval_ends_in_ascii_digits_only_exit_2(capsys, command, interval):
+    # int() reads '+3' as 3 and '\u0662' as 2.
+    code, out, err = invoke(
+        capsys, command, "--ring", "poly p=5 vars=x", "--ideal", "x", "--interval", interval
+    )
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: bad interval")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jumps", "--levels", "\u0663"],
+        ["jumps", "--level", "+2"],
+        ["jumps", "--level", "\u0662"],
+        ["roots", "--levels", "+1"],
+        ["thresholds", "--c-max", "+1"],
+        ["test-ideal", "--lam", "1/2", "--e-max", "\u0663"],
+        ["fjn", "--interval", "0:1", "--b-max", "0_1"],
+    ],
+)
+def test_integer_options_in_ascii_digits_only_exit_2(capsys, argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--ring", "poly p=5 vars=x", "--ideal", "x", *rest])
+    assert exc.value.code == EXIT_PARSE
+    assert "invalid parse_integer value" in capsys.readouterr().err
+
+
+def test_verify_example_parameters_in_ascii_digits_only_exit_2(capsys):
+    for option in ("--p", "--n"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-example", "9.8", option, "\u0663"])
+        assert exc.value.code == EXIT_PARSE
+        assert "invalid parse_integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ring,ideal",
+    [
+        ("poly p=5 vars=x", "x,,x^2,"),
+        ("poly p=5 vars=x", "x^2,"),
+        ("poly p=5 vars=x,y", ", x"),
+        ("semigroup p=5 gens=2,3", ",x^2,,"),
+        ("veronese p=5 vars=x,y degree=2", "x^2, , y^2"),
+    ],
+)
+def test_empty_ideal_items_exit_2(capsys, ring, ideal):
+    # Dropping an empty item would change r: "x,,x^2," would run as (x, x^2), r = 2.
+    code, out, err = invoke(capsys, "jumps", "--ring", ring, "--ideal", ideal, "--level", "1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("levels", ["3", "2", "1"])
+def test_level_and_levels_together_exit_2(capsys, levels):
+    # Each option names the levels to run, so one of the two would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        run(["jumps", "--ring", "poly p=5 vars=x", "--ideal", "x", "--level", "1",
+             "--levels", levels])
+    assert exc.value.code == EXIT_PARSE
+    assert "not allowed with argument --level" in capsys.readouterr().err
+
+
+def test_jumps_defaults_to_two_levels(capsys):
+    code, out, _ = invoke(capsys, "jumps", "--ring", "poly p=5 vars=x", "--ideal", "x")
+    assert code == EXIT_OK
+    assert json.loads(out)["levels"] == {"1": [4], "2": [24]}
+
+
+# int() reads '1_0' as 10 and '\u0663' as 3.
+@pytest.mark.parametrize("lam", ["abc", "1/0", "1_0/7", "\u0663/2"])
 def test_malformed_lambda_exits_2(capsys, lam):
     code, out, err = invoke(
         capsys, "test-ideal", "--ring", "poly p=5 vars=x", "--ideal", "x", "--lam", lam

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bsroots import BasePFraction, PAdicRational, format_rational, parse_rational
-from bsroots.padic import grid_denominators, rational_grid
+from bsroots.padic import grid_denominators, parse_integer, rational_grid
 
 
 @pytest.mark.parametrize(
@@ -120,9 +120,36 @@ def test_base_fraction_domain():
         BasePFraction(Fraction(3, 2), 3)
 
 
-@pytest.mark.parametrize("text,expected", [("3/4", Fraction(3, 4)), ("-5", Fraction(-5)), (" 7/1 ", Fraction(7))])
+@pytest.mark.parametrize(
+    "text,expected",
+    [("3/4", Fraction(3, 4)), ("-5", Fraction(-5)), (" 7/1 ", Fraction(7)),
+     ("0", Fraction(0)), ("3/-4", Fraction(-3, 4)), (" 3 / 2 ", Fraction(3, 2)),
+     ("007/14", Fraction(1, 2))],
+)
 def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
+
+
+# int() reads '+3' and '\u0663' as 3 and '1_0' as 10; parse_rational refuses them.
+@pytest.mark.parametrize(
+    "text",
+    ["+3/2", "1_0/7", "\u0663/2", "3/+2", "3/\u0662", "\u00b2", "1/2/3", "3/", "/2", "",
+     "1/0", "- 3", "--3", "3.5", "0x10", "1e3"],
+)
+def test_parse_rational_refuses_malformed_text(text):
+    with pytest.raises(ValueError, match="cannot parse rational"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text,expected", [("0", 0), ("-7", -7), (" 12 ", 12), ("-0", 0)])
+def test_parse_integer_reads_ascii_digits(text, expected):
+    assert parse_integer(text) == expected
+
+
+@pytest.mark.parametrize("text", ["", "-", "+3", "1_0", "\u0663", "3 4", "--3", "3-"])
+def test_parse_integer_refuses_anything_else(text):
+    with pytest.raises(ValueError, match="digits 0-9"):
+        parse_integer(text)
 
 
 def test_format_rational_roundtrip():

@@ -25,6 +25,7 @@ from bsroots import (
     semigroup_diff_closure,
 )
 from bsroots import rings
+from bsroots.cli import EXIT_PARSE, run
 from bsroots.polyring import Ideal, _monomials_of_degree
 from propchecks import (
     artinian_label,
@@ -116,6 +117,53 @@ def test_catalog_fixes_its_element():
     assert cat.parse_ideal("x^2") == "x^2"
     with pytest.raises(ParseError):
         cat.parse_ideal("x^3")
+
+
+# Semigroup ideal text is read by the polynomial parser in x.  Each form the
+# earlier hand-written reader took gives the same ideal; text that is not a list
+# of monic monomials of F_p[x] is refused with exit code 2.  Rows: generators of
+# S, text, exponents (None: refused).
+SEMIGROUP_TEXTS = [
+    ((1,), "x", (1,)),
+    ((2, 3), "1", (0,)),
+    ((2, 3), "x^0", (0,)),
+    ((2, 3), " x ^ 3 ", (3,)),
+    ((2, 3), "x^4, x^5", (4, 5)),
+    ((3, 5, 7), "x^3,x^5 , x^7", (3, 5, 7)),
+    ((2, 3), "x*x", (2,)),
+    ((2, 3), "2*x^3", None),
+    ((2, 3), "-x^2", None),
+    ((2, 3), "x^2+x^3", None),
+    ((2, 3), "0", None),
+    ((2, 3), "x^2, 0", None),
+    ((2, 3), "y", None),
+    ((2, 3), ",x^2,,", None),
+    ((2, 3), "x^2,", None),
+]
+
+
+@pytest.mark.parametrize("gens,text,exponents", SEMIGROUP_TEXTS)
+def test_semigroup_ideal_text(capsys, gens, text, exponents):
+    pres = SemigroupRingPresentation(5, gens)
+    if exponents is not None:
+        expected = SemigroupIdeal.from_exponents(pres.semigroup, exponents)
+        assert pres.parse_ideal(text) == expected
+        return
+    with pytest.raises(ParseError):
+        pres.parse_ideal(text)
+    ring = "semigroup p=5 gens=" + ",".join(map(str, gens))
+    assert run(["jumps", "--ring", ring, f"--ideal={text}", "--level", "1"]) == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+def test_catalog_element_is_read_by_the_polynomial_parser():
+    cusp, cross = CatalogPresentation(5, "cusp_semigroup"), CatalogPresentation(3, "cross_xy")
+    assert cusp.parse_ideal("x*x") == cusp.parse_ideal(" ") == "x^2"
+    assert cross.parse_ideal("x + y - y") == "x"
+    for pres, text in ((cusp, "x^2, x^2"), (cusp, "x^2, 0"), (cusp, "x^2,"), (cross, "2*x"),
+                       (cross, "y"), (cusp, "z")):
+        with pytest.raises(ParseError):
+            pres.parse_ideal(text)
 
 
 # -- an engine takes only what its presentation parsed ----------------------------
