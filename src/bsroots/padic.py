@@ -13,7 +13,6 @@ inputs.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,7 +160,8 @@ class BasePFraction:
 
 def parse_integer(text: str) -> int:
     """Digits 0-9 with an optional leading '-'; int() would also take '+3', '1_0', '\u0663'."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+    digits = text.strip().removeprefix("-")
+    if not digits or digits.strip("0123456789"):
         raise ValueError(f"expected an integer in the digits 0-9, got {text!r}")
     return int(text)
 

@@ -182,22 +182,31 @@ class PolyRing:
 
     def parse(self, text: str) -> "Polynomial":
         """Parse e.g. "x^2*y*z + 3*x - 2" into a canonical polynomial."""
+        return self.polynomial(self._parse_terms(text))
+
+    def parse_ideal(self, text: str) -> "Ideal":
+        """Parse a comma-separated list of generators; an empty item is refused, not skipped."""
+        return Ideal(self, [self.polynomial(t) for t in self.parse_ideal_terms(text)])
+
+    def parse_ideal_terms(self, text: str) -> list[dict[Monomial, int]]:
+        """Each generator as {exponent tuple: coefficient mod p}; no field width bounds these."""
+        return [self._parse_terms(part) for part in text.split(",")]
+
+    def _parse_terms(self, text: str) -> dict[Monomial, int]:
         tokens = _tokenize(text)
         if not tokens:
             raise ParseError("empty polynomial")
         terms: dict[Monomial, int] = {}
         pos = 0
-        sign = 1
         while pos < len(tokens):
             sign = 1
             while pos < len(tokens) and tokens[pos] in ("+", "-"):
                 if tokens[pos] == "-":
                     sign = -sign
                 pos += 1
-            coeff, expo, pos = self._parse_term(tokens, pos)
-            mono = tuple(expo)
+            coeff, mono, pos = self._parse_term(tokens, pos)
             terms[mono] = terms.get(mono, 0) + sign * coeff
-        return self.polynomial(terms)
+        return {mono: c % self.p for mono, c in terms.items() if c % self.p}
 
     def _parse_term(self, tokens, pos):
         coeff = 1
@@ -214,6 +223,8 @@ class PolyRing:
                 pos += 1
                 continue
             if tok.isdigit():
+                if pos and tokens[pos - 1].isdigit():  # `x^1 0`, `2 3`: a space splits a number
+                    raise ParseError(f"write '*' between the numbers {tokens[pos - 1]} and {tok}")
                 coeff *= int(tok)
                 pos += 1
             elif tok.isidentifier():
@@ -232,40 +243,32 @@ class PolyRing:
             saw_factor = True
         if not saw_factor:
             raise ParseError("empty term")
-        return coeff, expo, pos
-
-    def parse_ideal(self, text: str) -> "Ideal":
-        """Parse a comma-separated list of generators; an empty item is refused, not skipped."""
-        return Ideal(self, [self.parse(part) for part in text.split(",")])
+        return coeff, tuple(expo), pos
 
 
 _DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit() also accepts '²'
 
 
 def _tokenize(text: str) -> list[str]:
+    """Operators, runs of digits 0-9 and words; whitespace separates tokens."""
     tokens = []
     i = 0
     while i < len(text):
         ch = text[i]
+        j = i + 1
         if ch.isspace():
-            i += 1
-        elif ch in "+-*^":
-            tokens.append(ch)
-            i += 1
-        elif ch in _DIGITS:
-            j = i
+            i = j
+            continue
+        if ch in _DIGITS:
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(text[i:j])
-            i = j
         elif ch.isalpha() or ch == "_":
-            j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
+        elif ch not in "+-*^":
             raise ParseError(f"unexpected character {ch!r}")
+        tokens.append(text[i:j])
+        i = j
     return tokens
 
 

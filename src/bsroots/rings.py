@@ -8,7 +8,8 @@ refusing any other.  A new kind adds one such class and one entry in the
 `{head: class}` table of `parse_ring_declaration`.
 
 `parse_ideal` parses in the coordinate ring, built once per presentation, with
-`PolyRing.parse_ideal`, then checks membership: Veronese terms of degree in
+`PolyRing.parse_ideal` (or its unpacked `parse_ideal_terms`, whose exponents
+no field width bounds), then checks membership: Veronese terms of degree in
 dZ, monic monomials x^s with s in S, or the catalog ring's fixed element alone.
 
 Four kinds of presentation are supported:
@@ -66,9 +67,11 @@ class NumericalSemigroup:
         if g != 1:
             raise ValueError(f"generators {gens} have gcd {g}; no finite conductor")
         self.generators = tuple(gens)
-        table = [True]
-        for s in range(1, gens[0] * gens[-1] + 1):
-            table.append(any(s >= g and table[s - g] for g in gens))
+        table = [True] + [False] * (gens[0] * gens[-1])
+        for g in gens:  # close under adding g, one generator after another
+            for s in range(len(table) - g):
+                if table[s]:
+                    table[s + g] = True
         self.conductor = max((s + 1 for s, member in enumerate(table) if not member), default=0)
         self._table = table[: self.conductor]
         self._shifts: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -260,13 +263,12 @@ class SemigroupRingPresentation:
 
     def parse_ideal(self, text: str) -> SemigroupIdeal:
         """The ideal of K[S] spanned by monic monomials x^s of F_p[x], each s in S."""
-        ideal = self.ring.parse_ideal(text)
-        if len(ideal.generators) < ideal.declared_r:
-            raise ParseError("the zero polynomial is not a monomial")
-        for g in ideal.generators:
-            if not g.is_monomial() or g.leading_coefficient() != 1:
-                raise ParseError(f"expected a monic monomial in x, got {g}")
-        exps = [g.leading_monomial()[0] for g in ideal.generators]
+        exps = []
+        for terms in self.ring.parse_ideal_terms(text):
+            if len(terms) != 1 or 1 not in terms.values():  # one term, coefficient 1
+                raise ParseError(f"expected monic monomials in x, got {text!r}")
+            (mono,) = terms
+            exps.append(mono[0])
         return SemigroupIdeal.from_exponents(self.semigroup, exps)
 
     def engine(self, ideal: SemigroupIdeal) -> JumpEngine:
@@ -321,13 +323,14 @@ class CatalogPresentation:
     kind: str
     n: int | None = None
     ring: PolyRing = field(init=False, repr=False, compare=False)  # the ambient ring
+    element: list = field(init=False, repr=False, compare=False)  # the fixed element's terms
 
     def __post_init__(self):
         check_prime(self.p)
         word = re.fullmatch(r"(\w+)\((?:n=)?([0-9]+)\)", self.kind)
         if word and self.n is None:
             object.__setattr__(self, "kind", word[1])
-            object.__setattr__(self, "n", parse_integer(word[2]))
+            object.__setattr__(self, "n", int(word[2]))
         if self.kind not in _CATALOG:
             raise ValueError(f"unknown catalog ring {self.kind!r}")
         if self.kind == "artinian_x_pow":
@@ -336,14 +339,13 @@ class CatalogPresentation:
         elif self.n is not None:
             raise ValueError(f"{self.kind} takes no parameter")
         object.__setattr__(self, "ring", PolyRing(self.p, _CATALOG[self.kind][0]))
+        object.__setattr__(self, "element", self.ring.parse_ideal_terms(_CATALOG[self.kind][1]))
 
     def parse_ideal(self, text: str | None) -> str:
         """The fixed element, when the text is absent or blank or lists that element alone."""
         expected = _CATALOG[self.kind][1]
-        if text is not None and text.strip():
-            ideal = self.ring.parse_ideal(text)
-            if ideal.declared_r != 1 or ideal.generators != (self.ring.parse(expected),):
-                raise ParseError(f"{self.kind} is declared with the element {expected!r} only")
+        if text is not None and text.strip() and self.ring.parse_ideal_terms(text) != self.element:
+            raise ParseError(f"{self.kind} is declared with the element {expected!r} only")
         return expected
 
     def engine(self, element: str) -> JumpEngine:

@@ -253,6 +253,15 @@ def test_empty_ideal_items_exit_2(capsys, ring, ideal):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("ideal", ["x^1 0", "2 3 x"])
+def test_space_inside_a_number_exit_2(capsys, ideal):
+    # Read as a product, "x^1 0" would run on the zero ideal and "2 3 x" as (6x).
+    code, out, err = invoke(capsys, "jumps", "--ring", "poly p=5 vars=x", "--ideal", ideal,
+                            "--level", "1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "between the numbers" in err
+
+
 @pytest.mark.parametrize("levels", ["3", "2", "1"])
 def test_level_and_levels_together_exit_2(capsys, levels):
     # Each option names the levels to run, so one of the two would be ignored.

@@ -51,6 +51,20 @@ def test_parse_refuses_a_star_between_fewer_than_two_factors(R2, text):
         R2.parse(text)
 
 
+@pytest.mark.parametrize("text", ["x^1 0", "x^2 1", "2 3 x", "x 2 3", "x^2 + 1 0"])
+def test_parse_refuses_a_space_inside_a_number(R2, text):
+    # Read as a product, "x^1 0" would be the zero polynomial and "x^2 1" would be x^2.
+    with pytest.raises(ParseError, match="write '\\*' between the numbers"):
+        R2.parse(text)
+
+
+def test_parse_ideal_terms_leave_exponents_unpacked(R2):
+    big = R2.max_exponent + 1
+    assert R2.parse_ideal_terms(f"x^{big}*y - 5*y^2, 6") == [{(big, 1): 1}, {(0, 0): 1}]
+    with pytest.raises(ValueError, match="outside the packed field"):
+        R2.parse_ideal(f"x^{big}")
+
+
 @pytest.mark.parametrize("text", ["x^\u00b2", "\u00b2 x", "x^\u0663"])
 def test_parse_takes_ascii_digits_only(R2, text):
     with pytest.raises(ParseError):

@@ -139,6 +139,11 @@ SEMIGROUP_TEXTS = [
     ((2, 3), "y", None),
     ((2, 3), ",x^2,,", None),
     ((2, 3), "x^2,", None),
+    ((2, 3), "x^2 1", None),  # the old reader removed spaces: x^21
+    ((2, 3), "x^1 1", None),
+    ((2, 3), "x^1 0", None),
+    ((2, 3), "x^18446744073709551616, x^3", (18446744073709551616, 3)),  # past the packed width
+    ((2, 3), "x^99999999999999999999999", (99999999999999999999999,)),
 ]
 
 
@@ -161,7 +166,8 @@ def test_catalog_element_is_read_by_the_polynomial_parser():
     assert cusp.parse_ideal("x*x") == cusp.parse_ideal(" ") == "x^2"
     assert cross.parse_ideal("x + y - y") == "x"
     for pres, text in ((cusp, "x^2, x^2"), (cusp, "x^2, 0"), (cusp, "x^2,"), (cross, "2*x"),
-                       (cross, "y"), (cusp, "z")):
+                       (cross, "y"), (cusp, "z"), (cusp, "x^2 1"),
+                       (cusp, "x^99999999999999999999999")):
         with pytest.raises(ParseError):
             pres.parse_ideal(text)
 
