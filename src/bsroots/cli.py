@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import jumps as jumps_mod
 from . import roots as roots_mod
@@ -24,6 +25,7 @@ from .rings import (
     PolynomialRingPresentation,
     Presentation,
     SemigroupRingPresentation,
+    VeronesePresentation,
     jump_engine,
     parse_ring_declaration,
 )
@@ -75,6 +77,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> str:
     return "\n".join(text_lines)
 
 
+def _emit_certificates(args, key: str, title: str, certs) -> str:
+    """The certificates of `roots` or `thresholds`, each through its own to_dict()."""
+    payload = {"certified_level": args.levels, key: [c.to_dict() for c in certs]}
+    lines = [f"{title} certified to level {args.levels}:"]
+    lines += [f"  {c}" for c in certs] or ["  (none)"]
+    return _emit(args, payload, lines)
+
+
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -86,11 +96,8 @@ def _cmd_jumps(args) -> str:
     )
     table = jumps_mod.jump_table(engine, levels)
     lines = [f"p={table.p} r={table.r} producer={table.producer}"]
-    for e in levels:
-        lines.append(f"level {e}: {list(table.levels[e])}")
-    if args.format == "json":
-        return table.to_json()
-    return "\n".join(lines)
+    lines += [f"level {e}: {list(table.levels[e])}" for e in levels]
+    return _emit(args, table.to_dict(), lines)
 
 
 def _cmd_roots(args) -> str:
@@ -102,13 +109,7 @@ def _cmd_roots(args) -> str:
         denominator_bound=args.denom_bound,
         interval=interval,
     )
-    payload = {"certified_level": args.levels, "roots": [c.to_dict() for c in certs]}
-    lines = [f"bernstein-sato roots certified to level {args.levels}:"] + [
-        f"  {c}" for c in certs
-    ]
-    if not certs:
-        lines.append("  (none)")
-    return _emit(args, payload, lines)
+    return _emit_certificates(args, "roots", "bernstein-sato roots", certs)
 
 
 def _cmd_thresholds(args) -> str:
@@ -121,26 +122,7 @@ def _cmd_thresholds(args) -> str:
         c_max=args.c_max,
         b_max=args.b_max,
     )
-    payload = {
-        "certified_level": args.levels,
-        "thresholds": [
-            {
-                "num": c.value.numerator,
-                "den": c.value.denominator,
-                "certified_level": c.certified_level,
-                "slack": c.slack,
-                "witnesses": [{"e": w.e, "jump": w.jump} for w in c.witnesses],
-                "merged": [format_rational(v) for v in c.merged],
-            }
-            for c in certs
-        ],
-    }
-    lines = [f"differential thresholds certified to level {args.levels}:"] + [
-        f"  {c}" for c in certs
-    ]
-    if not certs:
-        lines.append("  (none)")
-    return _emit(args, payload, lines)
+    return _emit_certificates(args, "thresholds", "differential thresholds", certs)
 
 
 def _cmd_fpt(args) -> str:
@@ -307,7 +289,7 @@ def _example_9_3(p: int, n: int):
     """Second Veronese of F_p[x,y]: jump sets, roots {-1, -3/2}, half-integer thresholds."""
     if p % 2 == 0:
         raise ValueError("example 9.3 needs p odd")
-    pres = parse_ring_declaration(f"veronese p={p} vars=x,y degree=2")
+    pres = VeronesePresentation(p, ("x", "y"), 2)
     engine = jump_engine(pres, pres.parse_ideal("x^2, x*y, y^2"))
     yield from _jump_checks(
         engine, (1, 2), "jump set at level {e}", lambda e: veronese_square_jump_set(p, e)
@@ -417,7 +399,9 @@ def verify_example(example_id: str, p: int | None = None, n: int | None = None):
 # -- argument parsing --------------------------------------------------------------
 
 
+@cache  # parse_args starts a new namespace per call, so no value carries over
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `run` maps each subcommand to its handler."""
     parser = argparse.ArgumentParser(
         prog="bsroots",
         description=(
@@ -440,14 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     level = sp.add_mutually_exclusive_group()
     level.add_argument("--level", type=parse_integer, action="append", help="one level, repeatable")
     level.add_argument("--levels", type=parse_integer, help="range 1..E (default 2)")
-    sp.set_defaults(handler=_cmd_jumps)
 
     sp = sub.add_parser("roots", help="Bernstein-Sato roots, certified to a level")
     common(sp)
     sp.add_argument("--levels", type=parse_integer, default=3)
     sp.add_argument("--denom-bound", type=parse_integer)
     sp.add_argument("--interval", default=None, help="lo:hi as rationals")
-    sp.set_defaults(handler=_cmd_roots)
 
     sp = sub.add_parser("thresholds", help="differential thresholds in an interval")
     common(sp)
@@ -455,46 +437,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--interval", default=None)
     sp.add_argument("--c-max", type=parse_integer, help="p-power part of denominators")
     sp.add_argument("--b-max", type=parse_integer, help="(p^b - 1) part of denominators")
-    sp.set_defaults(handler=_cmd_thresholds)
 
     sp = sub.add_parser("fpt", help="smallest certified differential threshold")
     common(sp)
     sp.add_argument("--levels", type=parse_integer, default=3)
-    sp.set_defaults(handler=_cmd_fpt)
 
     sp = sub.add_parser("nu", help="nu-invariants of a against c (F-threshold data)")
     common(sp, formats=("json", "csv", "text"))
     sp.add_argument("--cideal", required=True, help="the ideal c")
     sp.add_argument("--levels", type=parse_integer, default=3)
-    sp.set_defaults(handler=_cmd_nu)
 
     sp = sub.add_parser("test-ideal", help="tau(a^lambda) with stabilization flag")
     common(sp)
     sp.add_argument("--lam", required=True, help="exponent lambda, e.g. 5/4")
     sp.add_argument("--e-max", type=parse_integer, default=4)
-    sp.set_defaults(handler=_cmd_test_ideal)
 
     sp = sub.add_parser("fjn", help="F-jumping numbers in an interval")
     common(sp)
     sp.add_argument("--interval", required=True)
     sp.add_argument("--e-max", type=parse_integer, default=4)
     sp.add_argument("--b-max", type=parse_integer, default=1)
-    sp.set_defaults(handler=_cmd_fjn)
 
     sp = sub.add_parser("verify-example", help="recompute a built-in worked example")
     sp.add_argument("id", choices=sorted(EXAMPLES))
     sp.add_argument("--p", type=parse_integer)
     sp.add_argument("--n", type=parse_integer, help="parameter for 9.8")
-    sp.set_defaults(handler=_cmd_verify_example)
 
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        print(args.handler(args))
+        args = build_parser().parse_args(argv)
+        # Looked up per call, so a handler replaced on the module takes effect.
+        handler = {
+            "jumps": _cmd_jumps, "roots": _cmd_roots, "thresholds": _cmd_thresholds,
+            "fpt": _cmd_fpt, "nu": _cmd_nu, "test-ideal": _cmd_test_ideal, "fjn": _cmd_fjn,
+            "verify-example": _cmd_verify_example,
+        }[args.command]
+        print(handler(args))
         return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -53,13 +53,15 @@ class JumpTable:
                 if reduced not in allowed:
                     raise AssertionError((shallow, deep, n))
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "p": self.p,
             "r": self.r,
             "levels": {str(e): list(jumps) for e, jumps in sorted(self.levels.items())},
         }
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
 
 
 def jump_table(engine: JumpEngine, levels) -> JumpTable:
@@ -112,11 +114,6 @@ def nu_invariant(a: Ideal, c: Ideal, e: int) -> int:
     tested as C^e*a^n inside c, which on a polynomial ring is equivalent.
     """
     check_nu_preconditions(a, c)
-    return _largest_nu(a, c, e)
-
-
-def _largest_nu(a: Ideal, c: Ideal, e: int) -> int:
-    """`nu_invariant` for callers that have already checked its preconditions."""
     # a^0 = (1) is never inside the proper ideal, and containment is monotone in n.
     return largest_true(lambda n: not c.contains_ideal(frobenius.eth_root_power(a, n, e)))
 

@@ -27,7 +27,8 @@ Four kinds of presentation are supported:
   (the semigroup engine on <2,3>).
 
 Every engine exposes canonical labels for the ideals D^(e) * a^n, from which
-jump sets and single-jump queries are derived; the labels are computed, and
+jump sets, single-jump queries and the per-level witness search of roots and
+thresholds (`JumpEngine.witnesses`) are derived; the labels are computed, and
 each is kept per (n, e) by `JumpEngine.d_label`.
 """
 
@@ -451,12 +452,21 @@ class JumpEngine:
             return False
         return self.d_label(n, e) != self.d_label(n + 1, e)
 
-    def first_jump(self, ks, e: int) -> int | None:
-        """The first k of ks, in the order given, that is a level-e jump; None if none is.
+    def witnesses(self, levels: int, window) -> list[int]:
+        """Per level e = 1, 2, ..., levels, the first key of window(e) that is a level-e jump.
 
-        Only the labels of the keys visited (and of their successors) are computed.
+        Keys are tried in the order window(e) gives them.  The search stops at
+        the first level whose window holds no jump, so a list shorter than
+        `levels` is a refutation at level len + 1.  Only the labels of the keys
+        visited (and of their successors) are computed.
         """
-        return next((k for k in ks if self.is_jump(k, e)), None)
+        found: list[int] = []
+        for e in range(1, levels + 1):
+            jump = next((k for k in window(e) if self.is_jump(k, e)), None)
+            if jump is None:
+                break
+            found.append(jump)
+        return found
 
     def jump_set(self, e: int) -> tuple[int, ...]:
         """Sorted level-e jumps inside the fundamental window [0, r*p^e)."""

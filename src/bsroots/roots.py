@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .padic import (
     PAdicRational, check_interval, check_level, format_rational, grid_denominators, rational_grid
@@ -79,22 +80,26 @@ def verify_root_to_level(
     """
     check_level(levels, least=1, what="levels")
     padic = PAdicRational(Fraction(alpha), engine.p)
-    witnesses = []
-    for e in range(1, levels + 1):
-        q = engine.p**e
+
+    @cache  # a refutation reports its failed window without a second truncation
+    def window(e: int) -> tuple[int, ...]:
         t = padic.truncation(e)
-        window = [t + s * q for s in range(engine.r)]
-        jump = engine.first_jump(window, e)
-        if jump is None:
-            return RootRefutation(
-                candidate=padic.value, p=engine.p, failed_level=e, checked=tuple(window)
-            )
-        witnesses.append(RootWitness(e=e, s=(jump - t) // q, jump=jump))
+        return tuple(t + s * engine.p**e for s in range(engine.r))
+
+    jumps = engine.witnesses(levels, window)
+    if len(jumps) < levels:
+        failed = len(jumps) + 1
+        return RootRefutation(
+            candidate=padic.value, p=engine.p, failed_level=failed, checked=window(failed)
+        )
     return RootCertificate(
         candidate=padic.value,
         p=engine.p,
         certified_level=levels,
-        witnesses=tuple(witnesses),
+        # truncation(alpha, e) < p^e, so s is the quotient of the jump by p^e
+        witnesses=tuple(
+            RootWitness(e=e, s=jump // engine.p**e, jump=jump) for e, jump in enumerate(jumps, 1)
+        ),
     )
 
 

@@ -4,10 +4,13 @@ A differential threshold is a limit of jumps scaled by p^-e.  For F-split
 presentations the per-level witness condition is a jump inside
 [p^e*lam - r, p^e*lam]; for the non-F-split engines the detector falls back to
 the definition and asks for jumps within a fixed slack K of p^e*lam (the
-witnessed sequence then converges at rate (r+K)/p^e).  Surviving candidates
-closer than the level-E resolution are merged and the simplest member reported.
-The differential detectors take a `JumpEngine` (see `rings.jump_engine`), so
-thresholds, roots and jump sets of one pair share its labels.
+witnessed sequence then converges at rate (r+K)/p^e).  `verify_threshold`
+builds only that window and the certificate; the level loop is the engine's
+witness search (`JumpEngine.witnesses`), which roots share.  Each candidate is
+verified once, and surviving certificates closer than the level-E resolution
+are merged into the simplest member's.  The differential detectors take a
+`JumpEngine` (see `rings.jump_engine`), so thresholds, roots and jump sets of
+one pair share its labels.
 
 F-thresholds and Cartier thresholds are the same sequence on a polynomial
 ring (a^n lies in c^[p^e] exactly when C^e*a^n lies in c), so both names run
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frobenius
-from .jumps import _largest_nu, check_nu_preconditions
+from .jumps import nu_invariant
 from .padic import (
     check_interval, check_level, format_rational, grid_denominators, grid_points, rational_grid
 )
@@ -45,6 +48,16 @@ class ThresholdCertificate:
     slack: int  # 0 means the strict F-split window [p^e*lam - r, p^e*lam]
     merged: tuple[Fraction, ...] = ()  # indistinguishable survivors folded in
 
+    def to_dict(self) -> dict:
+        return {
+            "num": self.value.numerator,
+            "den": self.value.denominator,
+            "certified_level": self.certified_level,
+            "slack": self.slack,
+            "witnesses": [{"e": w.e, "jump": w.jump} for w in self.witnesses],
+            "merged": [format_rational(v) for v in self.merged],
+        }
+
     def __str__(self) -> str:
         return f"{format_rational(self.value)} (certified to level {self.certified_level})"
 
@@ -63,20 +76,20 @@ def verify_threshold(
         return None
     K = engine.threshold_slack
     num, den = lam.numerator, lam.denominator
-    witnesses = []
-    for e in range(1, levels + 1):
+
+    def window(e: int) -> list[int]:
         top = num * engine.p**e  # p^e * lam = top / den
         lo = max(0, -(-top // den) - engine.r - K)
-        window = range(lo, top // den + K + 1)
-        jump = engine.first_jump(sorted(window, key=lambda k: (abs(k * den - top), k)), e)
-        if jump is None:
-            return None
-        witnesses.append(ThresholdWitness(e=e, jump=jump))
+        return sorted(range(lo, top // den + K + 1), key=lambda k: (abs(k * den - top), k))
+
+    jumps = engine.witnesses(levels, window)
+    if len(jumps) < levels:
+        return None
     return ThresholdCertificate(
         value=lam,
         p=engine.p,
         certified_level=levels,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(ThresholdWitness(e=e, jump=jump) for e, jump in enumerate(jumps, 1)),
         slack=K,
     )
 
@@ -136,25 +149,21 @@ def differential_thresholds(
     """
     if interval is None:
         interval = (Fraction(0), Fraction(engine.r))
-    survivors = [
-        lam
-        for lam in threshold_candidates(engine, levels, interval, c_max, b_max)
-        if verify_threshold(engine, lam, levels) is not None
-    ]
+    candidates = threshold_candidates(engine, levels, interval, c_max, b_max)
+    verdicts = [verify_threshold(engine, lam, levels) for lam in candidates]
+    survivors = [c for c in verdicts if c is not None]
     merge_gap = Fraction(2 * (engine.r + engine.threshold_slack), engine.p**levels)
-    clusters: list[list[Fraction]] = []
-    for lam in survivors:  # the candidates come sorted
-        if clusters and lam - clusters[-1][-1] <= merge_gap:
-            clusters[-1].append(lam)
+    clusters: list[list[ThresholdCertificate]] = []
+    for cert in survivors:  # the candidates come sorted
+        if clusters and cert.value - clusters[-1][-1].value <= merge_gap:
+            clusters[-1].append(cert)
         else:
-            clusters.append([lam])
-    certificates = []
-    for cluster in clusters:
-        head = min(cluster, key=lambda lam: (lam.denominator, lam))
-        # The head's labels are all computed by now, so this check only reads them.
-        certificate = verify_threshold(engine, head, levels)
-        certificates.append(replace(certificate, merged=tuple(v for v in cluster if v != head)))
-    return certificates
+            clusters.append([cert])
+    heads = [min(cluster, key=lambda c: (c.value.denominator, c.value)) for cluster in clusters]
+    return [
+        replace(head, merged=tuple(c.value for c in cluster if c is not head))
+        for head, cluster in zip(heads, clusters)
+    ]
 
 
 def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
@@ -203,13 +212,12 @@ def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:
     """The F-threshold data of a with respect to c: nu_e = max{n : a^n not in c^[p^e]}.
 
     Ideals of a polynomial ring only, where nu_e is also the Cartier-threshold
-    sequence max{n : C^e*a^n not in c}; each level is searched through peeled
-    Cartier roots, as `nu_invariant` does.  The preconditions of
-    `nu_invariant` are checked once for all levels.
+    sequence max{n : C^e*a^n not in c}; each level is one `nu_invariant`
+    search through peeled Cartier roots, and each call checks its
+    preconditions again.
     """
     check_level(levels, least=1, what="levels")
-    check_nu_preconditions(a, c)
-    nu = {e: _largest_nu(a, c, e) for e in range(1, levels + 1)}
+    nu = {e: nu_invariant(a, c, e) for e in range(1, levels + 1)}
     return _detect_limit(nu, a.ring.p, a.declared_r)
 
 

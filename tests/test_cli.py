@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsroots import cli
+from bsroots import cli, differential_thresholds, parse_ring_declaration
 from bsroots.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, run, verify_example
 
 
@@ -382,6 +382,41 @@ CATALOG_GOLDEN = json.loads((Path(__file__).parent / "catalog_cli_golden.json").
 def test_catalog_cli_golden(capsys, case):
     code, out, err = invoke(capsys, *case["argv"])
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("example_id", sorted(cli.EXAMPLES))
+def test_verify_example_refuses_a_non_prime_p(capsys, example_id):
+    # A bad p is a precondition violation for every example, 9.3 included.
+    code, out, err = invoke(capsys, "verify-example", example_id, "--p", "9")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err.startswith("error: ")
+
+
+def test_threshold_certificates_write_the_cli_json(capsys):
+    # Merged survivors and the slack of a non-F-split engine both show here.
+    ring, ideal = "semigroup p=5 gens=3,5,7", "x^3"
+    code, out, _ = invoke(capsys, "thresholds", "--ring", ring, "--ideal", ideal)
+    assert code == EXIT_OK
+    presentation = parse_ring_declaration(ring)
+    engine = cli.jump_engine(presentation, presentation.parse_ideal(ideal))
+    certs = differential_thresholds(engine, levels=3)
+    assert any(c.merged for c in certs) and all(c.slack for c in certs)
+    assert json.loads(out)["thresholds"] == [c.to_dict() for c in certs]
+
+
+def test_consecutive_runs_share_one_parser_and_no_values(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("jumps", "--ring", "poly p=5 vars=x", "--ideal", "x")
+    runs = [
+        invoke(capsys, *argv, "--level", "2"),
+        invoke(capsys, *argv, "--level", "1"),
+        invoke(capsys, *argv),
+    ]
+    assert [json.loads(out)["levels"] for _, out, _ in runs] == [
+        {"2": [24]},
+        {"1": [4]},
+        {"1": [4], "2": [24]},
+    ]
 
 
 @pytest.mark.parametrize("example_id", ["9.2", "9.5", "9.7"])

@@ -391,6 +391,25 @@ def test_cross_xy_jump_sets():
     assert not engine.is_jump(5, 2)
 
 
+def test_witnesses_stop_at_the_first_level_without_a_jump(monkeypatch):
+    # (x) in F_5[x] jumps at n = -1 mod 5^e.  Level 1 tries 3 and then 9, a
+    # jump, and never reaches 4; level 2 tries 0 and 1, neither a jump, so the
+    # search stops there and never asks for the level-3 window.
+    pres = PolynomialRingPresentation(5, ("x",))
+    engine = jump_engine(pres, pres.parse_ideal("x"))
+    labelled = []
+    compute = engine._compute_label
+    monkeypatch.setattr(
+        engine, "_compute_label", lambda n, e: labelled.append((n, e)) or compute(n, e)
+    )
+    windows = {1: (3, 9, 4), 2: (0, 1), 3: (124,)}
+    asked = []
+    assert engine.witnesses(3, lambda e: asked.append(e) or windows[e]) == [9]
+    assert asked == [1, 2]
+    assert labelled == [(3, 1), (4, 1), (9, 1), (10, 1), (0, 2), (1, 2), (2, 2)]
+    assert engine.witnesses(3, lambda e: (5**e - 1,)) == [4, 24, 124]
+
+
 def test_semigroup_engine_computes_each_label_once(monkeypatch):
     # Powers of a nonzero ideal are distinct, so (power, e) stands for (n, e).
     calls = Counter()

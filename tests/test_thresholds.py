@@ -1,6 +1,7 @@
 """Tests for thresholds, test ideals, F-jumping numbers and the coset check."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -101,20 +102,21 @@ def test_threshold_preconditions(p5xy):
         cartier_threshold(p5xy.parse_ideal("y"), p5xy.parse_ideal("x"), levels=1)
 
 
-def test_f_threshold_checks_preconditions_once(p5xy, monkeypatch):
+def test_f_threshold_runs_each_level_through_nu_invariant(p5xy, monkeypatch):
+    # One route to nu: each level is one nu_invariant search, which checks the
+    # preconditions itself.
     calls = []
-    original = jumps.check_nu_preconditions
+    original = jumps.nu_invariant
 
-    def counting(a, c):
-        calls.append((a, c))
-        original(a, c)
+    def counting(a, c, e):
+        calls.append(e)
+        return original(a, c, e)
 
-    monkeypatch.setattr(jumps, "check_nu_preconditions", counting)
-    monkeypatch.setattr(thresholds, "check_nu_preconditions", counting)
+    monkeypatch.setattr(thresholds, "nu_invariant", counting)
     a, c = p5xy.parse_ideal("x^2 + y^3"), p5xy.parse_ideal("x + y^2, y^3")
     sequence = f_threshold(a, c, levels=3)
-    assert len(calls) == 1
-    assert sequence.nu == {e: nu_invariant(a, c, e) for e in (1, 2, 3)}
+    assert calls == [1, 2, 3]
+    assert sequence.nu == {e: original(a, c, e) for e in (1, 2, 3)}
 
 
 def test_levels_below_one_and_negative_levels_are_refused(p5xy):
@@ -360,6 +362,25 @@ def test_threshold_witness_search_labels_only_the_keys_it_visits(monkeypatch):
     cert = verify_threshold(engine, Fraction(1), 2)
     assert [w.jump for w in cert.witnesses] == [4, 24]
     assert sorted(labelled) == [(4, 1), (5, 1), (6, 1), (24, 2), (25, 2), (26, 2)]
+
+
+def test_differential_thresholds_verify_each_candidate_once(p5xy, monkeypatch):
+    # Each cluster is reported through the certificate of its head's single
+    # verification; no second pass re-verifies the heads.
+    engine = jump_engine(p5xy, p5xy.parse_ideal("x, y^2"))
+    interval = (Fraction(0), Fraction(2))
+    candidates = threshold_candidates(engine, 2, interval)
+    verified = []
+    monkeypatch.setattr(
+        thresholds,
+        "verify_threshold",
+        lambda engine, lam, levels: verified.append(lam) or verify_threshold(engine, lam, levels),
+    )
+    certs = differential_thresholds(engine, levels=2, interval=interval)
+    assert verified == candidates
+    assert certs and any(c.merged for c in certs)
+    for cert in certs:
+        assert replace(cert, merged=()) == verify_threshold(engine, cert.value, 2)
 
 
 def test_thresholds_artinian_merge_to_zero():
