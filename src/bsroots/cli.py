@@ -103,25 +103,14 @@ def _cmd_jumps(args) -> str:
 def _cmd_roots(args) -> str:
     engine = _engine(args)
     interval = _parse_interval(args.interval) if args.interval else None
-    certs = roots_mod.bernstein_sato_roots(
-        engine,
-        levels=args.levels,
-        denominator_bound=args.denom_bound,
-        interval=interval,
-    )
+    certs = roots_mod.bernstein_sato_roots(engine, levels=args.levels, interval=interval)
     return _emit_certificates(args, "roots", "bernstein-sato roots", certs)
 
 
 def _cmd_thresholds(args) -> str:
     engine = _engine(args)
     interval = _parse_interval(args.interval) if args.interval else None
-    certs = thr_mod.differential_thresholds(
-        engine,
-        levels=args.levels,
-        interval=interval,
-        c_max=args.c_max,
-        b_max=args.b_max,
-    )
+    certs = thr_mod.differential_thresholds(engine, levels=args.levels, interval=interval)
     return _emit_certificates(args, "thresholds", "differential thresholds", certs)
 
 
@@ -129,14 +118,7 @@ def _cmd_fpt(args) -> str:
     cert = thr_mod.fpt(_engine(args), levels=args.levels)
     if cert is None:
         return _emit(args, {"fpt": None}, ["no certified threshold found"])
-    payload = {
-        "fpt": {
-            "num": cert.value.numerator,
-            "den": cert.value.denominator,
-            "certified_level": cert.certified_level,
-        }
-    }
-    return _emit(args, payload, [f"fpt = {cert}"])
+    return _emit(args, {"fpt": cert.value_dict()}, [f"fpt = {cert}"])
 
 
 def _cmd_nu(args) -> str:
@@ -310,7 +292,7 @@ def _example_9_4(p: int, n: int):
         ("x in C^1*f^(2(p-1)/3)", 2 * (p - 1) // 3, "x"),
         ("y^2 in C^1*f^(3(p-1)/4)", 3 * (p - 1) // 4, "y^2"),
     ):
-        root = eth_root(Ideal(ring, (f**power,), declared_r=1), 1)
+        root = eth_root(Ideal(ring, (f**power,)), 1)
         yield (text, root.contains(ring.parse(element)), f"n={power}")
 
 
@@ -368,8 +350,8 @@ def _example_9_8(p: int, n: int):
         engine, (e,), "jump set at level {e} (p^e > n) = {jumps}", lambda _: (n,)
     )
     # Candidates congruent to n modulo p^E mimic the root up to level E; three
-    # levels past the closed-form threshold p^e > n removes them for the
-    # default denominator bound.
+    # levels past the closed-form threshold p^e > n removes them from the grid
+    # of that level.
     yield _root_check(engine, e + 3, (n,))
     yield _threshold_check(engine, 5, (0, 1), "", (0,))
 
@@ -427,16 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roots", help="Bernstein-Sato roots, certified to a level")
     common(sp)
-    sp.add_argument("--levels", type=parse_integer, default=3)
-    sp.add_argument("--denom-bound", type=parse_integer)
+    sp.add_argument("--levels", type=parse_integer, default=3, help="certify 1..E; sets the grid")
     sp.add_argument("--interval", default=None, help="lo:hi as rationals")
 
     sp = sub.add_parser("thresholds", help="differential thresholds in an interval")
     common(sp)
-    sp.add_argument("--levels", type=parse_integer, default=3)
+    sp.add_argument("--levels", type=parse_integer, default=3, help="certify 1..E; sets the grid")
     sp.add_argument("--interval", default=None)
-    sp.add_argument("--c-max", type=parse_integer, help="p-power part of denominators")
-    sp.add_argument("--b-max", type=parse_integer, help="(p^b - 1) part of denominators")
 
     sp = sub.add_parser("fpt", help="smallest certified differential threshold")
     common(sp)

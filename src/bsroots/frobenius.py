@@ -87,7 +87,7 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     if a._peels is None:
         a._peels = {}
     peels = a._peels
-    extra = Ideal(ring, (ring.one(),), declared_r=1)
+    extra = Ideal(ring, (ring.one(),))
     m = n
     for _ in range(e):
         base = (r - 1) * (p - 1)

@@ -142,8 +142,7 @@ def jump_set_via_oracle(a: Ideal, e: int) -> tuple[int, ...]:
     """
     ring = a.ring
     q = ring.p**e
-    r = max(1, len(a.generators))
-    hi = r * q
+    hi = a.declared_r * q  # the engine's window [0, r*p^e), zero generators counted
 
     def raw_power(n: int):
         gens = [ring.one()]

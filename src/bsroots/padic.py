@@ -1,7 +1,9 @@
 """Exact arithmetic in Z_(p): p-adic digits, truncations, and base-p expansions.
 
 It also holds the one candidate grid that roots, thresholds and F-jumping
-numbers search: every k/d in an interval with d dividing some p^c (p^b - 1).
+numbers search: every k/d in an interval with d dividing some p^c (p^b - 1);
+at certification level E, roots and thresholds take b <= ceil(E/2)
+(`grid_periods`).
 
 Elements are rationals with denominator coprime to p, kept as exact
 `fractions.Fraction` values.  Truncations are computed with modular inverses,
@@ -179,6 +181,15 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def grid_periods(levels: int) -> int:
+    """The largest b of the (p^b - 1) part of a root or threshold grid at level E: ceil(E/2).
+
+    The E digits a certificate checks then show a candidate's period about
+    twice; a larger grid comes with a higher level.
+    """
+    return (check_level(levels, least=1, what="levels") + 1) // 2
 
 
 def grid_denominators(p: int, c_max: int, b_max: int) -> list[int]:

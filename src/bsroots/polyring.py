@@ -476,7 +476,7 @@ class Ideal:
 
     __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_peels")
 
-    def __init__(self, ring: PolyRing, generators, declared_r: int | None = None):
+    def __init__(self, ring: PolyRing, generators):
         self.ring = ring
         given = tuple(generators)
         gens = tuple(g for g in given if not g.is_zero())
@@ -484,7 +484,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self.generators = gens
-        self.declared_r = declared_r if declared_r is not None else max(1, len(given))
+        self.declared_r = max(1, len(given))
         self._gb = None
         self._powers: list[Ideal] | None = None
         self._peels: dict | None = None
@@ -558,7 +558,7 @@ class Ideal:
         is built.
         """
         if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, (), declared_r=1)
+            return Ideal(self.ring, ())
         if self.is_one_ideal_fast():
             return other
         if other.is_one_ideal_fast():
@@ -598,7 +598,7 @@ class Ideal:
         if n < 0:
             raise ValueError("ideal power must be >= 0")
         if self._powers is None:
-            self._powers = [Ideal(self.ring, (self.ring.one(),), declared_r=1), self]
+            self._powers = [Ideal(self.ring, (self.ring.one(),)), self]
         powers = self._powers
         while len(powers) <= n:
             powers[-1].groebner()
@@ -609,11 +609,7 @@ class Ideal:
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""
         if check_level(e) == 0:
             return self
-        return Ideal(
-            self.ring,
-            [g.frobenius(e) for g in self.generators],
-            declared_r=self.declared_r,
-        )
+        return Ideal(self.ring, [g.frobenius(e) for g in self.generators])
 
     def radical_contains(self, f: Polynomial) -> bool:
         """Whether f lies in the radical of this ideal, decided exactly.

@@ -283,6 +283,7 @@ class SemigroupRingPresentation:
 # word -> (its variables, its fixed element, the engine of (ring, n)); only
 # artinian_x_pow takes n.
 _CATALOG = {
+    # Slack 0: the squarefree (xy) gives a Stanley-Reisner ring, which is F-split.
     "cross_xy": (
         ("x", "y"),
         "x",
@@ -296,6 +297,7 @@ _CATALOG = {
         ),
     ),
     # The sole root of K[x]/(x^(n+1)) is n itself: jump sets stabilize to {n}.
+    # Slack n >= 1: the quotient is not reduced, so it is not F-split.
     "artinian_x_pow": (
         ("x",),
         "x",
@@ -428,7 +430,6 @@ class JumpEngine:
 
     p: int
     r: int
-    f_split_certified: bool
     threshold_slack: int
     producer: str
 
@@ -474,6 +475,11 @@ class JumpEngine:
         labels = [self.d_label(n, e) for n in range(hi + 1)]
         return tuple(n for n in range(hi) if labels[n] != labels[n + 1])
 
+    @property
+    def f_split_certified(self) -> bool:
+        """Every engine here is certified F-split exactly when its threshold slack is 0."""
+        return self.threshold_slack == 0
+
     def default_root_interval(self) -> tuple[Fraction, Fraction]:
         if self.f_split_certified:
             return (Fraction(-self.r), Fraction(0))
@@ -488,7 +494,6 @@ class RegularJumpEngine(JumpEngine):
     """
 
     producer = "regular"
-    f_split_certified = True
     threshold_slack = 0
 
     def __init__(self, ideal: Ideal, producer: str = "regular"):
@@ -511,9 +516,8 @@ class SemigroupJumpEngine(JumpEngine):
         self.ideal = ideal
         self.r = ideal.declared_r
         # F-split would force all Bernstein-Sato roots into [-r, 0]; the only
-        # semigroup ring certified here is the polynomial ring S = <1>.
-        self.f_split_certified = self.S.conductor == 0
-        self.threshold_slack = 0 if self.f_split_certified else max(1, self.S.conductor)
+        # semigroup ring certified F-split (slack 0) is the polynomial ring S = <1>.
+        self.threshold_slack = self.S.conductor
         self._powers: list[frozenset] = [frozenset({0})]  # a^0, a^1, ... by exponents
 
     def _power_exponents(self, n: int) -> frozenset:
@@ -557,9 +561,6 @@ class MonomialQuotientEngine(JumpEngine):
         self.relations = relations
         self._packed_relations = [ring.pack(g) for g in relations]
         self.element = element
-        # Squarefree I gives a Stanley-Reisner ring, which is F-split; any
-        # other monomial quotient is not reduced, so it is not F-split.
-        self.f_split_certified = all(c <= 1 for g in relations for c in g)
         self.threshold_slack = threshold_slack
         self.root_interval = root_interval
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cache
 
 from .padic import (
-    PAdicRational, check_interval, check_level, format_rational, grid_denominators, rational_grid
+    PAdicRational, check_interval, check_level, format_rational, grid_denominators, grid_periods,
+    rational_grid,
 )
 from .rings import JumpEngine
 
@@ -106,22 +107,19 @@ def verify_root_to_level(
 def bernstein_sato_roots(
     engine: JumpEngine,
     levels: int = 3,
-    denominator_bound: int | None = None,
     interval: tuple[Fraction, Fraction] | None = None,
 ) -> list[RootCertificate]:
     """All enumerated candidates that survive verification to the given level.
 
-    Defaults: the interval is [-r, 0] for F-split-certified presentations and
-    [-r, r] otherwise, except that the artinian catalog ring K[x]/(x^(n+1)),
-    whose sole root is n, uses [0, n]; the denominator bound is
-    ceil(levels / 2) so a candidate shows at least two full periods.
+    The candidates are the rationals of the interval with (p^b - 1)*alpha
+    integral for some b <= ceil(levels / 2) (`padic.grid_periods`); the level
+    alone sets the grid.  The default interval is [-r, 0] for F-split-certified
+    presentations and [-r, r] otherwise, except that the artinian catalog ring
+    K[x]/(x^(n+1)), whose sole root is n, uses [0, n].
     """
-    check_level(levels, least=1, what="levels")
     if interval is None:
         interval = engine.default_root_interval()
-    if denominator_bound is None:
-        denominator_bound = max(1, (levels + 1) // 2)
-    candidates = enumerate_candidates(engine.p, denominator_bound, interval)
+    candidates = enumerate_candidates(engine.p, grid_periods(levels), interval)
     verdicts = [verify_root_to_level(engine, a, levels) for a in candidates]
     return [v for v in verdicts if isinstance(v, RootCertificate)]
 

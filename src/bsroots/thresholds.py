@@ -27,7 +27,8 @@ from fractions import Fraction
 from . import frobenius
 from .jumps import nu_invariant
 from .padic import (
-    check_interval, check_level, format_rational, grid_denominators, grid_points, rational_grid
+    check_interval, check_level, format_rational, grid_denominators, grid_periods, grid_points,
+    rational_grid,
 )
 from .polyring import Ideal
 from .rings import JumpEngine
@@ -48,11 +49,17 @@ class ThresholdCertificate:
     slack: int  # 0 means the strict F-split window [p^e*lam - r, p^e*lam]
     merged: tuple[Fraction, ...] = ()  # indistinguishable survivors folded in
 
-    def to_dict(self) -> dict:
+    def value_dict(self) -> dict:
+        """The value part of the JSON entry, the whole entry of `fpt`."""
         return {
             "num": self.value.numerator,
             "den": self.value.denominator,
             "certified_level": self.certified_level,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self.value_dict(),
             "slack": self.slack,
             "witnesses": [{"e": w.e, "jump": w.jump} for w in self.witnesses],
             "merged": [format_rational(v) for v in self.merged],
@@ -95,35 +102,27 @@ def verify_threshold(
 
 
 def threshold_candidates(
-    engine: JumpEngine,
-    levels: int,
-    interval: tuple[Fraction, Fraction],
-    c_max: int | None = None,
-    b_max: int | None = None,
+    engine: JumpEngine, levels: int, interval: tuple[Fraction, Fraction]
 ) -> list[Fraction]:
     """Candidate rationals spawned from the top-level jump set.
 
-    Each level-E jump nu supports a threshold in [nu/p^E, (nu+r)/p^E]; the
-    spawn window is widened by the slack and filled with every rational of
-    denominator dividing p^c (p^b - 1).  Integer translates cover the part of
-    the requested interval above the fundamental window.  The windows are
-    gathered as one unsorted set, and the candidates are sorted once, after the
-    translates.
+    A level-E jump nu can witness lam only when p^E*lam lies in
+    [nu - K, nu + r + K] (slack K, see `verify_threshold`), so each jump spawns
+    that window scaled by p^-E, filled with every rational of denominator
+    dividing p^c (p^b - 1), c <= E, b <= ceil(E/2) (`padic.grid_periods`).
+    Integer translates cover the part of the requested interval above the
+    fundamental window.  The windows are gathered as one unsorted set, and the
+    candidates are sorted once, after the translates.
     """
-    p, r = engine.p, engine.r
+    p, r, K = engine.p, engine.r, engine.threshold_slack
     E = check_level(levels, least=1, what="levels")
-    if c_max is None:
-        c_max = E
-    if b_max is None:
-        b_max = max(1, (E + 1) // 2)
     lo_cap, hi_cap = check_interval(interval)
     q = p**E
-    width = Fraction(r + engine.threshold_slack)
-    denominators = grid_denominators(p, c_max, b_max)
+    denominators = grid_denominators(p, E, grid_periods(E))
     base: set[Fraction] = set()
     for nu in engine.jump_set(E):
-        lo = max(Fraction(0), Fraction(nu, q) - width / q)
-        base |= grid_points(lo, Fraction(nu, q) + width / q, denominators)
+        lo = max(Fraction(0), Fraction(nu - K, q))
+        base |= grid_points(lo, Fraction(nu + r + K, q), denominators)
     # Integer translates lam + s, s >= 0, sweep candidates across the requested interval.
     return sorted(
         {
@@ -138,18 +137,18 @@ def differential_thresholds(
     engine: JumpEngine,
     levels: int = 3,
     interval: tuple[Fraction, Fraction] | None = None,
-    c_max: int | None = None,
-    b_max: int | None = None,
 ) -> list[ThresholdCertificate]:
     """Certified differential thresholds in the interval, merged at resolution.
 
-    Survivors closer together than 2(r + K)/p^E cannot be distinguished at
+    The interval defaults to [0, r], and the candidates are those of
+    `threshold_candidates`, so the level alone sets the grid.  Survivors
+    closer together than 2(r + K)/p^E cannot be distinguished at
     certification level E; each such cluster is reported once, through its
     smallest-denominator member.
     """
     if interval is None:
         interval = (Fraction(0), Fraction(engine.r))
-    candidates = threshold_candidates(engine, levels, interval, c_max, b_max)
+    candidates = threshold_candidates(engine, levels, interval)
     verdicts = [verify_threshold(engine, lam, levels) for lam in candidates]
     survivors = [c for c in verdicts if c is not None]
     merge_gap = Fraction(2 * (engine.r + engine.threshold_slack), engine.p**levels)
@@ -259,7 +258,7 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int = 4) -> TestIdealResult:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     ring = a.ring
-    unit = Ideal(ring, (ring.one(),), declared_r=1)
+    unit = Ideal(ring, (ring.one(),))
     if lam == 0 or a.is_unit():
         return TestIdealResult(ideal=unit, stabilization_level=0, stabilized=True)
     p = ring.p
@@ -317,7 +316,7 @@ def f_jumping_numbers(
         points.insert(0, max(Fraction(math.ceil(lo * d) - 1, d) for d in denominators))
     jumps = []
     # tau(a^0) = (1) seeds the comparison when the interval starts at zero.
-    previous_ideal = Ideal(a.ring, (a.ring.one(),), declared_r=1) if lo == 0 else None
+    previous_ideal = Ideal(a.ring, (a.ring.one(),)) if lo == 0 else None
     for lam in points:
         tau = test_ideal(a, lam, e_max)
         if not tau.stabilized:

@@ -102,7 +102,7 @@ def test_criterion_3_cartier_memberships():
         f = ring.parse("x^4 + y^6")
         cases = ((7, "y"), (8, "x"), (9, "y^2"))
         for n, element in cases:
-            root = eth_root(Ideal(ring, (f**n,), declared_r=1), 1)
+            root = eth_root(Ideal(ring, (f**n,)), 1)
             assert root.contains(ring.parse(element)), (n, element)
 
 

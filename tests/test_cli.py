@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsroots import cli, differential_thresholds, parse_ring_declaration
+from bsroots import cli, differential_thresholds, fpt, parse_ring_declaration
 from bsroots.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, run, verify_example
 
 
@@ -215,9 +215,9 @@ def test_interval_ends_in_ascii_digits_only_exit_2(capsys, command, interval):
         ["jumps", "--level", "+2"],
         ["jumps", "--level", "\u0662"],
         ["roots", "--levels", "+1"],
-        ["thresholds", "--c-max", "+1"],
         ["test-ideal", "--lam", "1/2", "--e-max", "\u0663"],
         ["fjn", "--interval", "0:1", "--b-max", "0_1"],
+        ["thresholds", "--levels", "+1"],
     ],
 )
 def test_integer_options_in_ascii_digits_only_exit_2(capsys, argv):
@@ -404,6 +404,37 @@ def test_threshold_certificates_write_the_cli_json(capsys):
     assert json.loads(out)["thresholds"] == [c.to_dict() for c in certs]
 
 
+def test_fpt_entry_is_the_certificates_value_part(capsys):
+    ring, ideal = "semigroup p=5 gens=2,3", "x^2"
+    code, out, _ = invoke(capsys, "fpt", "--ring", ring, "--ideal", ideal)
+    assert code == EXIT_OK
+    presentation = parse_ring_declaration(ring)
+    cert = fpt(cli.jump_engine(presentation, presentation.parse_ideal(ideal)))
+    value = cert.value_dict()
+    assert json.loads(out)["fpt"] == value == {"num": 1, "den": 2, "certified_level": 3}
+    entry = cert.to_dict()
+    assert list(entry)[: len(value)] == list(value)
+    assert {k: entry[k] for k in value} == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--denom-bound", "2"],
+        ["thresholds", "--c-max", "1"],
+        ["thresholds", "--b-max", "1"],
+    ],
+    ids=["roots --denom-bound", "thresholds --c-max", "thresholds --b-max"],
+)
+def test_grid_options_of_roots_and_thresholds_are_refused(capsys, argv):
+    # --levels alone sets the candidate grid of roots and thresholds.
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--ring", "poly p=5 vars=x", "--ideal", "x", *rest])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_consecutive_runs_share_one_parser_and_no_values(capsys):
     assert cli.build_parser() is cli.build_parser()
     argv = ("jumps", "--ring", "poly p=5 vars=x", "--ideal", "x")
@@ -490,12 +521,11 @@ REVERSED_INTERVALS = [["roots", "--interval", "1:-1"], ["thresholds", "--interva
         ["fjn", "--interval", "0:1", "--e-max", "0"],
         ["jumps", "--levels", "0"],
         ["jumps", "--level", "-1"],
-        # The candidate-grid bounds c_max >= 0 and b_max >= 1 go through the same check.
-        ["thresholds", "--c-max", "-1"],
-        ["thresholds", "--b-max", "-1"],
+        # The F-jumping-number grid bound b_max >= 1 goes through the same check.
         ["fjn", "--interval", "1:2", "--b-max", "0"],
     ]
-    + REVERSED_INTERVALS,
+    + REVERSED_INTERVALS
+    + [["thresholds", "--levels", "-1"], ["fjn", "--interval", "0:1", "--b-max", "-1"]],
 )
 def test_level_counts_below_one_are_refused(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--ring", "poly p=5 vars=x", "--ideal", "x")

@@ -38,7 +38,7 @@ def R1():
 
 
 def _principal(ring, text):
-    return Ideal(ring, (ring.parse(text),), declared_r=1)
+    return Ideal(ring, (ring.parse(text),))
 
 
 def test_eth_root_monomials(R1):
@@ -51,11 +51,11 @@ def test_eth_root_monomials(R1):
 def test_eth_root_example_9_4_membership():
     R = PolyRing(13, ("x", "y"))
     f = R.parse("x^4 + y^6")
-    root7 = eth_root(Ideal(R, (f**7,), declared_r=1), 1)
+    root7 = eth_root(Ideal(R, (f**7,)), 1)
     assert root7.contains(R.parse("y"))
-    root8 = eth_root(Ideal(R, (f**8,), declared_r=1), 1)
+    root8 = eth_root(Ideal(R, (f**8,)), 1)
     assert root8.contains(R.parse("x"))
-    root9 = eth_root(Ideal(R, (f**9,), declared_r=1), 1)
+    root9 = eth_root(Ideal(R, (f**9,)), 1)
     assert root9.contains(R.parse("y^2"))
 
 
@@ -134,7 +134,7 @@ def test_eth_root_power_matches_direct():
     for n in (0, 1, 7, 26, 60):
         for e in (1, 2):
             assert eth_root_power(a, n, e) == eth_root(a.power(n), e), (n, e)
-    f = Ideal(R, (R.parse("x^2 + y^3"),), declared_r=1)
+    f = Ideal(R, (R.parse("x^2 + y^3"),))
     for n in (4, 11, 30):
         assert eth_root_power(f, n, 2) == eth_root(f.power(n), 2), n
 
@@ -251,6 +251,6 @@ def test_oracle_membership_on_root_ideals():
     # Cross-check one Cartier image against the row-reduction route.
     R = PolyRing(13, ("x", "y"))
     f = R.parse("x^4 + y^6")
-    root = eth_root(Ideal(R, (f**7,), declared_r=1), 1)
+    root = eth_root(Ideal(R, (f**7,)), 1)
     y = R.parse("y")
     assert root.contains(y) == linear_membership(y, root.generators, degree_cap=6)

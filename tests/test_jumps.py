@@ -220,6 +220,13 @@ def test_oracle_route_matches_on_three_variable_monomial_ideals(p, levels):
             assert jump_set_via_oracle(a, e) == engine.jump_set(e), (a, e)
 
 
+def test_oracle_route_counts_a_zero_generator_like_the_engine():
+    # r is the length of the list as written, so both scan [0, 2*p^e).
+    pres = PolynomialRingPresentation(5, ("x", "y"))
+    a = pres.parse_ideal("x, 0")
+    assert jump_set_via_oracle(a, 1) == jump_engine(pres, a).jump_set(1) == (4, 9)
+
+
 def test_oracle_route_zero_and_unit():
     ring = PolyRing(2, ("x", "y"))
     assert jump_set_via_oracle(Ideal(ring, ()), 1) == (0,)

@@ -35,6 +35,25 @@ from propchecks import (
 )
 
 
+@pytest.mark.parametrize(
+    "declaration,ideal,cls,f_split",
+    [
+        ("poly p=5 vars=x,y", "x, y^2", rings.RegularJumpEngine, True),
+        ("veronese p=5 vars=x,y degree=2", "x^2, y^2", rings.RegularJumpEngine, True),
+        ("semigroup p=5 gens=1", "x^2", rings.SemigroupJumpEngine, True),
+        ("semigroup p=5 gens=3,5,7", "x^3", rings.SemigroupJumpEngine, False),
+        ("catalog cusp_semigroup p=3", None, rings.SemigroupJumpEngine, False),
+        ("catalog cross_xy p=3", None, rings.MonomialQuotientEngine, True),
+        ("catalog artinian_x_pow(2) p=3", None, rings.MonomialQuotientEngine, False),
+    ],
+)
+def test_f_split_is_zero_threshold_slack(declaration, ideal, cls, f_split):
+    presentation = parse_ring_declaration(declaration)
+    engine = jump_engine(presentation, presentation.parse_ideal(ideal))
+    assert type(engine) is cls
+    assert engine.f_split_certified is f_split is (engine.threshold_slack == 0)
+
+
 # -- numerical semigroups -----------------------------------------------------
 
 

@@ -26,6 +26,7 @@ from bsroots import (
 )
 from bsroots import jumps, thresholds
 from bsroots.jumps import nu_via_frobenius_power
+from bsroots.padic import grid_denominators, grid_periods, rational_grid
 from bsroots import test_ideal as tau_ideal
 from bsroots.rings import JumpEngine
 from bsroots.thresholds import threshold_candidates, verify_threshold
@@ -287,7 +288,7 @@ def test_threshold_witnesses_recheck_independently():
 class _PlantedJumps(JumpEngine):
     """An engine whose level-e jumps are planted: the label of n counts the jumps below n."""
 
-    p, r, threshold_slack, f_split_certified, producer = 5, 1, 1, False, "planted"
+    p, r, threshold_slack, producer = 5, 1, 1, "planted"
 
     def __init__(self, jumps):
         super().__init__()
@@ -339,6 +340,49 @@ def test_threshold_witnesses_are_the_nearest_jumps(make_engine, levels, interval
             assert cert is None, lam
         else:
             assert [(w.e, w.jump) for w in cert.witnesses] == list(enumerate(expected, 1)), lam
+
+
+def _survivors(engine, levels, candidates):
+    return [lam for lam in candidates if verify_threshold(engine, lam, levels) is not None]
+
+
+@pytest.mark.parametrize(
+    "declaration,ideal,levels,interval",
+    [
+        ("poly p=3 vars=x,y", "x^2, y^3", 2, (0, 3)),
+        ("poly p=3 vars=x,y", "x^2, y^3", 4, (0, 3)),
+        ("poly p=2 vars=x,y", "x^2+y^3, x*y", 3, (0, 3)),
+        ("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2", 3, (0, 4)),
+        ("veronese p=2 vars=x,y,z degree=2", "x^2, y*z", 4, (0, 3)),
+        ("semigroup p=5 gens=3,5,7", "x^3", 2, (0, 3)),
+        ("semigroup p=3 gens=3,5,7", "x^3, x^5", 3, (0, 3)),
+        ("semigroup p=3 gens=2,5", "x^2", 3, (0, 3)),
+        ("semigroup p=2 gens=2,5", "x^2, x^5", 4, (0, 3)),
+        ("catalog cross_xy p=3", None, 3, (0, 3)),
+        ("catalog cross_xy p=2", None, 4, (0, 3)),
+        ("catalog cusp_semigroup p=5", None, 2, (0, 3)),
+        ("catalog cusp_semigroup p=2", None, 4, (0, 3)),
+        ("catalog artinian_x_pow(2) p=3", None, 3, (0, 3)),
+    ],
+)
+def test_spawned_candidates_keep_every_grid_survivor(declaration, ideal, levels, interval):
+    # Oracle: verify every grid point of the interval, not only those spawned
+    # around the level-E jumps and their integer translates.
+    engine = _declared_engine(declaration, ideal)
+    lo, hi = map(Fraction, interval)
+    grid = rational_grid(lo, hi, grid_denominators(engine.p, levels, grid_periods(levels)))
+    spawned = threshold_candidates(engine, levels, (lo, hi))
+    assert set(spawned) <= set(grid)
+    survivors = _survivors(engine, levels, grid)
+    assert survivors and _survivors(engine, levels, spawned) == survivors
+
+
+def test_every_spawned_candidate_can_hold_a_top_level_witness():
+    # Each jump nu spawns only [(nu - K)/p^E, (nu + r + K)/p^E], where a
+    # level-E witness can lie; the wider window (nu - r - K)/p^E spawned 205.
+    engine = _declared_engine("poly p=5 vars=x,y", "x^2, y^3")
+    candidates = threshold_candidates(engine, 2, (Fraction(0), Fraction(3)))
+    assert len(candidates) == len(_survivors(engine, 2, candidates)) == 117
 
 
 def test_threshold_witness_tie_goes_to_the_smaller_jump():
