@@ -14,6 +14,7 @@ from bsroots import (
     frobenius,
     jump_engine,
     parse_ring_declaration,
+    polyring,
 )
 from bsroots.frobenius import poly_root_coefficients
 from bsroots.polyring import linear_membership
@@ -29,6 +30,7 @@ from propchecks import (
     random_generators,
     random_ideal,
     random_monomial_ideal,
+    random_polynomial,
 )
 
 
@@ -147,6 +149,29 @@ def test_eth_root_power_matches_direct_three_variables():
         assert eth_root_power(a, n, 2) == eth_root(a.power(n), 2), n
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_eth_root_power_matches_direct_on_random_ideals(p):
+    # Random ideals of binomials and monomials of degree <= 2, not all
+    # monomials, with r <= nvars (a peel step roots raw generator products)
+    # and r > nvars (it roots the reduced basis of a^m0), among them four
+    # generators in three variables.  Past n = r(p-1) a step factors through
+    # a^[p].  The direct route roots a^n on a second copy of the ideal, so no
+    # cache is shared; it builds a basis of every power up to n, which takes
+    # seconds past n = 24 on four generators.
+    rng = random.Random(2100 + p)
+    for nvars, r in ((2, 1), (2, 2), (3, 2), (3, 3), (2, 3), (3, 4)):
+        ring = PolyRing(p, ("x", "y", "z")[:nvars])
+        gens = [ring.one()]
+        while any(g.is_constant() for g in gens) or all(g.is_monomial() for g in gens):
+            gens = [random_polynomial(rng, ring, max_degree=2, max_terms=2) for _ in range(r)]
+        shared, fresh = Ideal(ring, gens), Ideal(ring, gens)
+        top = r * (p - 1)
+        for e in (1, 2) if p <= 3 else (1,):
+            powers = {0, 1, p - 1, p, top + 1, p ** (e - 1) * top + 1}
+            for n in sorted(k for k in powers if k <= 24):
+                assert eth_root_power(shared, n, e) == eth_root(fresh.power(n), e), (gens, n, e)
+
+
 @pytest.mark.parametrize(
     "ring,ideal,e_max,n_max",
     [
@@ -195,6 +220,24 @@ def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
     pres = parse_ring_declaration(ring)
     jump_engine(pres, pres.parse_ideal(ideal)).jump_set(3)
     assert 0 < len(calls) <= most
+
+
+def test_peel_runs_buchberger_on_roots_not_on_powers(monkeypatch):
+    # A peel step roots raw generator products, so Buchberger runs on root
+    # ideals and the final small products alone: 26 calls here, against 86
+    # when every step took a reduced basis of a^m0 * b.
+    calls = []
+
+    def counted(ring, generators):
+        calls.append(len(generators))
+        return buchberger(ring, generators)
+
+    buchberger = polyring._buchberger
+    monkeypatch.setattr(polyring, "_buchberger", counted)
+    pres = parse_ring_declaration("poly p=5 vars=x,y,z")
+    jumps = jump_engine(pres, pres.parse_ideal("x^2+y^3, y*z, x*z^2")).jump_set(2)
+    assert jumps == (36, 42, 43, 48, 54, 61, 67, 68, 73)
+    assert 0 < len(calls) <= 30
 
 
 @pytest.mark.parametrize(
