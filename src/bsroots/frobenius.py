@@ -19,12 +19,12 @@ exponent tuple, split or floor-divide it by p^e, and pack the root again.
 Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
 result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
 canonical label of b; every level and every caller on the same a share it.
-A step roots the products of a generating set of a^m0 with b's generators,
-since C^1 of an ideal is generated by the root coefficients of any generating
-set; no basis of a^m0 * b is computed, and for an ideal with no more
-generators than variables none of a^m0 either.  Only the root coefficients,
-whose degrees are about 1/p of the products', are interreduced; their basis
-is computed when the next step or the caller reads their label.
+A step roots the products of the generators `Ideal.power` picks for a^m0
+with b's generators, since C^1 of an ideal is generated by the root
+coefficients of any generating set; no basis of a^m0 * b is computed.  Only
+the root coefficients, whose degrees are about 1/p of the products', are
+interreduced; their basis is computed when the next step or the caller reads
+their label.
 """
 
 from __future__ import annotations
@@ -76,15 +76,15 @@ def eth_root(a: Ideal, e: int) -> Ideal:
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     """C^e * a^n by exponent peeling; avoids building a^n for large n.
 
-    Each step's result C^1(a^m0 * extra) is looked up in `a._peels` under
+    r counts the short generators `a.power(1)`, so generators equal up to a
+    scalar do not raise the pigeonhole bound (r-1)(p-1).  Each step's result
+    C^1(a^m0 * extra) is looked up in `a._peels` under
     (m0, extra.canonical_label()) and computed only on a miss.  The key is
     exact: the reduced basis is unique, so equal labels mean equal ideals.
-    The memo lives on a, as long as a does, beside its list of powers.
 
-    A miss roots the products g * h, g over a generating set of a^m0 (see
-    `_power_generators`) and h over the short generators of extra; no basis
-    of the product is computed.  A monomial ideal multiplies its powers as
-    exponent sets instead.
+    A miss roots the products g * h, g over the generators of a.power(m0)
+    and h over the short generators of extra; no basis of the product is
+    computed.  A monomial ideal multiplies its powers as exponent sets.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -93,7 +93,7 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
         return a
     ring = a.ring
     p = ring.p
-    r = max(1, len(a.generators))
+    r = max(1, len(a.power(1).generators))
     if a._peels is None:
         a._peels = {}
     peels = a._peels
@@ -111,7 +111,7 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
             if a.is_monomial_ideal():
                 product = a.power(m0).product(extra)
             else:
-                gens = _power_generators(a, m0)
+                gens = a.power(m0)._short_generators()
                 if not extra.is_one_ideal_fast():
                     gens = [g * h for g in gens for h in extra._short_generators()]
                 product = Ideal(ring, gens)
@@ -119,36 +119,6 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
         extra = peeled
         m = (m - m0) // p
     return a.power(m).product(extra)
-
-
-def _power_generators(a: Ideal, m: int) -> list[Polynomial] | tuple[Polynomial, ...]:
-    """A generating set of a^m for the peel, chosen from the shape of a.
-
-    With r nonzero generators and r <= nvars it is the raw products g^alpha,
-    |alpha| = m, and no Buchberger run: C(m+r-1, r-1) of them, which grows
-    like m^(r-1) and stays within the length of a reduced basis of a^m (231
-    against 341 at m = 20 on (x^2 + y^3, yz, xz^2)).  With r > nvars their
-    number outgrows the basis, whose length grows like m^(nvars-1), so the
-    reduced basis of a.power(m) is used.
-
-    The raw products are kept on a (`Ideal._products`), one list per degree,
-    each split by the least generator index in the product; the degree-m
-    products with least index i are g_i times the degree-(m-1) products with
-    least index at least i, so each costs one multiplication.
-    """
-    gens = a.generators
-    if len(gens) > a.ring.nvars:
-        return a.power(m).groebner()
-    if a._products is None:
-        # Degree 0 holds 1, filed under the last index so every g_i multiplies it.
-        a._products = [[[] for _ in gens[1:]] + [[a.ring.one()]]]
-    products = a._products
-    while len(products) <= m:
-        last = products[-1]
-        products.append(
-            [[g * h for tail in last[i:] for h in tail] for i, g in enumerate(gens)]
-        )
-    return [h for group in products[m] for h in group]
 
 
 def diff_closure(a: Ideal, e: int) -> Ideal:

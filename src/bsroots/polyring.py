@@ -45,6 +45,7 @@ kept alongside the Groebner route as an independent test oracle.
 from __future__ import annotations
 
 import heapq
+from math import comb
 
 from .padic import check_level, check_prime
 
@@ -468,14 +469,14 @@ class Ideal:
 
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
-    minimized.  Four caches fill in place on first use: the reduced basis
-    (`_gb`), the powers a^0, a^1, ... built so far (`_powers`), the raw
-    generator products of each degree (`_products`) and the peel memo of
+    minimized.  Three caches fill in place on first use: the reduced basis
+    (`_gb`), the powers a^0, a^1, ... built so far, each with the generating
+    set `power` picks for it (`_powers`), and the peel memo of
     `frobenius.eth_root_power` (`_peels`, C^1(a^m0 * b) keyed by m0 and the
-    canonical label of b); the last two are filled by the peel alone.
+    canonical label of b), which the peel alone fills.
     """
 
-    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_products", "_peels")
+    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_peels")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -488,7 +489,6 @@ class Ideal:
         self.declared_r = max(1, len(given))
         self._gb = None
         self._powers: list[Ideal] | None = None
-        self._products: list[list[list[Polynomial]]] | None = None
         self._peels: dict | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -589,29 +589,52 @@ class Ideal:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
     def power(self, n: int) -> "Ideal":
-        """The n-th power (a^0 = (1) by convention).
+        """The n-th power (a^0 = (1)), with the generating set that every caller uses.
 
-        a^0, a^1, ... are kept in one list, grown on demand by multiplying its
-        last entry by a, so every power built on the way to a^n is kept too.
-        The last entry's reduced basis is computed before each product: its
-        raw generator list, interreduced only by lead terms, about triples in
-        length per power on (x^2 + y^3, yz, xz^2).
+        a^0, a^1, ... are kept in one list, grown on demand.  a^1 is a short
+        generating set of a: the minimal monomials of a monomial ideal, else
+        the generators interreduced (scalar duplicates among the dropped).
+        With r its length, a^n for n >= 2 is one of:
 
-        The Cartier peel (`frobenius.eth_root_power`) takes from here the
-        small power a^m that multiplies its last root, every power of a
-        monomial ideal (Minkowski sums, no basis needed), and the power a^m0
-        of a step only for an ideal with more generators than variables;
-        otherwise a step roots raw generator products.  The tests' direct
-        route `eth_root(a.power(n), e)` builds the whole list.
+        - non-monomial, r <= nvars: the raw products g^alpha, |alpha| = n,
+          in least-index order, and no basis.  Those with least index i are
+          g_i times the last C(n-1 + r-1-i, r-1-i) products of degree n-1,
+          one multiplication each.  They number C(n+r-1, r-1), within the
+          length of a basis (231 against 341 at n = 20 on (x^2+y^3, yz, xz^2)).
+        - monomial, or r > nvars: the reduced basis of a^(n-1) times a^1
+          through `product`, with each power's basis computed as it is built;
+          past nvars generators raw products outgrow a basis.
+
+        The Cartier peel (`frobenius.eth_root_power`) reads r from a^1, roots
+        the generators of a^m0 at each step and multiplies its last root by a
+        small power; the tests' direct route `eth_root(a.power(n), e)` roots
+        a^n as built here.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
-        if self._powers is None:
-            self._powers = [Ideal(self.ring, (self.ring.one(),)), self]
+        ring = self.ring
         powers = self._powers
-        while len(powers) <= n:
-            powers[-1].groebner()
-            powers.append(powers[-1].product(self))
+        if powers is None:
+            if self.is_monomial_ideal():
+                first = _monomial_ideal(ring, (g.packed[0][0] for g in self.generators))
+            else:
+                first = Ideal(ring, _interreduce_generators(self.generators))
+            powers = self._powers = [Ideal(ring, (ring.one(),)), first]
+        if n < len(powers):
+            return powers[n]
+        gens = powers[1].generators
+        r = len(gens)
+        if r <= ring.nvars and not self.is_monomial_ideal():
+            while len(powers) <= n:
+                k = len(powers)
+                last = powers[-1].generators
+                tails = [len(last) - comb(k - 2 + r - i, r - 1 - i) for i in range(r)]
+                powers.append(Ideal(ring, [g * h for g, t in zip(gens, tails) for h in last[t:]]))
+        else:
+            while len(powers) <= n:
+                powers[-1].groebner()
+                powers.append(powers[-1].product(powers[1]))
+            powers[n].groebner()
         return powers[n]
 
     def frobenius_power(self, e: int) -> "Ideal":

@@ -181,7 +181,6 @@ class ThresholdSequence:
     nu: dict[int, int]
     limit: Fraction | None
     bracket: tuple[Fraction, Fraction]
-    pattern: tuple[int, int] | None  # (b, const) with nu_{e+b} = p^b nu_e + const
 
     def csv(self, p: int) -> str:
         lines = ["e,nu,nu_over_pe"]
@@ -203,8 +202,8 @@ def _detect_limit(nu: dict[int, int], p: int, r: int) -> ThresholdSequence:
             const = consts.pop()
             e0 = levels[0]
             limit = Fraction(nu[e0] * (p**b - 1) + const, p**e0 * (p**b - 1))
-            return ThresholdSequence(nu=nu, limit=limit, bracket=bracket, pattern=(b, const))
-    return ThresholdSequence(nu=nu, limit=None, bracket=bracket, pattern=None)
+            return ThresholdSequence(nu=nu, limit=limit, bracket=bracket)
+    return ThresholdSequence(nu=nu, limit=None, bracket=bracket)
 
 
 def f_threshold(a: Ideal, c: Ideal, levels: int = 3) -> ThresholdSequence:

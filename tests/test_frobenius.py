@@ -240,6 +240,36 @@ def test_peel_runs_buchberger_on_roots_not_on_powers(monkeypatch):
     assert 0 < len(calls) <= 30
 
 
+def test_peel_counts_generators_up_to_a_scalar(monkeypatch):
+    # 5xy and 2xy are one generator up to a scalar, so both spellings peel
+    # with r = 3: the same steps, at most 2 Buchberger calls each, against 31
+    # when r = 4 was read from the generators as typed.
+    calls = []
+
+    def counted(ring, generators):
+        calls.append("buchberger")
+        return buchberger(ring, generators)
+
+    def counted_mul(f, g):
+        calls.append("mul")
+        return mul(f, g)
+
+    buchberger, mul = polyring._buchberger, polyring.Polynomial.__mul__
+    monkeypatch.setattr(polyring, "_buchberger", counted)
+    monkeypatch.setattr(polyring.Polynomial, "__mul__", counted_mul)
+    ring = PolyRing(11, ("x", "y", "z"))
+    roots, work = [], []
+    for text in ("6*y^2+4*x, 5*x*y, 2*x*y, 7*x*y+6*x*z", "6*y^2+4*x, x*y, 7*x*y+6*x*z"):
+        a = ring.parse_ideal(text)
+        for n in (35, 41):
+            calls.clear()
+            roots.append(eth_root_power(a, n, 1))
+            assert calls.count("buchberger") <= 2, (text, n)
+            work.append((calls.count("buchberger"), calls.count("mul")))
+    assert work[:2] == work[2:]
+    assert roots[:2] == roots[2:]
+
+
 @pytest.mark.parametrize(
     "ring,ideal,levels,powers",
     [

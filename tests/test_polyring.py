@@ -1,6 +1,8 @@
 """Tests for polynomial arithmetic, Groebner bases and ideal operations."""
 
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -248,6 +250,7 @@ def test_power_keeps_the_powers_built_on_the_way(R2, monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Ideal, "product", counting)
+    monkeypatch.setattr(Polynomial, "__mul__", None)  # raw products are kept, not rebuilt
     third = a.power(3)
     assert products == []
     monkeypatch.undo()
@@ -267,11 +270,58 @@ def test_power_of_general_ideal_matches_repeated_product(R2):
 
 
 def test_power_generators_stay_short():
-    # Each power is built from the reduced basis of the one before; raw
-    # generator lists interreduced by lead terms about tripled per power here
-    # (3,289 generators at a^8, a^13 out of reach).
+    # Three generators in three variables: a^13 is the C(15, 2) = 105 raw
+    # products g^alpha, one multiplication each.  A chain that multiplied each
+    # power's generator list, interreduced by lead terms only, by a about
+    # tripled it per power here (3,289 generators at a^8).
     a = PolyRing(3, ("x", "y", "z")).parse_ideal("x^2+y^3, y*z, x*z^2")
     assert len(a.power(13).generators) <= 160
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_power_is_the_raw_products_of_a_short_generating_set(p):
+    # A non-monomial ideal with at most nvars short generators: a^n is the
+    # multiset of products g^alpha, |alpha| = n, over a.power(1), with no
+    # interreduction.  A generator repeated up to a scalar leaves a.power(1).
+    rng = random.Random(2200 + p)
+    for nvars in (1, 2, 3):
+        ring = PolyRing(p, ("x", "y", "z")[:nvars])
+        tried = 0
+        while tried < 3:
+            gens = [random_polynomial(rng, ring, max_degree=3) for _ in range(nvars)]
+            if rng.random() < 0.5:
+                gens.append(gens[0].scale(rng.randrange(1, p)))
+            a = Ideal(ring, gens)
+            short = a.power(1).generators
+            if a.is_monomial_ideal() or len(short) > nvars:
+                continue
+            tried += 1
+            assert a.power(1) == a
+            for n in range(6):
+                expected = collections.Counter(
+                    math.prod(alpha, start=ring.one())
+                    for alpha in itertools.combinations_with_replacement(short, n)
+                )
+                assert collections.Counter(a.power(n).generators) == expected, (gens, n)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_power_matches_repeated_product_on_monomial_and_wide_ideals(p):
+    # Monomial ideals, and ideals with more short generators than variables,
+    # build each power from the one before through `product`.
+    rng = random.Random(2300 + p)
+    ring = PolyRing(p, ("x", "y"))
+    ideals = [random_monomial_ideal(rng, ring) for _ in range(3)]
+    while len(ideals) < 6:
+        a = Ideal(ring, [random_polynomial(rng, ring, max_degree=3) for _ in range(4)])
+        if not a.is_monomial_ideal() and len(a.power(1).generators) > ring.nvars:
+            ideals.append(a)
+    for a in ideals:
+        fresh = Ideal(ring, a.generators)
+        by_product = Ideal(ring, (ring.one(),))
+        for n in range(5):
+            assert a.power(n) == by_product, (a, n)
+            by_product = by_product.product(fresh)
 
 
 def test_power_additivity(R2):
