@@ -13,8 +13,9 @@ nu-invariants and F-thresholds (a^n in c^[p^e] iff C^e * a^n in c), and the
 test-ideal chain.  The direct route `eth_root(a.power(n), e)` serves the tests
 as the cross-check.
 
-Root coefficients and monomial roots read each packed monomial as its
-exponent tuple, split or floor-divide it by p^e, and pack the root again.
+Root coefficients and monomial roots split each packed monomial x^m in
+place (`PolyRing.split_root`) into the packed x^(m // p^e) and x^(m mod p^e);
+no exponent tuple is built.
 
 Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
 result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
@@ -38,16 +39,17 @@ def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
 
     Writing f = sum_mu g_mu^(p^e) * x^mu with mu ranging over [0, p^e)^n,
     returns the nonzero g_mu.  Scalars ride along unchanged since c^(p^e) = c
-    in F_p.
+    in F_p.  Each bucket x^mu is keyed by its packed monomial and filled in
+    f's descending order, so its terms need no sort.
     """
     ring = f.ring
     q = ring.p**e
-    buckets: dict[tuple, dict] = {}
+    split = ring.split_root
+    buckets: dict[int, list] = {}
     for mono, coeff in f.packed:
-        exponents = ring.unpack(mono)
-        mu = tuple([a % q for a in exponents])
-        buckets.setdefault(mu, {})[ring.pack([a // q for a in exponents])] = coeff
-    return [ring.packed_polynomial(terms) for terms in buckets.values()]
+        root, mu = split(mono, q)
+        buckets.setdefault(mu, []).append((root, coeff))
+    return [Polynomial(ring, tuple(terms)) for terms in buckets.values()]
 
 
 def eth_root(a: Ideal, e: int) -> Ideal:
@@ -66,9 +68,7 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     ring = a.ring
     if a.is_monomial_ideal():
         q = ring.p**e
-        return _monomial_ideal(
-            ring, (ring.pack([x // q for x in g.leading_monomial()]) for g in a.generators)
-        )
+        return _monomial_ideal(ring, (ring.split_root(g.packed[0][0], q)[0] for g in a.generators))
     coefficients = (c for g in a.generators for c in poly_root_coefficients(g, e))
     return Ideal(ring, _interreduce_generators(coefficients))
 

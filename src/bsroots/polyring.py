@@ -20,8 +20,9 @@ An exponent past M is refused with a ValueError when it is packed and after
 any product that could reach it (a product whose degree stays within M cannot);
 it never wraps into the next field.  Exponent tuples appear only at the
 boundary: parsing and printing, the `Polynomial.terms` and
-`leading_monomial()` views, `PolyRing.polynomial` on a dict of tuples, the
-digit split of Cartier roots, and the `RowSpan` oracle.
+`leading_monomial()` views, `PolyRing.polynomial` on a dict of tuples, and
+the `RowSpan` oracle.  The digit split of Cartier roots (`split_root`) reads
+the packed fields in place.
 
 Monomial ideals are handled as sets of packed monomials from end to end:
 they are built in one place, `_monomial_ideal`, which minimalizes the
@@ -125,6 +126,24 @@ class PolyRing:
 
     def degree(self, mono: int) -> int:
         return mono >> self.degree_shift
+
+    def split_root(self, mono: int, q: int) -> tuple[int, int]:
+        """The packed (x^(m // q), x^(m mod q)) of a packed x^m, read field by field.
+
+        Each exponent M - field is divided by q once; the rest is
+        mono - q * (root - C).  No tuple is built and nothing is validated:
+        a root's exponents never exceed its monomial's.  For a fixed rest the
+        root grows with mono, so a split keeps the order of the monomials
+        that share a rest.
+        """
+        top, zero = self.max_exponent, self.zero_monomial
+        root, degree = zero, 0
+        for s in self._shifts:
+            u = (top - ((mono >> s) & top)) // q
+            root -= u << s
+            degree += u
+        root += degree << self.degree_shift
+        return root, mono - q * (root - zero)
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm of two packed monomials: the smaller field, field by field."""
@@ -393,15 +412,21 @@ class Polynomial:
         return Polynomial(ring, packed)
 
     def frobenius(self, e: int) -> "Polynomial":
-        """The p^e-th power, computed term-by-term (c^(p^e) = c over F_p)."""
+        """The p^e-th power, computed term-by-term (c^(p^e) = c over F_p).
+
+        x^m goes to q * (m - C) + C, q = p^e, one multiplication, when the
+        degree times q stays within M, so no exponent can; otherwise each
+        term is packed again, which refuses an exponent past M.  (A guard-bit
+        test would miss a field that borrows 2^65 or more when q is huge.)
+        """
         ring = self.ring
         q = ring.p**e
-        return Polynomial(
-            ring,
-            tuple(
-                (ring.pack([a * q for a in ring.unpack(m)]), c) for m, c in self.packed
-            ),
-        )
+        if self.total_degree() * q <= ring.max_exponent:
+            zero = ring.zero_monomial
+            packed = tuple((q * (m - zero) + zero, c) for m, c in self.packed)
+        else:
+            packed = tuple((ring.pack([a * q for a in ring.unpack(m)]), c) for m, c in self.packed)
+        return Polynomial(ring, packed)
 
     def __eq__(self, other) -> bool:
         return (
@@ -694,10 +719,10 @@ def _interreduce_generators(gens) -> list[Polynomial]:
     Root coefficients of raw products repeat: the level-3 jump set of
     (x^2 + y^3, yz, xz^2) over F_7 roots 167,155 of them, 3,122 up to scalars.
     """
-    first: dict[Polynomial, Polynomial] = {}
+    first: dict[tuple, Polynomial] = {}
     for g in gens:
         if not g.is_zero():
-            first.setdefault(g.monic(), g)
+            first.setdefault(g.monic().packed, g)
     kept: list[Polynomial] = []
     for g in sorted(first.values(), key=lambda h: h.packed[0][0]):
         if not _reduce_full(g, kept, lead_only=True).is_zero():

@@ -176,7 +176,12 @@ def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
 
 @dataclass
 class ThresholdSequence:
-    """nu-values per level with an exact limit when the recurrence locks in."""
+    """nu-values per level, the last level's bracket and a guessed `limit`.
+
+    `limit` is the fixed point of an affine recurrence that `_detect_limit`
+    reads off as few as two level pairs; it is a guess, not a certified
+    value, and None when no recurrence fits.
+    """
 
     nu: dict[int, int]
     limit: Fraction | None
@@ -190,6 +195,15 @@ class ThresholdSequence:
 
 
 def _detect_limit(nu: dict[int, int], p: int, r: int) -> ThresholdSequence:
+    """The sequence with the bracket (nu_E/p^E, (nu_E + r)/p^E) of its last level E.
+
+    For the first period b = 1, 2, ... with at least two level pairs
+    (e, e + b) on which nu_(e+b) - p^b nu_e is one constant, the recurrence is
+    taken to hold at every level and its fixed point becomes `limit`.  Two
+    pairs do not prove that: x^5 against x^3 over F_2 at three levels has
+    nu = 1, 2, 4 and gets the limit 1/2, while nu_e = ceil(3 * 2^e / 5) - 1
+    and the F-threshold is 3/5.
+    """
     levels = sorted(nu)
     E = levels[-1]
     bracket = (Fraction(nu[E], p**E), Fraction(nu[E] + r, p**E))

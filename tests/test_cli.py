@@ -322,6 +322,26 @@ def test_nu_against_high_power(capsys):
     )
 
 
+@pytest.mark.xfail(strict=True, reason="the nu limit is a guess from two recurrence pairs")
+def test_nu_limit_is_the_f_threshold(capsys):
+    # nu_e = ceil(3 * 2^e / 5) - 1 gives nu = 1, 2, 4 at three levels, so the
+    # F-threshold of x^5 against x^3 is 3/5; the recurrence guess prints 1/2.
+    code, out, _ = invoke(
+        capsys,
+        "nu",
+        "--ring",
+        "poly p=2 vars=x",
+        "--ideal",
+        "x^5",
+        "--cideal",
+        "x^3",
+        "--levels",
+        "3",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["limit"] == "3/5"
+
+
 def test_catalog_ring_needs_no_ideal(capsys):
     code, out, _ = invoke(
         capsys, "jumps", "--ring", "catalog cross_xy p=3", "--level", "1"

@@ -77,6 +77,98 @@ def test_poly_root_coefficients_reassemble():
     assert len(poly_root_coefficients(f, 1)) == len(buckets)
 
 
+def _root_coefficients_by_tuples(f, e):
+    """The oracle: divmod of each term's exponent tuple, the roots packed again."""
+    ring = f.ring
+    q = ring.p**e
+    buckets = {}
+    for mono, coeff in f.packed:
+        split = [divmod(a, q) for a in ring.unpack(mono)]
+        mu = tuple(v for _, v in split)
+        buckets.setdefault(mu, {})[tuple(u for u, _ in split)] = coeff
+    return [ring.polynomial(terms) for terms in buckets.values()]
+
+
+def _wide_exponents(rng, ring, q):
+    # Small exponents, ones near q, and ones anywhere up to the field width.
+    top = ring.max_exponent
+    choices = (lambda: rng.randint(0, 3 * q), lambda: rng.randint(0, top), lambda: top)
+    return tuple(min(top, rng.choice(choices)()) for _ in range(ring.nvars))
+
+
+def _levels_for(p, top):
+    # e <= 3, and the least e with p^e above every exponent a field can hold.
+    big = 1
+    while p**big <= top:
+        big += 1
+    return (1, 2, 3, big)
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_root_coefficients_split_packed_monomials_like_tuples(nvars, p):
+    rng = random.Random(100 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z", "w")[:nvars])
+    for e in _levels_for(p, ring.max_exponent):
+        q = p**e
+        for _ in range(15):
+            terms = {_wide_exponents(rng, ring, q): rng.randint(1, p - 1) for _ in range(12)}
+            f = ring.polynomial(terms)
+            got = poly_root_coefficients(f, e)
+            assert got == _root_coefficients_by_tuples(f, e), (terms, e)
+            for g in got:
+                monos = [m for m, _ in g.packed]
+                assert all(m1 > m2 for m1, m2 in zip(monos, monos[1:])), (terms, e)
+                assert all(0 < c < p for _, c in g.packed), (terms, e)
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_monomial_eth_root_splits_packed_monomials_like_tuples(nvars, p):
+    rng = random.Random(200 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z", "w")[:nvars])
+    for e in _levels_for(p, ring.max_exponent):
+        q = p**e
+        for _ in range(10):
+            exponents = [_wide_exponents(rng, ring, q) for _ in range(rng.randint(1, 6))]
+            a = Ideal(ring, [ring.monomial(m).scale(rng.randint(1, p - 1)) for m in exponents])
+            expected = Ideal(ring, [ring.monomial([x // q for x in m]) for m in exponents])
+            assert eth_root(a, e).generators == expected.groebner(), (exponents, e)
+
+
+@pytest.mark.parametrize(
+    "ring,ideal",
+    [
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2"),
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2"),
+    ],
+)
+def test_peel_builds_no_exponent_tuples(monkeypatch, ring, ideal):
+    # Every Cartier root on the peel path splits packed monomials in place,
+    # so no exponent tuple is packed or unpacked over the level-2 window.
+    pres = parse_ring_declaration(ring)
+    fresh = pres.parse_ideal(ideal)
+    window = range(fresh.declared_r * pres.p**2 + 1)
+    expected = [eth_root_power(fresh, n, 2) for n in window]
+    a = pres.parse_ideal(ideal)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, argument):
+            calls.append(name)
+            return method(self, argument)
+
+        return wrapper
+
+    monkeypatch.setattr(PolyRing, "pack", counted("pack", PolyRing.pack))
+    monkeypatch.setattr(PolyRing, "unpack", counted("unpack", PolyRing.unpack))
+    roots = [eth_root_power(a, n, 2) for n in window]
+    assert calls == []
+    a.ring.unpack(a.ring.zero_monomial)  # the counter itself is live
+    assert calls == ["unpack"]
+    assert [r.canonical_label() for r in roots] == [r.canonical_label() for r in expected]
+
+
 @pytest.mark.parametrize("nvars", (2, 3))
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_monomial_eth_root_against_root_coefficients(nvars, p):
