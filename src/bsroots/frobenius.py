@@ -20,18 +20,17 @@ no exponent tuple is built.
 Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
 result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
 canonical label of b; every level and every caller on the same a share it.
-A step roots the products of the generators `Ideal.power` picks for a^m0
-with b's generators, since C^1 of an ideal is generated by the root
-coefficients of any generating set; no basis of a^m0 * b is computed.  Only
-the root coefficients, whose degrees are about 1/p of the products', are
-interreduced; their basis is computed when the next step or the caller reads
-their label.
+A step roots `a.power(m0).product(b)`, since C^1 of an ideal is generated by
+the root coefficients of any generating set; no basis of a^m0 * b is
+computed.  `polyring` alone picks generating sets: the root coefficients,
+of degree about 1/p of the products', go through `short_ideal`, and their
+basis is computed when the next step or the caller reads their label.
 """
 
 from __future__ import annotations
 
 from .padic import check_level
-from .polyring import Ideal, Polynomial, _interreduce_generators, _monomial_ideal
+from .polyring import Ideal, Polynomial, _monomial_ideal, short_ideal
 
 
 def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
@@ -58,10 +57,10 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     C^e * a is generated by the root coefficients of any generating set of a
     (the a^[1/p^e] of Blickle, Mustata and Smith, Michigan Math. J. 57, 2008),
     so the generators of a are rooted as given and no basis of a is computed.
-    Only the root coefficients, of degree about deg/p^e, are interreduced, so
-    products built on the root start from a short generator list.  The root
-    of a monomial x^m is x^(m // p^e), so a monomial ideal floor-divides its
-    generators' exponents.
+    The root coefficients, of degree about deg/p^e, stream into `short_ideal`,
+    so products built on the root start from a short generator list.  The
+    root of a monomial x^m is x^(m // p^e), so a monomial ideal floor-divides
+    its generators' exponents; this is the one monomial test here.
     """
     if check_level(e) == 0 or a.is_zero():
         return a
@@ -69,8 +68,7 @@ def eth_root(a: Ideal, e: int) -> Ideal:
     if a.is_monomial_ideal():
         q = ring.p**e
         return _monomial_ideal(ring, (ring.split_root(g.packed[0][0], q)[0] for g in a.generators))
-    coefficients = (c for g in a.generators for c in poly_root_coefficients(g, e))
-    return Ideal(ring, _interreduce_generators(coefficients))
+    return short_ideal(ring, (c for g in a.generators for c in poly_root_coefficients(g, e)))
 
 
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
@@ -82,9 +80,8 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     (m0, extra.canonical_label()) and computed only on a miss.  The key is
     exact: the reduced basis is unique, so equal labels mean equal ideals.
 
-    A miss roots the products g * h, g over the generators of a.power(m0)
-    and h over the short generators of extra; no basis of the product is
-    computed.  A monomial ideal multiplies its powers as exponent sets.
+    A miss roots `a.power(m0).product(extra)`, the raw products of their
+    generators (exponent sums when both are monomial), with no basis.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -108,14 +105,7 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
         key = (m0, extra.canonical_label())
         peeled = peels.get(key)
         if peeled is None:
-            if a.is_monomial_ideal():
-                product = a.power(m0).product(extra)
-            else:
-                gens = a.power(m0)._short_generators()
-                if not extra.is_one_ideal_fast():
-                    gens = [g * h for g in gens for h in extra._short_generators()]
-                product = Ideal(ring, gens)
-            peeled = peels[key] = eth_root(product, 1)
+            peeled = peels[key] = eth_root(a.power(m0).product(extra), 1)
         extra = peeled
         m = (m - m0) // p
     return a.power(m).product(extra)

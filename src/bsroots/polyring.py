@@ -36,8 +36,11 @@ the Gebauer-Moller update as each basis element is added, and pops the
 remaining pairs from a heap ordered by lcm.  `_reduce_full` keeps its pending
 monomials in a heap; its lead-only mode stops at the first irreducible term,
 which is all a membership test, an interreduction or an S-pair needs.
-`Ideal.product` multiplies a factor's reduced basis only when it is already
-cached and no longer than the generator list.
+
+A generating set decides only cost, and two rules pick it: `Ideal.product`
+keeps the raw products of the factors' short generators, and `short_ideal`
+(a^1 in `Ideal.power`, Cartier roots) drops scalar duplicates, then returns
+a monomial ideal or interreduces by lead terms.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -575,8 +578,7 @@ class Ideal:
         generators when that basis is already known and no longer than the
         generator list; no basis is computed for the product's sake (the
         reduced basis of a power of (x^2 + y^3, xy) is about twice as long as
-        its generator list).  The products are interreduced before the ideal
-        is built.
+        its generator list).  The products are kept as they come, g outer.
         """
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
@@ -595,7 +597,7 @@ class Ideal:
                 ring.check_width(monos)
             return _monomial_ideal(ring, monos)
         gens = [g * h for g in self._short_generators() for h in other._short_generators()]
-        return Ideal(self.ring, _interreduce_generators(gens))
+        return Ideal(self.ring, gens)
 
     def _short_generators(self) -> tuple[Polynomial, ...]:
         """The cached reduced basis when known and no longer than the generators, else those."""
@@ -610,10 +612,10 @@ class Ideal:
     def power(self, n: int) -> "Ideal":
         """The n-th power (a^0 = (1)), with the generating set that every caller uses.
 
-        a^0, a^1, ... are kept in one list, grown on demand.  a^1 is a short
-        generating set of a: the minimal monomials of a monomial ideal, else
-        the generators interreduced (scalar duplicates among the dropped).
-        With r its length, a^n for n >= 2 is one of:
+        a^0, a^1, ... are kept in one list, grown on demand.  a^1 is
+        `short_ideal` of the generators: the minimal monomials of a monomial
+        ideal, else the generators interreduced (scalar duplicates among the
+        dropped).  With r its length, a^n for n >= 2 is one of:
 
         - non-monomial, r <= nvars: the raw products g^alpha, |alpha| = n,
           in least-index order, and no basis.  Those with least index i are
@@ -624,20 +626,17 @@ class Ideal:
           through `product`, with each power's basis computed as it is built;
           past nvars generators raw products outgrow a basis.
 
-        The Cartier peel (`frobenius.eth_root_power`) reads r from a^1, roots
-        the generators of a^m0 at each step and multiplies its last root by a
-        small power; the tests' direct route `eth_root(a.power(n), e)` roots
-        a^n as built here.
+        The Cartier peel (`frobenius.eth_root_power`) reads r from a^1 and
+        at each step roots the product of a^m0 with its last root, built by
+        `product` from the generators picked here; the tests' direct route
+        `eth_root(a.power(n), e)` roots a^n as built here.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
         ring = self.ring
         powers = self._powers
         if powers is None:
-            if self.is_monomial_ideal():
-                first = _monomial_ideal(ring, (g.packed[0][0] for g in self.generators))
-            else:
-                first = Ideal(ring, _interreduce_generators(self.generators))
+            first = short_ideal(ring, self.generators)
             powers = self._powers = [Ideal(ring, (ring.one(),)), first]
         if n < len(powers):
             return powers[n]
@@ -704,24 +703,31 @@ def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
     return ideal
 
 
-def _interreduce_generators(gens) -> list[Polynomial]:
-    """Drop generators whose normal form vanishes against the others.
+def short_ideal(ring: PolyRing, gens) -> Ideal:
+    """The ideal of the nonzero gens on a short generating set, read in one pass.
 
-    Only a zero test is needed, so each reduction stops at its first
-    irreducible term.  Of the generators equal up to a scalar only the first
-    is reduced, since the later ones would reduce to zero and be dropped.
-    Root coefficients of raw products repeat: the level-3 jump set of
-    (x^2 + y^3, yz, xz^2) over F_7 roots 167,155 of them, 3,122 up to scalars.
+    Generators equal up to a scalar count once, keyed by their packed terms
+    times the inverse lead coefficient (root coefficients repeat: level-3
+    jumps of (x^2 + y^3, yz, xz^2) over F_7 root 167,155, 3,122 up to
+    scalars).  One-term survivors give `_monomial_ideal`; otherwise each
+    survivor, by ascending lead, is kept unless its lead-only reduction
+    against those kept vanishes.
     """
+    p = ring.p
     first: dict[tuple, Polynomial] = {}
     for g in gens:
-        if not g.is_zero():
-            first.setdefault(g.monic().packed, g)
+        terms = g.packed
+        if terms[0][1] != 1:
+            inv = pow(terms[0][1], -1, p)
+            terms = tuple([(m, c * inv % p) for m, c in terms])
+        first.setdefault(terms, g)
+    if all(len(terms) == 1 for terms in first):
+        return _monomial_ideal(ring, (terms[0][0] for terms in first))
     kept: list[Polynomial] = []
     for g in sorted(first.values(), key=lambda h: h.packed[0][0]):
         if not _reduce_full(g, kept, lead_only=True).is_zero():
             kept.append(g)
-    return kept
+    return Ideal(ring, kept)
 
 
 # -- Buchberger ---------------------------------------------------------------

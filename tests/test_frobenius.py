@@ -202,6 +202,44 @@ def test_eth_root_against_root_coefficients(p):
             assert all(in_ideal_by_row_reduction(f, coefficients) for f in root.generators)
 
 
+def test_eth_root_makes_no_monic_copies(monkeypatch):
+    # Root coefficients are deduped up to a scalar on keys built from their
+    # packed terms, so no monic copy of any of them is made.  The root
+    # coefficients here are 2x + 2y, 3y, 4x + 4y and x + y + z; 4x + 4y is
+    # dropped as a duplicate, so three survivors are reduced.
+    ring = PolyRing(5, ("x", "y", "z"))
+    a = ring.parse_ideal("2*x^6 + 2*x*y^5 + 3*y^7, 4*x^6 + 4*x*y^5, x^5 + y^5 + z^5")
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(polyring.Polynomial, "monic", counted("monic", polyring.Polynomial.monic))
+    monkeypatch.setattr(polyring, "_reduce_full", counted("reduce", polyring._reduce_full))
+    root = eth_root(a, 1)
+    assert calls == ["reduce"] * 3
+    monkeypatch.undo()
+    assert not root.is_monomial_ideal()
+    assert root == Ideal(ring, [h for g in a.generators for h in poly_root_coefficients(g, 1)])
+
+
+def test_eth_root_of_monomial_root_coefficients_runs_no_buchberger(monkeypatch):
+    # x^6 + y^7 = x^5 * x + y^5 * y^2 over F_5: its root coefficients x and y
+    # are monomials, so the root is built as a monomial ideal, basis set.
+    def refuse(ring, generators):
+        raise AssertionError("Buchberger ran")
+
+    monkeypatch.setattr(polyring, "_buchberger", refuse)
+    ring = PolyRing(5, ("x", "y"))
+    root = eth_root(ring.parse_ideal("x^6 + y^7"), 1)
+    assert root._gb is not None
+    assert root == ring.parse_ideal("x, y")
+
+
 def test_diff_closure_examples(R1):
     p = R1.p
     assert diff_closure(_principal(R1, "x"), 1).is_unit()

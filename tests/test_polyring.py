@@ -13,6 +13,7 @@ from bsroots.polyring import (
     _reduce_full,
     linear_membership,
     minimal_monomials,
+    short_ideal,
 )
 
 from propchecks import (
@@ -455,10 +456,38 @@ def test_monomial_product_against_raw_products(monkeypatch, nvars, p):
         assert all(linear_membership(f, raw) for f in product.generators), (a, b)
 
 
+@pytest.mark.parametrize("nvars", (1, 2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_short_ideal_against_row_reduction(p, nvars):
+    # Seeded lists of all-monomial, mixed and empty generators, with scalar
+    # duplicates, read from an iterator.  The result and the input generate
+    # each other by row reduction up to each member's own degree; from
+    # monomials alone, the result is their minimal monomials, basis set.
+    rng = random.Random(2400 + 10 * p + nvars)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for shape in ("monomials", "mixed") * 6 + ("empty",):
+        count = 0 if shape == "empty" else rng.randint(1, 6)
+        max_terms = 1 if shape == "monomials" else 3
+        gens = [random_polynomial(rng, ring, max_degree=4, max_terms=max_terms)
+                for _ in range(count)]
+        gens += [g.scale(rng.randrange(1, p)) for g in gens if rng.random() < 0.5]
+        rng.shuffle(gens)
+        short = short_ideal(ring, iter(gens))
+        assert all(linear_membership(f, gens) for f in short.generators), gens
+        assert all(linear_membership(f, short.generators) for f in gens), gens
+        if all(g.is_monomial() for g in gens):
+            assert short._gb == short.generators, gens
+            check_minimal_monomial_basis(short)
+            leads = minimal_monomials(ring, (g.packed[0][0] for g in gens))
+            assert sorted(g.packed[0][0] for g in short.generators) == leads, gens
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_product_against_raw_products(p):
-    # Mutual row-reduction membership against every raw generator product g*h,
-    # with and without a cached reduced basis on either factor.
+    # The generators are exactly the products g*h, g outer, over each factor's
+    # short generating set, with and without a cached reduced basis on either
+    # factor; mutual row-reduction membership against every raw product of the
+    # generators as given.
     rng = random.Random(300 + p)
     ring = PolyRing(p, ("x", "y"))
     used_basis = used_generators = 0
@@ -484,7 +513,7 @@ def test_product_against_raw_products(p):
             ]
             used_basis += short[0] is not a.generators
             used_generators += short[0] is a.generators
-            assert set(product.generators) <= {g * h for g in short[0] for h in short[1]}
+            assert list(product.generators) == [g * h for g in short[0] for h in short[1]]
             assert all(in_ideal_by_row_reduction(f, product.generators) for f in raw), raw
             assert all(in_ideal_by_row_reduction(f, raw) for f in product.generators), raw
     assert used_basis and used_generators
