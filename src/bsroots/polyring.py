@@ -492,10 +492,11 @@ class Ideal:
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
     minimized.  Three caches fill in place on first use: the reduced basis
-    (`_gb`), the powers a^0, a^1, ... built so far, each with the generating
-    set `power` picks for it (`_powers`), and the peel memo of
-    `frobenius.eth_root_power` (`_peels`, C^1(a^m0 * b) keyed by m0 and the
-    canonical label of b), which the peel alone fills.
+    (`_gb`); the powers a^0, a^1, ... built so far (`_powers`), each with the
+    one generating set `power` picks for it, so that a power built on the
+    basis chain carries its reduced basis as its generators; and the peel
+    memo of `frobenius.eth_root_power` (`_peels`, C^1(a^m0 * b) keyed by m0
+    and the canonical label of b), which the peel alone fills.
     """
 
     __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_peels")
@@ -623,8 +624,10 @@ class Ideal:
           one multiplication each.  They number C(n+r-1, r-1), within the
           length of a basis (231 against 341 at n = 20 on (x^2+y^3, yz, xz^2)).
         - monomial, or r > nvars: the reduced basis of a^(n-1) times a^1
-          through `product`, with each power's basis computed as it is built;
-          past nvars generators raw products outgrow a basis.
+          through `product` (a^1's basis when it is the shorter list), and
+          a^n keeps its own reduced basis as both its generators and its
+          basis, so the peel roots that one set; past nvars generators raw
+          products outgrow a basis.
 
         The Cartier peel (`frobenius.eth_root_power`) reads r from a^1 and
         at each step roots the product of a^m0 with its last root, built by
@@ -642,17 +645,18 @@ class Ideal:
             return powers[n]
         gens = powers[1].generators
         r = len(gens)
-        if r <= ring.nvars and not self.is_monomial_ideal():
+        monomial = self.is_monomial_ideal()
+        if r <= ring.nvars and not monomial:
             while len(powers) <= n:
                 k = len(powers)
                 last = powers[-1].generators
                 tails = [len(last) - comb(k - 2 + r - i, r - 1 - i) for i in range(r)]
                 powers.append(Ideal(ring, [g * h for g, t in zip(gens, tails) for h in last[t:]]))
         else:
+            powers[1].groebner()
             while len(powers) <= n:
-                powers[-1].groebner()
-                powers.append(powers[-1].product(powers[1]))
-            powers[n].groebner()
+                power = powers[-1].product(powers[1])
+                powers.append(power if monomial else _basis_ideal(ring, power.groebner()))
         return powers[n]
 
     def frobenius_power(self, e: int) -> "Ideal":
@@ -698,7 +702,12 @@ def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
     """
     monos = minimal_monomials(ring, monos)
     monos.sort(reverse=True)
-    ideal = Ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in monos))
+    return _basis_ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in monos))
+
+
+def _basis_ideal(ring: PolyRing, basis) -> Ideal:
+    """The ideal on a reduced Groebner basis, kept as both its generators and its basis."""
+    ideal = Ideal(ring, basis)
     ideal._gb = ideal.generators
     return ideal
 
@@ -717,6 +726,8 @@ def short_ideal(ring: PolyRing, gens) -> Ideal:
     first: dict[tuple, Polynomial] = {}
     for g in gens:
         terms = g.packed
+        if not terms:
+            continue
         if terms[0][1] != 1:
             inv = pow(terms[0][1], -1, p)
             terms = tuple([(m, c * inv % p) for m, c in terms])

@@ -356,64 +356,40 @@ class CosetReport:
         return f"coset correspondence: {status}{body}"
 
 
-def coset_correspondence_check(
-    root_values,
-    threshold_values,
-    r: int,
-    p: int,
-    f_split: bool = True,
-) -> CosetReport:
+def coset_correspondence_check(root_values, threshold_values, r: int, p: int) -> CosetReport:
     """Roots and thresholds determine each other in Z_(p)/Z with bounded offsets.
 
-    Every root alpha must admit a threshold lam with alpha - ceil(alpha) + lam
-    in {0..r-1} (alpha not a negative integer) or {1..r} (alpha a negative
-    integer); conversely every p-integral threshold must admit a root with
-    alpha + lam - floor(lam) in {1-r..0} (lam not an integer) or {-r..0}.
-    Valid for F-split presentations only.
+    One partner rule runs both ways: a value passes when shift + partner is
+    an integer in its offsets for some partner.  A root alpha has the shift
+    alpha - ceil(alpha), the thresholds as partners and the offsets {1..r}
+    (alpha a negative integer) or {0..r-1}; a p-integral threshold lam has
+    the shift lam - floor(lam), the roots as partners and the offsets {-r..0}
+    (lam an integer) or {1-r..0}.  Valid for F-split presentations only.
     """
-    if not f_split:
-        raise ValueError(
-            "the coset correspondence assumes an F-split presentation"
-        )
     roots = sorted(Fraction(v) for v in root_values)
     thresholds = sorted(Fraction(v) for v in threshold_values)
     report = CosetReport(passed=True)
     if not roots and not thresholds:
         report.notes.append("both lists empty; vacuously true")
         return report
-
+    checks = []  # (what lacks a partner, its shift, the offsets of shift + partner, the partners)
     for alpha in roots:
-        negative_integer = alpha.denominator == 1 and alpha < 0
-        offsets = range(1, r + 1) if negative_integer else range(0, r)
-        shift = alpha - math.ceil(alpha)
-        ok = any(
-            (shift + lam).denominator == 1 and int(shift + lam) in offsets
-            for lam in thresholds
-        )
-        if not ok:
-            report.passed = False
-            report.failures.append(
-                f"root {format_rational(alpha)} has no matching threshold"
-                f" (offsets {list(offsets)}); raise the level or widen the interval cap"
-            )
-
+        offsets = range(1, r + 1) if alpha.denominator == 1 and alpha < 0 else range(r)
+        checks.append((f"root {format_rational(alpha)} has no matching threshold",
+                       alpha - math.ceil(alpha), offsets, thresholds))
     for lam in thresholds:
         if lam < 0 or lam.denominator % p == 0:
             report.notes.append(
                 f"threshold {format_rational(lam)} is not p-integral; part (2) does not apply"
             )
             continue
-        integer = lam.denominator == 1
-        offsets = range(-r, 1) if integer else range(1 - r, 1)
-        shift = lam - math.floor(lam)
-        ok = any(
-            (alpha + shift).denominator == 1 and int(alpha + shift) in offsets
-            for alpha in roots
-        )
-        if not ok:
+        offsets = range(-r, 1) if lam.denominator == 1 else range(1 - r, 1)
+        checks.append((f"threshold {format_rational(lam)} has no matching root",
+                       lam - math.floor(lam), offsets, roots))
+    for claim, shift, offsets, partners in checks:
+        if not any((shift + x).denominator == 1 and int(shift + x) in offsets for x in partners):
             report.passed = False
             report.failures.append(
-                f"threshold {format_rational(lam)} has no matching root"
-                f" (offsets {list(offsets)}); raise the level or widen the interval cap"
+                f"{claim} (offsets {list(offsets)}); raise the level or widen the interval cap"
             )
     return report

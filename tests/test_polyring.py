@@ -460,9 +460,9 @@ def test_monomial_product_against_raw_products(monkeypatch, nvars, p):
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_short_ideal_against_row_reduction(p, nvars):
     # Seeded lists of all-monomial, mixed and empty generators, with scalar
-    # duplicates, read from an iterator.  The result and the input generate
-    # each other by row reduction up to each member's own degree; from
-    # monomials alone, the result is their minimal monomials, basis set.
+    # duplicates and zeros, read from an iterator.  The result and the input
+    # generate each other by row reduction up to each member's own degree;
+    # from monomials alone, the result is their minimal monomials, basis set.
     rng = random.Random(2400 + 10 * p + nvars)
     ring = PolyRing(p, ("x", "y", "z")[:nvars])
     for shape in ("monomials", "mixed") * 6 + ("empty",):
@@ -471,15 +471,19 @@ def test_short_ideal_against_row_reduction(p, nvars):
         gens = [random_polynomial(rng, ring, max_degree=4, max_terms=max_terms)
                 for _ in range(count)]
         gens += [g.scale(rng.randrange(1, p)) for g in gens if rng.random() < 0.5]
+        gens += [ring.zero()] * rng.randint(0, 2)
         rng.shuffle(gens)
         short = short_ideal(ring, iter(gens))
         assert all(linear_membership(f, gens) for f in short.generators), gens
         assert all(linear_membership(f, short.generators) for f in gens), gens
-        if all(g.is_monomial() for g in gens):
+        nonzero = [g for g in gens if not g.is_zero()]
+        if all(g.is_monomial() for g in nonzero):
             assert short._gb == short.generators, gens
             check_minimal_monomial_basis(short)
-            leads = minimal_monomials(ring, (g.packed[0][0] for g in gens))
+            leads = minimal_monomials(ring, (g.packed[0][0] for g in nonzero))
             assert sorted(g.packed[0][0] for g in short.generators) == leads, gens
+    # A zero in the stream is skipped, as the ideal of the nonzero gens.
+    assert short_ideal(ring, [ring.zero(), ring.parse("x")]) == ring.parse_ideal("x")
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

@@ -1,6 +1,7 @@
 """Tests for thresholds, test ideals, F-jumping numbers and the coset check."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from bsroots import (
 )
 from bsroots import jumps, thresholds
 from bsroots.jumps import nu_via_frobenius_power
-from bsroots.padic import grid_denominators, grid_periods, rational_grid
+from bsroots.padic import format_rational, grid_denominators, grid_periods, rational_grid
 from bsroots import test_ideal as tau_ideal
 from bsroots.rings import JumpEngine
 from bsroots.thresholds import threshold_candidates, verify_threshold
@@ -528,9 +529,10 @@ def test_coset_check_reports_violations():
     assert report.failures
 
 
-def test_coset_check_requires_f_split():
-    with pytest.raises(ValueError):
-        coset_correspondence_check([Fraction(1, 2)], [Fraction(1, 2)], r=1, p=5, f_split=False)
+def test_coset_check_has_no_f_split_switch():
+    # The F-split precondition is the caller's; there is no switch to state it.
+    with pytest.raises(TypeError):
+        coset_correspondence_check([Fraction(1, 2)], [Fraction(1, 2)], r=1, p=5, f_split=True)
 
 
 def test_coset_check_would_fail_on_non_f_split_data():
@@ -553,3 +555,69 @@ def test_coset_check_skips_non_p_integral_thresholds():
     )
     assert report.passed
     assert any("not p-integral" in note for note in report.notes)
+
+
+def two_loop_coset_check(root_values, threshold_values, r, p):
+    """The coset check as two mirrored loops, one per direction: the oracle."""
+    roots = sorted(Fraction(v) for v in root_values)
+    thresholds = sorted(Fraction(v) for v in threshold_values)
+    passed, failures, notes = True, [], []
+    if not roots and not thresholds:
+        return True, [], ["both lists empty; vacuously true"]
+    for alpha in roots:
+        negative_integer = alpha.denominator == 1 and alpha < 0
+        offsets = range(1, r + 1) if negative_integer else range(0, r)
+        shift = alpha - math.ceil(alpha)
+        if not any(
+            (shift + lam).denominator == 1 and int(shift + lam) in offsets for lam in thresholds
+        ):
+            passed = False
+            failures.append(
+                f"root {format_rational(alpha)} has no matching threshold"
+                f" (offsets {list(offsets)}); raise the level or widen the interval cap"
+            )
+    for lam in thresholds:
+        if lam < 0 or lam.denominator % p == 0:
+            notes.append(
+                f"threshold {format_rational(lam)} is not p-integral; part (2) does not apply"
+            )
+            continue
+        offsets = range(-r, 1) if lam.denominator == 1 else range(1 - r, 1)
+        shift = lam - math.floor(lam)
+        if not any(
+            (alpha + shift).denominator == 1 and int(alpha + shift) in offsets for alpha in roots
+        ):
+            passed = False
+            failures.append(
+                f"threshold {format_rational(lam)} has no matching root"
+                f" (offsets {list(offsets)}); raise the level or widen the interval cap"
+            )
+    return passed, failures, notes
+
+
+def test_coset_check_against_two_loop_oracle():
+    # 10,000 seeded cases over p in {2, 3, 5, 7} and r <= 4, with the
+    # denominators 1, 2, 3, 4, p, p - 1 and p^2 - 1, negative integers among
+    # the roots and negative or non-p-integral thresholds.  Half the
+    # thresholds are built near a root's partner, so both outcomes occur.
+    rng = random.Random(2500)
+    seen = set()
+    for _ in range(10_000):
+        p, r = rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        denominators = (1, 2, 3, 4, p, p - 1, p * p - 1)
+
+        def value(lo, hi):
+            d = rng.choice(denominators)
+            return Fraction(rng.randint(lo * d, hi * d), d)
+
+        roots = [value(-4, 1) for _ in range(rng.randint(0, 4))]
+        thresholds = [value(-1, r + 1) for _ in range(rng.randint(0, 4))]
+        for alpha in roots:
+            if rng.random() < 0.5:
+                thresholds.append(math.ceil(alpha) - alpha + rng.randint(-1, r + 1))
+        rng.shuffle(thresholds)
+        report = coset_correspondence_check(roots, thresholds, r=r, p=p)
+        expected = two_loop_coset_check(roots, thresholds, r, p)
+        assert (report.passed, report.failures, report.notes) == expected, (roots, thresholds, r, p)
+        seen.add((report.passed, bool(report.failures), bool(report.notes)))
+    assert {(True, False, True), (True, False, False), (False, True, True), (False, True, False)} <= seen
