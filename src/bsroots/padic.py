@@ -3,7 +3,10 @@
 It also holds the one candidate grid that roots, thresholds and F-jumping
 numbers search: every k/d in an interval with d dividing some p^c (p^b - 1);
 at certification level E, roots and thresholds take b <= ceil(E/2)
-(`grid_periods`).
+(`grid_periods`).  The grid is kept in integers: each point is a numerator n
+over L, the lcm of its denominators, and `integer_grid` lists the n of a set
+of ranges, sorted.  `rational_grid` maps them to Fractions; the
+threshold search stays on the integers until its candidates are sorted.
 
 Elements are rationals with denominator coprime to p, kept as exact
 `fractions.Fraction` values.  Truncations are computed with modular inverses,
@@ -202,15 +205,34 @@ def grid_denominators(p: int, c_max: int, b_max: int) -> list[int]:
     return sorted({p**c * (p**b - 1) for c in range(c_max + 1) for b in range(1, b_max + 1)})
 
 
-def grid_points(lo: Fraction, hi: Fraction, denominators) -> set[Fraction]:
-    """Every k/d in the closed interval [lo, hi] with d among the denominators."""
-    return {
-        Fraction(k, d)
-        for d in denominators
-        for k in range(math.ceil(lo * d), math.floor(hi * d) + 1)
-    }
+def integer_grid(ranges, denominators, scale: int) -> list[int]:
+    """The grid's numerators over `scale` that lie in some closed range (lo, hi), sorted.
+
+    `scale` is a common multiple of the denominators, their lcm L in every
+    caller, so k/d is the numerator k*(scale/d): the numerators are the
+    multiples of scale/d, and n + scale is on the grid with n.  The ranges
+    are walked by their lower ends, each from just past the part already
+    covered, so overlapping ranges yield each numerator once.
+    """
+    steps = {scale // d for d in denominators}
+    numerators: list[int] = []
+    covered = None  # the upper end of the ranges walked so far
+    for lo, hi in sorted(ranges):
+        if covered is not None:
+            lo = max(lo, covered + 1)
+        if lo <= hi:
+            numerators += sorted(
+                {n for step in steps for n in range(-(-lo // step) * step, hi + 1, step)}
+            )
+            covered = hi
+    return numerators
 
 
 def rational_grid(lo: Fraction, hi: Fraction, denominators) -> list[Fraction]:
-    """`grid_points`, sorted."""
-    return sorted(grid_points(lo, hi, denominators))
+    """Every k/d in the closed interval [lo, hi] with d among the denominators, sorted.
+
+    The points are those of `integer_grid`, each made a Fraction once.
+    """
+    scale = math.lcm(*denominators)
+    span = (math.ceil(lo * scale), math.floor(hi * scale))
+    return [Fraction(n, scale) for n in integer_grid([span], denominators, scale)]

@@ -5,12 +5,15 @@ presentations the per-level witness condition is a jump inside
 [p^e*lam - r, p^e*lam]; for the non-F-split engines the detector falls back to
 the definition and asks for jumps within a fixed slack K of p^e*lam (the
 witnessed sequence then converges at rate (r+K)/p^e).  `verify_threshold`
-builds only that window and the certificate; the level loop is the engine's
-witness search (`JumpEngine.witnesses`), which roots share.  Each candidate is
-verified once, and surviving certificates closer than the level-E resolution
-are merged into the simplest member's.  The differential detectors take a
-`JumpEngine` (see `rings.jump_engine`), so thresholds, roots and jump sets of
-one pair share its labels.
+walks that window nearest-first (`nearest_first`) and builds the
+certificate; the level loop is the engine's witness search
+(`JumpEngine.witnesses`), which roots share.  Candidates are spawned,
+translated and sorted as integer numerators over the grid's lcm L (see
+`padic.integer_grid`) and made Fractions once; each is verified once, and
+surviving certificates closer than the level-E resolution are merged, by
+integer differences over L, into the simplest member's.  The differential
+detectors take a `JumpEngine` (see `rings.jump_engine`), so thresholds, roots
+and jump sets of one pair share its labels.
 
 F-thresholds and Cartier thresholds are the same sequence on a polynomial
 ring (a^n lies in c^[p^e] exactly when C^e*a^n lies in c), so both names run
@@ -27,7 +30,7 @@ from fractions import Fraction
 from . import frobenius
 from .jumps import nu_invariant
 from .padic import (
-    check_interval, check_level, format_rational, grid_denominators, grid_periods, grid_points,
+    check_interval, check_level, format_rational, grid_denominators, grid_periods, integer_grid,
     rational_grid,
 )
 from .polyring import Ideal
@@ -69,25 +72,42 @@ class ThresholdCertificate:
         return f"{format_rational(self.value)} (certified to level {self.certified_level})"
 
 
+def nearest_first(top: int, den: int, lo: int, hi: int):
+    """The keys of [lo, hi] by distance to top/den (den > 0), the smaller key on a tie.
+
+    One walk goes down from floor(top/den) and one up from the key above it;
+    each step yields the nearer of the two heads, so nothing is listed or
+    sorted and a search that stops early visits only what it takes.
+    """
+    down = min(top // den, hi)
+    up = max(down + 1, lo)
+    while down >= lo or up <= hi:
+        if up > hi or (down >= lo and top - down * den <= up * den - top):
+            yield down
+            down -= 1
+        else:
+            yield up
+            up += 1
+
+
 def verify_threshold(
     engine: JumpEngine, lam: Fraction, levels: int
 ) -> ThresholdCertificate | None:
     """Per-level witness check for a threshold candidate; None when refuted.
 
     The level-e witness is the jump in [p^e*lam - r - K, p^e*lam + K] nearest
-    to p^e*lam, the smaller one on a tie.
+    to p^e*lam, the smaller one on a tie; the window is walked nearest-first.
     """
     check_level(levels, least=1, what="levels")
     lam = Fraction(lam)
-    if lam < 0:
+    if lam.numerator < 0:
         return None
-    K = engine.threshold_slack
+    p, r, K = engine.p, engine.r, engine.threshold_slack
     num, den = lam.numerator, lam.denominator
 
-    def window(e: int) -> list[int]:
-        top = num * engine.p**e  # p^e * lam = top / den
-        lo = max(0, -(-top // den) - engine.r - K)
-        return sorted(range(lo, top // den + K + 1), key=lambda k: (abs(k * den - top), k))
+    def window(e: int):
+        top = num * p**e  # p^e * lam = top / den
+        return nearest_first(top, den, max(0, -(-top // den) - r - K), top // den + K)
 
     jumps = engine.witnesses(levels, window)
     if len(jumps) < levels:
@@ -104,33 +124,34 @@ def verify_threshold(
 def threshold_candidates(
     engine: JumpEngine, levels: int, interval: tuple[Fraction, Fraction]
 ) -> list[Fraction]:
-    """Candidate rationals spawned from the top-level jump set.
+    """Candidate rationals spawned from the top-level jump set, sorted.
 
     A level-E jump nu can witness lam only when p^E*lam lies in
     [nu - K, nu + r + K] (slack K, see `verify_threshold`), so each jump spawns
     that window scaled by p^-E, filled with every rational of denominator
     dividing p^c (p^b - 1), c <= E, b <= ceil(E/2) (`padic.grid_periods`).
     Integer translates cover the part of the requested interval above the
-    fundamental window.  The windows are gathered as one unsorted set, and the
-    candidates are sorted once, after the translates.
+    fundamental window.  Everything runs on numerators over the lcm L of the
+    grid's denominators, which p^E divides: a window becomes an integer range,
+    its translates by s*L are clipped to the interval, and `padic.integer_grid`
+    fills them, deduped and sorted; each candidate becomes a Fraction once.
     """
     p, r, K = engine.p, engine.r, engine.threshold_slack
     E = check_level(levels, least=1, what="levels")
     lo_cap, hi_cap = check_interval(interval)
-    q = p**E
     denominators = grid_denominators(p, E, grid_periods(E))
-    base: set[Fraction] = set()
+    scale = math.lcm(*denominators)
+    unit = scale // p**E
+    lo_n, hi_n = math.ceil(lo_cap * scale), math.floor(hi_cap * scale)
+    windows = []
     for nu in engine.jump_set(E):
-        lo = max(Fraction(0), Fraction(nu - K, q))
-        base |= grid_points(lo, Fraction(nu + r + K, q), denominators)
-    # Integer translates lam + s, s >= 0, sweep candidates across the requested interval.
-    return sorted(
-        {
-            lam + s
-            for lam in base
-            for s in range(max(0, math.ceil(lo_cap - lam)), math.floor(hi_cap - lam) + 1)
-        }
-    )
+        a, b = max(0, nu - K) * unit, (nu + r + K) * unit
+        # The translates by s*scale, s >= 0, that meet [lo_n, hi_n].
+        windows += [
+            (max(lo_n, a + s * scale), min(hi_n, b + s * scale))
+            for s in range(max(0, -((b - lo_n) // scale)), (hi_n - a) // scale + 1)
+        ]
+    return [Fraction(n, scale) for n in integer_grid(windows, denominators, scale)]
 
 
 def differential_thresholds(
@@ -144,21 +165,31 @@ def differential_thresholds(
     `threshold_candidates`, so the level alone sets the grid.  Survivors
     closer together than 2(r + K)/p^E cannot be distinguished at
     certification level E; each such cluster is reported once, through its
-    smallest-denominator member.
+    smallest-denominator member (the smaller value on a tie).  Clusters are
+    cut on integers: each survivor is its numerator n over the grid's lcm L,
+    and the gap 2(r + K)/p^E is 2(r + K)*L/p^E, an integer.
     """
     if interval is None:
         interval = (Fraction(0), Fraction(engine.r))
     candidates = threshold_candidates(engine, levels, interval)
     verdicts = [verify_threshold(engine, lam, levels) for lam in candidates]
     survivors = [c for c in verdicts if c is not None]
-    merge_gap = Fraction(2 * (engine.r + engine.threshold_slack), engine.p**levels)
+    scale = math.lcm(*grid_denominators(engine.p, levels, grid_periods(levels)))
+    merge_gap = 2 * (engine.r + engine.threshold_slack) * scale // engine.p**levels
     clusters: list[list[ThresholdCertificate]] = []
+    last = 0
     for cert in survivors:  # the candidates come sorted
-        if clusters and cert.value - clusters[-1][-1].value <= merge_gap:
+        n = cert.value.numerator * (scale // cert.value.denominator)  # value = n / scale
+        if clusters and n - last <= merge_gap:
             clusters[-1].append(cert)
         else:
             clusters.append([cert])
-    heads = [min(cluster, key=lambda c: (c.value.denominator, c.value)) for cluster in clusters]
+        last = n
+    # Equal denominators order by numerator as by value.
+    heads = [
+        min(cluster, key=lambda c: (c.value.denominator, c.value.numerator))
+        for cluster in clusters
+    ]
     return [
         replace(head, merged=tuple(c.value for c in cluster if c is not head))
         for head, cluster in zip(heads, clusters)

@@ -1,11 +1,13 @@
 """Tests for p-adic truncations, digits and base-p expansions."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from bsroots import BasePFraction, PAdicRational, format_rational, parse_rational
-from bsroots.padic import grid_denominators, parse_integer, rational_grid
+from bsroots.padic import grid_denominators, integer_grid, parse_integer, rational_grid
 
 
 @pytest.mark.parametrize(
@@ -180,3 +182,22 @@ def test_rational_grid_matches_brute_force(p, c_max, b_max, lo, hi):
         if lo <= Fraction(k, d) <= hi
     }
     assert rational_grid(lo, hi, denominators) == sorted(brute)
+
+
+def test_integer_grid_of_overlapping_ranges_lists_each_numerator_once():
+    rng = random.Random(5)
+    for _ in range(300):
+        p, c_max, b_max = rng.choice((2, 3, 5)), rng.randrange(3), rng.randrange(1, 3)
+        denominators = grid_denominators(p, c_max, b_max)
+        scale = math.lcm(*denominators)
+        ranges = []
+        for _ in range(rng.randrange(6)):
+            lo = rng.randrange(-2 * scale, 2 * scale)
+            ranges.append((lo, lo + rng.randrange(-3, scale)))
+        brute = {
+            n
+            for lo, hi in ranges
+            for n in range(lo, hi + 1)
+            if any(n * d % scale == 0 for d in denominators)
+        }
+        assert integer_grid(ranges, denominators, scale) == sorted(brute)

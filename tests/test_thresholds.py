@@ -30,7 +30,7 @@ from bsroots.jumps import nu_via_frobenius_power
 from bsroots.padic import format_rational, grid_denominators, grid_periods, rational_grid
 from bsroots import test_ideal as tau_ideal
 from bsroots.rings import JumpEngine
-from bsroots.thresholds import threshold_candidates, verify_threshold
+from bsroots.thresholds import nearest_first, threshold_candidates, verify_threshold
 
 from propchecks import check_multiplication_by_p, check_skoda_certificate
 
@@ -347,25 +347,25 @@ def _survivors(engine, levels, candidates):
     return [lam for lam in candidates if verify_threshold(engine, lam, levels) is not None]
 
 
-@pytest.mark.parametrize(
-    "declaration,ideal,levels,interval",
-    [
-        ("poly p=3 vars=x,y", "x^2, y^3", 2, (0, 3)),
-        ("poly p=3 vars=x,y", "x^2, y^3", 4, (0, 3)),
-        ("poly p=2 vars=x,y", "x^2+y^3, x*y", 3, (0, 3)),
-        ("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2", 3, (0, 4)),
-        ("veronese p=2 vars=x,y,z degree=2", "x^2, y*z", 4, (0, 3)),
-        ("semigroup p=5 gens=3,5,7", "x^3", 2, (0, 3)),
-        ("semigroup p=3 gens=3,5,7", "x^3, x^5", 3, (0, 3)),
-        ("semigroup p=3 gens=2,5", "x^2", 3, (0, 3)),
-        ("semigroup p=2 gens=2,5", "x^2, x^5", 4, (0, 3)),
-        ("catalog cross_xy p=3", None, 3, (0, 3)),
-        ("catalog cross_xy p=2", None, 4, (0, 3)),
-        ("catalog cusp_semigroup p=5", None, 2, (0, 3)),
-        ("catalog cusp_semigroup p=2", None, 4, (0, 3)),
-        ("catalog artinian_x_pow(2) p=3", None, 3, (0, 3)),
-    ],
-)
+_SPAWN_CASES = [
+    ("poly p=3 vars=x,y", "x^2, y^3", 2, (0, 3)),
+    ("poly p=3 vars=x,y", "x^2, y^3", 4, (0, 3)),
+    ("poly p=2 vars=x,y", "x^2+y^3, x*y", 3, (0, 3)),
+    ("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2", 3, (0, 4)),
+    ("veronese p=2 vars=x,y,z degree=2", "x^2, y*z", 4, (0, 3)),
+    ("semigroup p=5 gens=3,5,7", "x^3", 2, (0, 3)),
+    ("semigroup p=3 gens=3,5,7", "x^3, x^5", 3, (0, 3)),
+    ("semigroup p=3 gens=2,5", "x^2", 3, (0, 3)),
+    ("semigroup p=2 gens=2,5", "x^2, x^5", 4, (0, 3)),
+    ("catalog cross_xy p=3", None, 3, (0, 3)),
+    ("catalog cross_xy p=2", None, 4, (0, 3)),
+    ("catalog cusp_semigroup p=5", None, 2, (0, 3)),
+    ("catalog cusp_semigroup p=2", None, 4, (0, 3)),
+    ("catalog artinian_x_pow(2) p=3", None, 3, (0, 3)),
+]
+
+
+@pytest.mark.parametrize("declaration,ideal,levels,interval", _SPAWN_CASES)
 def test_spawned_candidates_keep_every_grid_survivor(declaration, ideal, levels, interval):
     # Oracle: verify every grid point of the interval, not only those spawned
     # around the level-E jumps and their integer translates.
@@ -376,6 +376,45 @@ def test_spawned_candidates_keep_every_grid_survivor(declaration, ideal, levels,
     assert set(spawned) <= set(grid)
     survivors = _survivors(engine, levels, grid)
     assert survivors and _survivors(engine, levels, spawned) == survivors
+
+
+def _fraction_spawn_oracle(engine, levels, interval):
+    """Test oracle for `threshold_candidates`: the spawn route on Fractions.
+
+    Each level-E jump nu spawns every k/d of [max(0, (nu - K)/p^E),
+    (nu + r + K)/p^E] with d a grid denominator, each point its integer
+    translates lam + s, s >= 0, inside the interval, and the union is sorted.
+    """
+    p, r, K = engine.p, engine.r, engine.threshold_slack
+    q = p**levels
+    lo_cap, hi_cap = map(Fraction, interval)
+    denominators = grid_denominators(p, levels, grid_periods(levels))
+    base = set()
+    for nu in engine.jump_set(levels):
+        lo, hi = max(Fraction(0), Fraction(nu - K, q)), Fraction(nu + r + K, q)
+        base |= {
+            Fraction(k, d)
+            for d in denominators
+            for k in range(math.ceil(lo * d), math.floor(hi * d) + 1)
+        }
+    return sorted(
+        {
+            lam + s
+            for lam in base
+            for s in range(max(0, math.ceil(lo_cap - lam)), math.floor(hi_cap - lam) + 1)
+        }
+    )
+
+
+@pytest.mark.parametrize("declaration,ideal,levels,interval", _SPAWN_CASES)
+def test_integer_spawn_matches_the_fraction_oracle(declaration, ideal, levels, interval):
+    engine = _declared_engine(declaration, ideal)
+    caps = [interval, (Fraction(1, 3), Fraction(7, 2)), (Fraction(5, 2), Fraction(5, 2)),
+            (Fraction(-1, 2), Fraction(3, 4)), (Fraction(2, 7), Fraction(2, 7))]
+    for cap in caps:
+        assert threshold_candidates(engine, levels, cap) == _fraction_spawn_oracle(
+            engine, levels, cap
+        ), cap
 
 
 def test_every_spawned_candidate_can_hold_a_top_level_witness():
@@ -391,6 +430,34 @@ def test_threshold_witness_tie_goes_to_the_smaller_jump():
     engine = _PlantedJumps({1: (2, 3), 2: (12, 13)})
     cert = verify_threshold(engine, Fraction(1, 2), 2)
     assert [w.jump for w in cert.witnesses] == [2, 12]
+
+
+def test_nearest_first_walks_keys_in_sorted_order():
+    rng = random.Random(27)
+    cases = [
+        (5, 2, 0, 6),  # 5/2 is a tie between 2 and 3 (den even)
+        (27, 4, 4, 9),  # 27/4 sits between 6 and 7, nearer 7
+        (5, 7, 0, 1),  # lam = 1/7, p^e = 5, r = 2, K = 1: the lower end clamped at 0
+        (25, 3, 7, 8),  # K = 0, r = 2 at p^e*lam = 25/3: the window [ceil - r, floor]
+        (9, 1, 11, 14),  # the target below the range
+        (9, 1, 2, 5),  # the target above the range
+        (4, 3, 3, 1),  # an empty range
+    ]
+    cases += [
+        (rng.randrange(-40, 400), rng.randrange(1, 13), *rng.choices(range(-5, 40), k=2))
+        for _ in range(3000)
+    ]
+    # Windows as `verify_threshold` builds them: lo clamped at 0, K = 0 included.
+    for _ in range(3000):
+        p, e = rng.choice((2, 3, 5, 7)), rng.randrange(1, 4)
+        lam = Fraction(rng.randrange(0, 60), rng.choice((1, 2, 3, 4, 6, 8, p, p * (p - 1))))
+        r, K = rng.randrange(1, 4), rng.choice((0, 0, 1, 2, 5))
+        top, den = lam.numerator * p**e, lam.denominator
+        cases.append((top, den, max(0, -(-top // den) - r - K), top // den + K))
+    assert any(den % 2 == 0 and top % den == den // 2 for top, den, _, _ in cases)
+    for top, den, lo, hi in cases:
+        by_sort = sorted(range(lo, hi + 1), key=lambda k: (abs(k * den - top), k))
+        assert list(nearest_first(top, den, lo, hi)) == by_sort
 
 
 def test_threshold_witness_search_labels_only_the_keys_it_visits(monkeypatch):
@@ -426,6 +493,57 @@ def test_differential_thresholds_verify_each_candidate_once(p5xy, monkeypatch):
     assert certs and any(c.merged for c in certs)
     for cert in certs:
         assert replace(cert, merged=()) == verify_threshold(engine, cert.value, 2)
+
+
+def _fraction_rule_clusters(engine, levels, interval):
+    """Test oracle for the merge step of `differential_thresholds`: Fraction gaps.
+
+    Survivors closer than 2(r + K)/p^E join one cluster; its head is the member
+    of least (denominator, value), and carries the others as `merged`.
+    """
+    candidates = threshold_candidates(engine, levels, interval)
+    survivors = [c for c in (verify_threshold(engine, lam, levels) for lam in candidates) if c]
+    gap = Fraction(2 * (engine.r + engine.threshold_slack), engine.p**levels)
+    clusters = []
+    for cert in survivors:
+        if clusters and cert.value - clusters[-1][-1].value <= gap:
+            clusters[-1].append(cert)
+        else:
+            clusters.append([cert])
+    heads = [min(cluster, key=lambda c: (c.value.denominator, c.value)) for cluster in clusters]
+    return [
+        replace(head, merged=tuple(c.value for c in cluster if c is not head))
+        for head, cluster in zip(heads, clusters)
+    ], survivors
+
+
+@pytest.mark.parametrize(
+    "jumps,interval,heads,gaps",
+    [
+        # Survivors fill [0, 2/5] and [6/5, 7/5] on the grid of step 1/20: a gap
+        # of exactly 2(r + K)/p = 4/5 merges.
+        ((0, 7), (0, 2), [0], {Fraction(4, 5)}),
+        # Survivors fill [0, 2/5], then 7/5 and 2: the gap 1 splits, 3/5 merges.
+        ((0, 8), (0, 2), [0, 2], {Fraction(1), Fraction(3, 5)}),
+        # 1/4 and 5/4 share the least denominator 4; the smaller value heads.
+        ((0, 7), (Fraction(1, 10), 2), [Fraction(1, 4)], {Fraction(4, 5)}),
+    ],
+)
+def test_threshold_clusters_cut_at_the_merge_gap(jumps, interval, heads, gaps):
+    engine = _PlantedJumps({1: jumps})
+    certs = differential_thresholds(engine, levels=1, interval=interval)
+    expected, survivors = _fraction_rule_clusters(engine, 1, interval)
+    values = [c.value for c in survivors]
+    assert {b - a for a, b in zip(values, values[1:])} - {Fraction(1, 20)} == gaps
+    assert [c.value for c in certs] == heads
+    assert certs == expected
+
+
+def test_threshold_clusters_match_the_fraction_rule():
+    for declaration, ideal, levels, interval in _SPAWN_CASES:
+        engine = _declared_engine(declaration, ideal)
+        certs = differential_thresholds(engine, levels, interval)
+        assert certs == _fraction_rule_clusters(engine, levels, interval)[0], declaration
 
 
 def test_thresholds_artinian_merge_to_zero():
