@@ -17,14 +17,14 @@ Root coefficients and monomial roots split each packed monomial x^m in
 place (`PolyRing.split_root`) into the packed x^(m // p^e) and x^(m mod p^e);
 no exponent tuple is built.
 
-Each peel step C^1(a^m0 * b) depends only on a, m0 and the ideal b, so its
-result is kept in a's peel memo (`Ideal._peels`), keyed by m0 and the
-canonical label of b; every level and every caller on the same a share it.
-A step roots `a.power(m0).product(b)`, since C^1 of an ideal is generated by
-the root coefficients of any generating set; no basis of a^m0 * b is
-computed.  `polyring` alone picks generating sets: the root coefficients,
-of degree about 1/p of the products', go through `short_ideal`, and their
-basis is computed when the next step or the caller reads their label.
+Each peel step C^1(a^k * b) depends only on a, k and the ideal b, so it is
+kept in a's peel memo (`Ideal._peels`) under k and the canonical label of b,
+shared by every level and caller on a.  C^1 of an ideal is generated by the
+root coefficients of any generating set, and a product g^alpha * b with
+alpha_i >= p roots to g_i * C^1(g^(alpha - p*e_i) * b), so C^1(a^k * b) is
+C^1(restricted products * b) + a * C^1(a^(k-p) * b): a step roots only the
+g^alpha with every alpha_i < p (`Ideal.restricted_power`) and builds no
+power a^m0 and no basis of one.
 """
 
 from __future__ import annotations
@@ -74,14 +74,11 @@ def eth_root(a: Ideal, e: int) -> Ideal:
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     """C^e * a^n by exponent peeling; avoids building a^n for large n.
 
-    r counts the short generators `a.power(1)`, so generators equal up to a
-    scalar do not raise the pigeonhole bound (r-1)(p-1).  Each step's result
-    C^1(a^m0 * extra) is looked up in `a._peels` under
-    (m0, extra.canonical_label()) and computed only on a miss.  The key is
-    exact: the reduced basis is unique, so equal labels mean equal ideals.
-
-    A miss roots `a.power(m0).product(extra)`, the raw products of their
-    generators (exponent sums when both are monomial), with no basis.
+    r counts the short generators `a.power(1)`, so scalar duplicates do not
+    raise the pigeonhole bound (r-1)(p-1).  A step walks k = m0 mod p, ...,
+    m0 through `a._peels` under (k, extra.canonical_label()), an exact key;
+    a miss at k roots `a.restricted_power(k)` times extra's generators and
+    adds a times the entry at k - p.  `a.power` serves a^1 and the last a^m.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -91,21 +88,21 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     ring = a.ring
     p = ring.p
     r = max(1, len(a.power(1).generators))
-    if a._peels is None:
-        a._peels = {}
-    peels = a._peels
+    peels = a._peels = a._peels or {}
+    base = (r - 1) * (p - 1)
     extra = Ideal(ring, (ring.one(),))
     m = n
     for _ in range(e):
-        base = (r - 1) * (p - 1)
-        if m > base + p - 1:
-            m0 = base + (m - base) % p
-        else:
-            m0 = m
-        key = (m0, extra.canonical_label())
-        peeled = peels.get(key)
-        if peeled is None:
-            peeled = peels[key] = eth_root(a.power(m0).product(extra), 1)
+        m0 = base + (m - base) % p if m >= base + p else m
+        label = extra.canonical_label()
+        for k in range(m0 % p, m0 + 1, p):
+            peeled = peels.get((k, label))
+            if peeled is None:
+                peeled = eth_root(a.restricted_power(k).product(extra), 1)
+                if k >= p:
+                    rest = a.power(1).product(peels[k - p, label]).generators
+                    peeled = short_ideal(ring, peeled.generators + rest)
+                peels[k, label] = peeled
         extra = peeled
         m = (m - m0) // p
     return a.power(m).product(extra)

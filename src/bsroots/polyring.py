@@ -37,10 +37,10 @@ remaining pairs from a heap ordered by lcm.  `_reduce_full` keeps its pending
 monomials in a heap; its lead-only mode stops at the first irreducible term,
 which is all a membership test, an interreduction or an S-pair needs.
 
-A generating set decides only cost, and two rules pick it: `Ideal.product`
-keeps the raw products of the factors' short generators, and `short_ideal`
-(a^1 in `Ideal.power`, Cartier roots) drops scalar duplicates, then returns
-a monomial ideal or interreduces by lead terms.
+A generating set decides only cost, and three rules pick it: `Ideal.product`
+and `Ideal.restricted_power` keep raw products, `Ideal.power` keeps a^n,
+n >= 2, on its reduced basis, and `short_ideal` (a^1, Cartier roots) drops
+scalar duplicates, then returns a monomial ideal or interreduces by leads.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -49,7 +49,7 @@ kept alongside the Groebner route as an independent test oracle.
 from __future__ import annotations
 
 import heapq
-from math import comb
+from itertools import accumulate
 
 from .padic import check_level, check_prime
 
@@ -491,15 +491,15 @@ class Ideal:
 
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
-    minimized.  Three caches fill in place on first use: the reduced basis
-    (`_gb`); the powers a^0, a^1, ... built so far (`_powers`), each with the
-    one generating set `power` picks for it, so that a power built on the
-    basis chain carries its reduced basis as its generators; and the peel
-    memo of `frobenius.eth_root_power` (`_peels`, C^1(a^m0 * b) keyed by m0
-    and the canonical label of b), which the peel alone fills.
+    minimized.  Four caches fill in place on first use: the reduced basis
+    (`_gb`); the powers a^0, a^1, ... built so far (`_powers`), a^n for
+    n >= 2 on its reduced basis; the p-restricted products of
+    `restricted_power` (`_restricted`); and the peel memo of
+    `frobenius.eth_root_power` (`_peels`, C^1(a^k * b) keyed by k and the
+    canonical label of b), which the peel alone fills.
     """
 
-    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_peels")
+    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_restricted", "_peels")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -512,6 +512,7 @@ class Ideal:
         self.declared_r = max(1, len(given))
         self._gb = None
         self._powers: list[Ideal] | None = None
+        self._restricted: tuple[list, dict] | None = None
         self._peels: dict | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -611,28 +612,18 @@ class Ideal:
         return len(self.generators) == 1 and self.generators[0].is_one()
 
     def power(self, n: int) -> "Ideal":
-        """The n-th power (a^0 = (1)), with the generating set that every caller uses.
+        """The n-th power (a^0 = (1)), kept on its reduced basis for n >= 2.
 
         a^0, a^1, ... are kept in one list, grown on demand.  a^1 is
         `short_ideal` of the generators: the minimal monomials of a monomial
-        ideal, else the generators interreduced (scalar duplicates among the
-        dropped).  With r its length, a^n for n >= 2 is one of:
+        ideal, else the generators interreduced (scalar duplicates dropped).
+        a^n for n >= 2 is the reduced basis of a^(n-1) times a^1 through
+        `product` (a^1's basis when it is the shorter list), kept as both its
+        generators and its basis.
 
-        - non-monomial, r <= nvars: the raw products g^alpha, |alpha| = n,
-          in least-index order, and no basis.  Those with least index i are
-          g_i times the last C(n-1 + r-1-i, r-1-i) products of degree n-1,
-          one multiplication each.  They number C(n+r-1, r-1), within the
-          length of a basis (231 against 341 at n = 20 on (x^2+y^3, yz, xz^2)).
-        - monomial, or r > nvars: the reduced basis of a^(n-1) times a^1
-          through `product` (a^1's basis when it is the shorter list), and
-          a^n keeps its own reduced basis as both its generators and its
-          basis, so the peel roots that one set; past nvars generators raw
-          products outgrow a basis.
-
-        The Cartier peel (`frobenius.eth_root_power`) reads r from a^1 and
-        at each step roots the product of a^m0 with its last root, built by
-        `product` from the generators picked here; the tests' direct route
-        `eth_root(a.power(n), e)` roots a^n as built here.
+        The Cartier peel (`frobenius.eth_root_power`) reads only a^1 here and
+        the last factor a^m; its steps root `restricted_power` products.  The
+        tests' direct route `eth_root(a.power(n), e)` roots a^n's basis.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
@@ -641,23 +632,37 @@ class Ideal:
         if powers is None:
             first = short_ideal(ring, self.generators)
             powers = self._powers = [Ideal(ring, (ring.one(),)), first]
-        if n < len(powers):
-            return powers[n]
-        gens = powers[1].generators
-        r = len(gens)
-        monomial = self.is_monomial_ideal()
-        if r <= ring.nvars and not monomial:
-            while len(powers) <= n:
-                k = len(powers)
-                last = powers[-1].generators
-                tails = [len(last) - comb(k - 2 + r - i, r - 1 - i) for i in range(r)]
-                powers.append(Ideal(ring, [g * h for g, t in zip(gens, tails) for h in last[t:]]))
-        else:
+        if n >= len(powers):
             powers[1].groebner()
             while len(powers) <= n:
-                power = powers[-1].product(powers[1])
-                powers.append(power if monomial else _basis_ideal(ring, power.groebner()))
+                powers.append(_basis_ideal(ring, powers[-1].product(powers[1]).groebner()))
         return powers[n]
+
+    def restricted_power(self, k: int) -> "Ideal":
+        """The ideal of the p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
+
+        g runs over a^1's short generators; any other product of degree k is
+        g_i^p times one of degree k - p, which is how the Cartier peel splits
+        a^k.  `_restricted` caches the powers g_i^j, j < p, and under (i, d)
+        the raw products over g_i, g_(i+1), ... of degree d, each one
+        multiplication from an entry under (i + 1, d - j).
+        """
+        top = self.ring.p - 1
+        if self._restricted is None:
+            one, gens = self.ring.one(), self.power(1).generators
+            powers = [list(accumulate([g] * top, Polynomial.__mul__, initial=one)) for g in gens]
+            self._restricted = (powers, {(len(powers), 0): [one]})
+        powers, table = self._restricted
+
+        def products(i: int, d: int) -> list[Polynomial]:
+            if (i, d) not in table:
+                degrees = range(min(top, d) + 1) if d <= top * (len(powers) - i) else ()
+                table[i, d] = [
+                    powers[i][j] * h if j else h for j in degrees for h in products(i + 1, d - j)
+                ]
+            return table[i, d]
+
+        return Ideal(self.ring, products(0, k))
 
     def frobenius_power(self, e: int) -> "Ideal":
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""

@@ -1,5 +1,8 @@
 """Tests for Cartier roots, differential closures and Cartier preimages."""
 
+import collections
+import itertools
+import math
 import random
 
 import pytest
@@ -241,10 +244,12 @@ def test_eth_root_of_monomial_root_coefficients_runs_no_buchberger(monkeypatch):
 
 
 def test_wide_powers_root_their_basis(monkeypatch):
-    # Four short generators in three variables put the powers on the basis
-    # chain: a^n for n >= 2 carries its reduced basis as its generators (15,
-    # 28 and 45 of them, against 16, 60 and 112 raw products), so the peel
-    # roots the basis and no other generating set.
+    # Four short generators in three variables: a^n for n >= 2 carries its
+    # reduced basis as its generators (15, 28 and 45 of them, against 16, 60
+    # and 112 raw products), as every power does.  The peel roots no power:
+    # its steps root the products g^alpha with every alpha_i < 3 times the
+    # last root, 138 polynomials here, against 168 when each step rooted the
+    # basis of a^m0.
     ring = PolyRing(3, ("x", "y", "z"))
     text = "x^2 + y*z, y^2 + x*z, x*y + z^2, x*y*z"
     a = ring.parse_ideal(text)
@@ -323,6 +328,93 @@ def test_eth_root_power_matches_direct_on_random_ideals(p):
             powers = {0, 1, p - 1, p, top + 1, p ** (e - 1) * top + 1}
             for n in sorted(k for k in powers if k <= 24):
                 assert eth_root_power(shared, n, e) == eth_root(fresh.power(n), e), (gens, n, e)
+
+
+def _raw_products(gens, n, one):
+    products = itertools.combinations_with_replacement(gens, n)
+    return [math.prod(alpha, start=one) for alpha in products]
+
+
+def _short_generators(rng, ring, r):
+    """r nonconstant random generators, not all monomials, that stay r short generators."""
+    while True:
+        gens = random_generators(rng, ring, r, max_degree=3)[:r]
+        nonconstant = all(g.total_degree() > 0 for g in gens)
+        if nonconstant and not all(g.is_monomial() for g in gens):
+            if len(Ideal(ring, gens).power(1).generators) == r:
+                return gens
+
+
+def _monomial_generators(rng, ring, r):
+    """r distinct monomials of one degree, so none divides another."""
+    d = max(2, r)
+    degree_d = [m for m in itertools.product(range(d + 1), repeat=ring.nvars) if sum(m) == d]
+    return [ring.monomial(m) for m in rng.sample(degree_d, r)]
+
+
+# (p, nvars, r): r <= 6 generators on both sides of nvars, p**r small enough
+# for the brute-force oracles.
+_PEEL_CASES = [
+    (2, 2, 1), (2, 2, 6), (2, 3, 3), (3, 2, 2), (3, 2, 4), (3, 3, 6),
+    (5, 2, 2), (5, 2, 4), (5, 3, 3), (7, 2, 1), (7, 2, 3), (7, 3, 2),
+]
+
+
+@pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
+def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
+    # Every alpha in [0, p)^r with |alpha| = k, each product once, over the
+    # short generators; a monomial ideal takes the same route.
+    rng = random.Random(2800 + 100 * p + 10 * nvars + r)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for gens in (_short_generators(rng, ring, r), _monomial_generators(rng, ring, r)):
+        a = Ideal(ring, gens)
+        short = a.power(1).generators
+        for k in range(r * (p - 1) + 2):
+            expected = collections.Counter(
+                math.prod((g**j for g, j in zip(short, alpha)), start=ring.one())
+                for alpha in itertools.product(range(p), repeat=len(short))
+                if sum(alpha) == k
+            )
+            assert collections.Counter(a.restricted_power(k).generators) == expected, (a, k)
+
+
+@pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
+def test_peel_matches_the_root_of_raw_products(p, nvars, r):
+    # C^1(a^n) by the peel against eth_root of the raw products of a's
+    # generators, built without `power`, on a fresh ideal.  The powers cover
+    # the first restricted-only steps (n < p), the first term a * C^1(a^(n-p))
+    # (n >= p), the pigeonhole bound r(p - 1) and one step past it.
+    rng = random.Random(2900 + 100 * p + 10 * nvars + r)
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    for _ in range(2):
+        gens = _short_generators(rng, ring, r)
+        a = Ideal(ring, gens)
+        top = r * (p - 1)
+        for n in sorted({0, 1, p - 1, p, p + 1, 2 * p, top, top + 1, top + p + 1}):
+            if math.comb(n + r - 1, n) > 2000:
+                continue
+            direct = eth_root(Ideal(ring, _raw_products(gens, n, ring.one())), 1)
+            assert eth_root_power(a, n, 1) == direct, (gens, n)
+
+
+def test_peel_reads_only_a_and_the_last_factor_of_power(monkeypatch):
+    # Each step roots restricted products, so `power` serves r (a^1) and the
+    # last factor a^m, m <= n / p^e; a peel that rooted a^m0 read powers up
+    # to r(p - 1) here.
+    read = []
+    original = Ideal.power
+
+    def recorded(self, n):
+        read.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(Ideal, "power", recorded)
+    ring = PolyRing(3, ("x", "y", "z"))
+    a = ring.parse_ideal("x^2+y^3, y*z, x*z^2")
+    for n in range(0, 60, 7):
+        read.clear()
+        eth_root_power(a, n, 2)
+        assert set(read[:-1]) == {1} and read[-1] <= n // 9, (n, read)
 
 
 @pytest.mark.parametrize(

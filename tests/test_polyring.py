@@ -1,6 +1,5 @@
 """Tests for polynomial arithmetic, Groebner bases and ideal operations."""
 
-import collections
 import itertools
 import math
 import random
@@ -271,45 +270,46 @@ def test_power_of_general_ideal_matches_repeated_product(R2):
 
 
 def test_power_generators_stay_short():
-    # Three generators in three variables: a^13 is the C(15, 2) = 105 raw
-    # products g^alpha, one multiplication each.  A chain that multiplied each
-    # power's generator list, interreduced by lead terms only, by a about
-    # tripled it per power here (3,289 generators at a^8).
+    # Three generators in three variables: a^13 is kept on its reduced basis,
+    # 154 polynomials (the raw products g^alpha number C(15, 2) = 105).  A
+    # chain that multiplied each power's generator list, interreduced by lead
+    # terms only, by a about tripled it per power here (3,289 generators at
+    # a^8).
     a = PolyRing(3, ("x", "y", "z")).parse_ideal("x^2+y^3, y*z, x*z^2")
     assert len(a.power(13).generators) <= 160
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
-def test_power_is_the_raw_products_of_a_short_generating_set(p):
-    # A non-monomial ideal with at most nvars short generators: a^n is the
-    # multiset of products g^alpha, |alpha| = n, over a.power(1), with no
-    # interreduction.  A generator repeated up to a scalar leaves a.power(1).
+def test_power_is_the_reduced_basis_of_the_raw_products(p):
+    # One rule for every ideal: a^n for n >= 2 carries as its generators the
+    # reduced basis of the ideal of the raw products g^alpha, |alpha| = n,
+    # over a.power(1), whether a has at most nvars short generators or more.
     rng = random.Random(2200 + p)
+    sides = set()
     for nvars in (1, 2, 3):
         ring = PolyRing(p, ("x", "y", "z")[:nvars])
-        tried = 0
-        while tried < 3:
-            gens = [random_polynomial(rng, ring, max_degree=3) for _ in range(nvars)]
-            if rng.random() < 0.5:
-                gens.append(gens[0].scale(rng.randrange(1, p)))
-            a = Ideal(ring, gens)
+        for count in (nvars, nvars + 2):
+            a = Ideal(ring, random_generators(rng, ring, count, max_degree=3))
             short = a.power(1).generators
-            if a.is_monomial_ideal() or len(short) > nvars:
-                continue
-            tried += 1
-            assert a.power(1) == a
-            for n in range(6):
-                expected = collections.Counter(
-                    math.prod(alpha, start=ring.one())
-                    for alpha in itertools.combinations_with_replacement(short, n)
+            sides.add(len(short) <= nvars)
+            for n in range(2, 5):
+                raw = Ideal(
+                    ring,
+                    [
+                        math.prod(alpha, start=ring.one())
+                        for alpha in itertools.combinations_with_replacement(short, n)
+                    ],
                 )
-                assert collections.Counter(a.power(n).generators) == expected, (gens, n)
+                assert a.power(n).generators == raw.groebner(), (a, n)
+                assert a.power(n) == raw, (a, n)
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_power_matches_repeated_product_on_monomial_and_wide_ideals(p):
     # Monomial ideals, and ideals with more short generators than variables,
-    # build each power from the one before through `product`.
+    # build each power from the one before through `product`, as every ideal
+    # does; a^n equals n - 1 products of the generators in turn.
     rng = random.Random(2300 + p)
     ring = PolyRing(p, ("x", "y"))
     ideals = [random_monomial_ideal(rng, ring) for _ in range(3)]
