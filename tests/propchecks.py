@@ -14,6 +14,7 @@ from bsroots import (
 )
 from bsroots.frobenius import diff_closure
 from bsroots.polyring import linear_membership
+from bsroots.rings import JumpEngine
 from bsroots.thresholds import test_ideal, verify_threshold
 
 
@@ -68,6 +69,17 @@ def random_proper_monomial_ideal(rng, ring: PolyRing, max_degree: int = 4) -> Id
             mono[rng.randrange(ring.nvars)] = 1
         gens.append(ring.monomial(tuple(mono)))
     return Ideal(ring, gens)
+
+
+def random_sparse_polynomial(rng, ring: PolyRing, terms: int, max_degree: int = 3):
+    """`terms` distinct monomials of total degree 1..max_degree, with nonzero scalars."""
+    monos = set()
+    while len(monos) < terms:
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(1, max_degree)):
+            mono[rng.randrange(ring.nvars)] += 1
+        monos.add(tuple(mono))
+    return ring.polynomial({m: rng.randint(1, ring.p - 1) for m in sorted(monos)})
 
 
 def random_monomial_ideal(rng, ring: PolyRing, max_exponent: int = 4) -> Ideal:
@@ -135,6 +147,19 @@ def check_nesting(presentation, ideal, e: int) -> None:
         while reduced >= window:
             reduced -= q
         assert engine.is_jump(reduced, e), (ideal, e, n)
+
+
+def check_descent_lemma(engine, e: int) -> None:
+    """Each level-(e+1) jump n has a level-e jump j with p*j <= n <= p*(j + r) - 1.
+
+    Both levels are read with the window scan `JumpEngine.jump_set`, so the
+    check holds the Frobenius sandwich to labels alone, not to the descent
+    that the regular engine's own `jump_set` builds on it.
+    """
+    p, r = engine.p, engine.r
+    below = JumpEngine.jump_set(engine, e)
+    for n in JumpEngine.jump_set(engine, e + 1):
+        assert any(p * j <= n <= p * (j + r) - 1 for j in below), (engine.ideal, e, n)
 
 
 def check_subtract_pe(presentation, ideal, e: int) -> None:

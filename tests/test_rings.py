@@ -29,9 +29,11 @@ from bsroots.cli import EXIT_PARSE, run
 from bsroots.polyring import Ideal, _monomials_of_degree
 from propchecks import (
     artinian_label,
+    check_descent_lemma,
     check_labels_match_oracle,
     cross_xy_label,
     cusp_label,
+    random_sparse_polynomial,
 )
 
 
@@ -563,6 +565,73 @@ def test_artinian_validation():
         CatalogPresentation(3, "artinian_x_pow")
     with pytest.raises(ValueError):
         CatalogPresentation(3, "cross_xy", 4)
+
+
+# -- the regular engine's descent through the levels ---------------------------------
+
+
+def _descent_engines():
+    """Regular pairs, each with the deepest level e <= 4 whose window r*p^e is <= 150.
+
+    Per p in 2, 3, 5, 7 and nvars in 1, 2, 3: seeded monomial and binomial
+    ideals with one generator (r <= nvars) and with nvars + 1 (r > nvars), and
+    the last of them again with a scalar multiple of its first generator;
+    then the zero ideal, the unit ideal, (x) and two Veronese (summand) ideals.
+    """
+    rng = random.Random(29)
+    pairs = []
+    for p in (2, 3, 5, 7):
+        for nvars in (1, 2, 3):
+            pres = PolynomialRingPresentation(p, ("x", "y", "z")[:nvars])
+            for terms in (1, 2):
+                for r in (1, nvars + 1):
+                    gens = [random_sparse_polynomial(rng, pres.ring, terms) for _ in range(r)]
+                    pairs.append((pres, Ideal(pres.ring, gens)))
+            gens = pairs[-1][1].generators
+            pairs.append((pres, Ideal(pres.ring, (*gens, gens[0].scale(p - 1)))))
+        pres = PolynomialRingPresentation(p, ("x", "y"))
+        pairs += [(pres, pres.parse_ideal(text)) for text in ("0", "1", "x")]
+        if p < 7:
+            pres = VeronesePresentation(p, ("x", "y"), 2)
+            pairs += [(pres, pres.parse_ideal(t)) for t in ("x^2, y^2", "x^2+y^2, x*y")]
+    for pres, ideal in pairs:
+        top = 1
+        while top < 4 and ideal.declared_r * ideal.ring.p ** (top + 1) <= 150:
+            top += 1
+        yield pres, ideal, top
+
+
+def test_regular_jump_set_matches_the_window_scan():
+    # The base class's window scan labels every key, so it is the oracle of
+    # the descent; each level is asked of a fresh engine so that no label of
+    # the oracle's run serves the descent.
+    for pres, ideal, top in _descent_engines():
+        for e in range(top + 1):
+            scan = rings.JumpEngine.jump_set(jump_engine(pres, ideal), e)
+            assert jump_engine(pres, ideal).jump_set(e) == scan, (ideal, e)
+
+
+def test_level_jumps_lie_next_to_p_times_the_level_below():
+    for pres, ideal, top in _descent_engines():
+        engine = jump_engine(pres, ideal)
+        for e in range(top):
+            check_descent_lemma(engine, e)
+
+
+@pytest.mark.parametrize(
+    "declaration,ideal,levels,bound",
+    [
+        # The window scan labels 11,720 and 3,282 keys here.
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 5, 300),
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 6, 300),
+    ],
+)
+def test_regular_jump_sets_label_few_keys(declaration, ideal, levels, bound):
+    pres = parse_ring_declaration(declaration)
+    engine = jump_engine(pres, pres.parse_ideal(ideal))
+    for e in range(1, levels + 1):
+        engine.jump_set(e)
+    assert len(engine._labels) <= bound
 
 
 # -- one engine per pair ----------------------------------------------------------------
