@@ -23,14 +23,25 @@ shared by every level and caller on a.  C^1 of an ideal is generated by the
 root coefficients of any generating set, and a product g^alpha * b with
 alpha_i >= p roots to g_i * C^1(g^(alpha - p*e_i) * b), so C^1(a^k * b) is
 C^1(restricted products * b) + a * C^1(a^(k-p) * b): a step roots only the
-g^alpha with every alpha_i < p (`Ideal.restricted_power`) and builds no
+g^alpha with every alpha_i < p (`Ideal.restricted_products`) and builds no
 power a^m0 and no basis of one.
+
+The walk over the digits is written once; only the step and its label depend
+on the kernel, chosen by the one test `a.is_monomial_ideal()` that `eth_root`
+also makes.  A monomial ideal peels on packed monomials: its restricted
+products are sums of packed exponents, minimalized once per k; a step is one
+deduplicated set of packed sums with b, each distinct sum rooted once by
+`split_root`, joined by the sums g * (entry at k - p) and minimalized; b and
+every memo entry are sorted tuples of minimal monomials, their own labels.
+Only the last product a^m * b builds `Polynomial`s and an `Ideal`.  Any other
+ideal peels on ideals: restricted products times b through `Ideal.product`,
+rooted by `eth_root`.
 """
 
 from __future__ import annotations
 
 from .padic import check_level
-from .polyring import Ideal, Polynomial, _monomial_ideal, short_ideal
+from .polyring import Ideal, Polynomial, _monomial_ideal, minimal_monomials, short_ideal
 
 
 def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
@@ -75,10 +86,13 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     """C^e * a^n by exponent peeling; avoids building a^n for large n.
 
     r counts the short generators `a.power(1)`, so scalar duplicates do not
-    raise the pigeonhole bound (r-1)(p-1).  A step walks k = m0 mod p, ...,
-    m0 through `a._peels` under (k, extra.canonical_label()), an exact key;
-    a miss at k roots `a.restricted_power(k)` times extra's generators and
-    adds a times the entry at k - p.  `a.power` serves a^1 and the last a^m.
+    raise the pigeonhole bound (r-1)(p-1).  A level walks k = m0 mod p, ...,
+    m0 through `a._peels` under (k, label of b), b the last root, an exact
+    key; a miss at k takes one step.  A monomial ideal peels on packed
+    monomials (`_monomial_step`): b is the sorted tuple of its minimal
+    monomials, which is its own label.  Any other ideal peels on ideals
+    (`_step`), labelled by b's reduced basis.  `a.power` serves a^1 and the
+    last a^m.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -90,22 +104,51 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     r = max(1, len(a.power(1).generators))
     peels = a._peels = a._peels or {}
     base = (r - 1) * (p - 1)
-    extra = Ideal(ring, (ring.one(),))
+    monomial = a.is_monomial_ideal()
+    if monomial:
+        step, extra = _monomial_step, (ring.zero_monomial,)
+    else:
+        step, extra = _step, Ideal(ring, (ring.one(),))
     m = n
     for _ in range(e):
         m0 = base + (m - base) % p if m >= base + p else m
-        label = extra.canonical_label()
+        label = extra if monomial else extra.canonical_label()
         for k in range(m0 % p, m0 + 1, p):
             peeled = peels.get((k, label))
             if peeled is None:
-                peeled = eth_root(a.restricted_power(k).product(extra), 1)
-                if k >= p:
-                    rest = a.power(1).product(peels[k - p, label]).generators
-                    peeled = short_ideal(ring, peeled.generators + rest)
-                peels[k, label] = peeled
+                # The walk has just passed k - p, so its entry is there for k >= p.
+                peeled = peels[k, label] = step(a, k, extra, peels.get((k - p, label)))
         extra = peeled
         m = (m - m0) // p
-    return a.power(m).product(extra)
+    return a.power(m).product(_monomial_ideal(ring, extra) if monomial else extra)
+
+
+def _step(a: Ideal, k: int, b: Ideal, below: Ideal | None) -> Ideal:
+    """C^1(a^k * b): the root of the restricted products times b, plus a * below.
+
+    below is C^1(a^(k-p) * b), None when k < p.
+    """
+    ring = a.ring
+    peeled = eth_root(a.restricted_power(k).product(b), 1)
+    if below is None:
+        return peeled
+    rest = a.power(1).product(below).generators
+    return short_ideal(ring, peeled.generators + rest)
+
+
+def _monomial_step(a: Ideal, k: int, b: tuple, below: tuple | None) -> tuple:
+    """`_step` on packed monomials, b and below as sorted tuples of minimal monomials.
+
+    The restricted products times b are one deduplicated set of packed sums;
+    each distinct sum is rooted once by `PolyRing.split_root`, the sums
+    g * below join them, and the union is minimalized once.
+    """
+    ring = a.ring
+    split, p = ring.split_root, ring.p
+    roots = {split(s, p)[0] for s in ring.minkowski_sum(a.restricted_products(k), b)}
+    if below is not None:
+        roots |= ring.minkowski_sum([g.packed[0][0] for g in a.power(1).generators], below)
+    return tuple(minimal_monomials(ring, roots))
 
 
 def diff_closure(a: Ideal, e: int) -> Ideal:

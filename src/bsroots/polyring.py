@@ -27,9 +27,13 @@ the packed fields in place.
 Monomial ideals are handled as sets of packed monomials from end to end:
 they are built in one place, `_monomial_ideal`, which minimalizes the
 monomials once and keeps the minimal ones as both the generators and the
-reduced Groebner basis.  Products of monomial ideals are Minkowski sums, and
-their Cartier roots (`frobenius.eth_root`) floor-divide exponents, so neither
-builds a polynomial product nor runs Buchberger.
+reduced Groebner basis.  Products of monomial ideals are Minkowski sums of
+packed monomials (`PolyRing.minkowski_sum`), and their Cartier roots
+(`frobenius.eth_root`) floor-divide exponents, so neither builds a polynomial
+product nor runs Buchberger.  The Cartier peel (`frobenius.eth_root_power`)
+keeps a monomial ideal's restricted products (`Ideal.restricted_products`)
+and its steps as sets of packed monomials too, and builds objects only for
+the last product.
 
 Other ideals go through the Groebner kernel.  `_buchberger` prunes pairs with
 the Gebauer-Moller update as each basis element is added, and pops the
@@ -38,9 +42,10 @@ monomials in a heap; its lead-only mode stops at the first irreducible term,
 which is all a membership test, an interreduction or an S-pair needs.
 
 A generating set decides only cost, and three rules pick it: `Ideal.product`
-and `Ideal.restricted_power` keep raw products, `Ideal.power` keeps a^n,
-n >= 2, on its reduced basis, and `short_ideal` (a^1, Cartier roots) drops
-scalar duplicates, then returns a monomial ideal or interreduces by leads.
+and `Ideal.restricted_products` keep raw products (minimal monomials for
+monomial ideals), `Ideal.power` keeps a^n, n >= 2, on its reduced basis, and
+`short_ideal` (a^1, Cartier roots) drops scalar duplicates, then returns a
+monomial ideal or interreduces by leads.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -161,6 +166,20 @@ class PolyRing:
         for s in self._shifts:
             degree += top - ((fields >> s) & top)
         return fields | (degree << self.degree_shift)
+
+    def minkowski_sum(self, mine, theirs) -> set[int]:
+        """The distinct packed products m1 * m2, m1 in mine and m2 in theirs.
+
+        Each product is one addition, a + b - C.  One can pass the field
+        width only when the top degrees of the two sides sum past M, and then
+        every product goes through `check_width`.
+        """
+        zero = self.zero_monomial
+        monos = {m1 + m2 - zero for m1 in mine for m2 in theirs}
+        # Integer order is degrevlex, so the largest monomial has the top degree.
+        if monos and self.degree(max(mine)) + self.degree(max(theirs)) > self.max_exponent:
+            self.check_width(monos)
+        return monos
 
     def check_width(self, monos) -> None:
         """Refuse packed products with an exponent past the field width.
@@ -494,9 +513,11 @@ class Ideal:
     minimized.  Four caches fill in place on first use: the reduced basis
     (`_gb`); the powers a^0, a^1, ... built so far (`_powers`), a^n for
     n >= 2 on its reduced basis; the p-restricted products of
-    `restricted_power` (`_restricted`); and the peel memo of
-    `frobenius.eth_root_power` (`_peels`, C^1(a^k * b) keyed by k and the
-    canonical label of b), which the peel alone fills.
+    `restricted_products` (`_restricted`), packed monomials on a monomial
+    ideal; and the peel memo of `frobenius.eth_root_power` (`_peels`,
+    C^1(a^k * b) keyed by k and the label of b), which the peel alone fills:
+    sorted tuples of minimal packed monomials on a monomial ideal, else
+    ideals under b's canonical label.
     """
 
     __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_restricted", "_peels")
@@ -512,7 +533,7 @@ class Ideal:
         self.declared_r = max(1, len(given))
         self._gb = None
         self._powers: list[Ideal] | None = None
-        self._restricted: tuple[list, dict] | None = None
+        self._restricted: tuple | None = None
         self._peels: dict | None = None
 
     # -- basic structure ----------------------------------------------------
@@ -589,15 +610,9 @@ class Ideal:
         if other.is_one_ideal_fast():
             return self
         if self.is_monomial_ideal() and other.is_monomial_ideal():
-            ring = self.ring
             mine = [b.packed[0][0] for b in self.groebner()]
             theirs = [b.packed[0][0] for b in other.groebner()]
-            zero = ring.zero_monomial
-            monos = {m1 + m2 - zero for m1 in mine for m2 in theirs}
-            # Each basis is sorted in descending order, so its first lead has the top degree.
-            if ring.degree(mine[0]) + ring.degree(theirs[0]) > ring.max_exponent:
-                ring.check_width(monos)
-            return _monomial_ideal(ring, monos)
+            return _monomial_ideal(self.ring, self.ring.minkowski_sum(mine, theirs))
         gens = [g * h for g in self._short_generators() for h in other._short_generators()]
         return Ideal(self.ring, gens)
 
@@ -622,7 +637,7 @@ class Ideal:
         generators and its basis.
 
         The Cartier peel (`frobenius.eth_root_power`) reads only a^1 here and
-        the last factor a^m; its steps root `restricted_power` products.  The
+        the last factor a^m; its steps root `restricted_products`.  The
         tests' direct route `eth_root(a.power(n), e)` roots a^n's basis.
         """
         if n < 0:
@@ -641,28 +656,66 @@ class Ideal:
     def restricted_power(self, k: int) -> "Ideal":
         """The ideal of the p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
 
+        Its generators are `restricted_products(k)`: raw, one `Polynomial`
+        per alpha, or a monomial ideal's minimal products.
+        """
+        products = self.restricted_products(k)
+        if self.is_monomial_ideal():
+            return _monomial_ideal(self.ring, products)
+        return Ideal(self.ring, products)
+
+    def restricted_products(self, k: int) -> list:
+        """The p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
+
         g runs over a^1's short generators; any other product of degree k is
         g_i^p times one of degree k - p, which is how the Cartier peel splits
         a^k.  `_restricted` caches the powers g_i^j, j < p, and under (i, d)
-        the raw products over g_i, g_(i+1), ... of degree d, each one
+        the products over g_i, g_(i+1), ... of degree d, each one
         multiplication from an entry under (i + 1, d - j).
-        """
-        top = self.ring.p - 1
-        if self._restricted is None:
-            one, gens = self.ring.one(), self.power(1).generators
-            powers = [list(accumulate([g] * top, Polynomial.__mul__, initial=one)) for g in gens]
-            self._restricted = (powers, {(len(powers), 0): [one]})
-        powers, table = self._restricted
 
-        def products(i: int, d: int) -> list[Polynomial]:
+        On a monomial ideal the products are packed monomials, each one sum
+        of packed exponents refused past the field width, and the list for k
+        is minimalized once and kept, ascending; otherwise they are the raw
+        `Polynomial` products, one per alpha.
+        """
+        ring = self.ring
+        top = ring.p - 1
+        if self._restricted is None:
+            gens = self.power(1).generators
+            monomial = self.is_monomial_ideal()
+            if monomial:
+                one, guards = ring.zero_monomial, ring.guards
+                gens = [g.packed[0][0] for g in gens]
+
+                def mul(f: int, h: int) -> int:
+                    # One sum of two valid packed monomials sets the guard bit
+                    # of any field it overflows.
+                    product = f + h - one
+                    if product & guards:
+                        ring.check_width((product,))
+                    return product
+
+            else:
+                one, mul = ring.one(), Polynomial.__mul__
+            powers = [list(accumulate([g] * top, mul, initial=one)) for g in gens]
+            self._restricted = (powers, {(len(powers), 0): [one]}, mul, monomial)
+        powers, table, mul, monomial = self._restricted
+
+        def products(i: int, d: int) -> list:
             if (i, d) not in table:
                 degrees = range(min(top, d) + 1) if d <= top * (len(powers) - i) else ()
                 table[i, d] = [
-                    powers[i][j] * h if j else h for j in degrees for h in products(i + 1, d - j)
+                    mul(powers[i][j], h) if j else h
+                    for j in degrees
+                    for h in products(i + 1, d - j)
                 ]
             return table[i, d]
 
-        return Ideal(self.ring, products(0, k))
+        if monomial and (0, k) not in table:
+            # The recursion reads only entries under i >= 1, so the one under
+            # (0, k) can be kept minimal.
+            table[0, k] = minimal_monomials(ring, products(0, k))
+        return products(0, k)
 
     def frobenius_power(self, e: int) -> "Ideal":
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""

@@ -11,6 +11,7 @@ from bsroots import (
     Ideal,
     PolyRing,
     cartier_preimage,
+    cli,
     diff_closure,
     eth_root,
     eth_root_power,
@@ -360,22 +361,45 @@ _PEEL_CASES = [
 ]
 
 
+def _minimal_exponents(exponents):
+    """The exponent tuples that no other one divides, by pairwise comparison."""
+    exponents = set(exponents)
+    return {
+        m
+        for m in exponents
+        if not any(d != m and all(a <= b for a, b in zip(d, m)) for d in exponents)
+    }
+
+
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
 def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
     # Every alpha in [0, p)^r with |alpha| = k, each product once, over the
-    # short generators; a monomial ideal takes the same route.
+    # short generators.  A monomial ideal keeps its products packed: they are
+    # the minimal exponent sums alpha . (exponents of g), ascending, and build
+    # no polynomial product.
     rng = random.Random(2800 + 100 * p + 10 * nvars + r)
     ring = PolyRing(p, ("x", "y", "z")[:nvars])
-    for gens in (_short_generators(rng, ring, r), _monomial_generators(rng, ring, r)):
-        a = Ideal(ring, gens)
-        short = a.power(1).generators
-        for k in range(r * (p - 1) + 2):
-            expected = collections.Counter(
-                math.prod((g**j for g, j in zip(short, alpha)), start=ring.one())
-                for alpha in itertools.product(range(p), repeat=len(short))
-                if sum(alpha) == k
-            )
-            assert collections.Counter(a.restricted_power(k).generators) == expected, (a, k)
+    a = Ideal(ring, _short_generators(rng, ring, r))
+    short = a.power(1).generators
+    for k in range(r * (p - 1) + 2):
+        expected = collections.Counter(
+            math.prod((g**j for g, j in zip(short, alpha)), start=ring.one())
+            for alpha in itertools.product(range(p), repeat=len(short))
+            if sum(alpha) == k
+        )
+        assert collections.Counter(a.restricted_power(k).generators) == expected, (a, k)
+    monomial = Ideal(ring, _monomial_generators(rng, ring, r))
+    exponents = [g.leading_monomial() for g in monomial.power(1).generators]
+    for k in range(r * (p - 1) + 2):
+        sums = (
+            tuple(sum(j * m[v] for j, m in zip(alpha, exponents)) for v in range(nvars))
+            for alpha in itertools.product(range(p), repeat=len(exponents))
+            if sum(alpha) == k
+        )
+        expected = sorted(map(ring.pack, _minimal_exponents(sums)))
+        assert monomial.restricted_products(k) == expected, (monomial, k)
+        generators = [ring.monomial(ring.unpack(m)) for m in expected]
+        assert monomial.restricted_power(k) == Ideal(ring, generators), (monomial, k)
 
 
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
@@ -395,6 +419,91 @@ def test_peel_matches_the_root_of_raw_products(p, nvars, r):
                 continue
             direct = eth_root(Ideal(ring, _raw_products(gens, n, ring.one())), 1)
             assert eth_root_power(a, n, 1) == direct, (gens, n)
+
+
+def _monomial_peel_ideals(rng, p):
+    """Seeded monomial ideals in 1-4 variables and the edge cases of the packed peel."""
+    names = ("x", "y", "z", "w")
+    for nvars, r in ((1, 1), (2, 1), (2, 3), (3, 2), (3, 5), (4, 3), (4, 6)):
+        ring = PolyRing(p, names[:nvars])
+        yield ring, [str(g) for g in _monomial_generators(rng, ring, r)]
+        drawn = random_monomial_ideal(rng, ring, max_exponent=3).generators
+        yield ring, [str(g) for g in drawn if not g.is_constant()]
+    ring = PolyRing(p, names[:3])
+    # A repeated generator, one dividing another, a lone variable, the unit ideal.
+    for text in ("x*y, x*y, y^3", "x, x^2*y, y^2*z", "z", "1, x^2"):
+        yield ring, text.split(", ")
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_monomial_peel_matches_the_root_of_the_power(p):
+    # The packed peel against the direct route eth_root(a^n, e) on a fresh
+    # copy of the ideal, at every level e <= 3 and at powers n on both sides
+    # of each pigeonhole bound, up to three base-p digits.
+    rng = random.Random(3000 + p)
+    sides = set()
+    for ring, gens in _monomial_peel_ideals(rng, p):
+        shared, fresh = (Ideal(ring, [ring.parse(g) for g in gens]) for _ in range(2))
+        r = max(1, len(shared.power(1).generators))
+        sides.add((r > ring.nvars) - (r < ring.nvars))
+        top = r * (p - 1)
+        powers = {0, 1, p - 1, p, p + 1, top, top + 1, top + p, p * top + 1, p * p + p + 1}
+        for n in sorted(k for k in powers if math.comb(k + r - 1, k) <= 5000):
+            for e in (3, 1, 2):
+                assert eth_root_power(shared, n, e) == eth_root(fresh.power(n), e), (gens, n, e)
+    assert sides == {-1, 0, 1}
+
+
+def test_monomial_peel_memo_holds_minimal_monomials():
+    # Every memo entry of a monomial ideal, and every label b in its keys, is
+    # the ascending tuple of the minimal monomials of that ideal.
+    ring = PolyRing(3, ("x", "y", "z"))
+    a = ring.parse_ideal("x^2*y, y^2*z, z^2*x, x*y*z")
+    for n in range(4 * 27 + 1):
+        eth_root_power(a, n, 3)
+    assert a._peels
+    for (k, label), entry in a._peels.items():
+        for monos in (label, entry):
+            assert list(monos) == polyring.minimal_monomials(ring, monos), (k, label)
+
+
+def test_monomial_peel_multiplies_no_polynomials(monkeypatch):
+    # A monomial ideal peels on packed monomials: no polynomial product, no
+    # restricted-power ideal and no Cartier root of an ideal.
+    ring = PolyRing(5, ("x", "y", "z"))
+    text = "x^2*y, y^2*z, z^2*x, x*y*z"
+    keys = [(n, e) for n in range(61) for e in (1, 2)]
+    expected = {(n, e): eth_root_power(ring.parse_ideal(text), n, e) for n, e in keys}
+
+    def refuse(*args):
+        raise AssertionError("a monomial peel left the packed kernel")
+
+    a = ring.parse_ideal(text)
+    a.power(1)
+    monkeypatch.setattr(polyring.Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Ideal, "restricted_power", refuse)
+    monkeypatch.setattr(frobenius, "eth_root", refuse)
+    got = {(n, e): eth_root_power(a, n, e) for n, e in keys}
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_peel_step_refuses_exponents_past_the_field_width(capsys):
+    # Over F_2 every restricted product of (x^M, y^M) is x^M, y^M or x^M*y^M,
+    # all within the width.  C^2(a^3) peels 3 = 1 + 2 * 1: the level-1 step
+    # roots (x^M, y^M) to (x^(M//2), y^(M//2)), and the level-2 step times it
+    # by x^M, past the width; the last factor is a^0, so the overflow is the
+    # peel step's own.
+    ring = PolyRing(2, ("x", "y"))
+    top = ring.max_exponent
+    text = f"x^{top}, y^{top}"
+    with pytest.raises(ValueError, match="past the packed field width"):
+        eth_root_power(ring.parse_ideal(text), 3, 2)
+    argv = ["jumps", "--ring", "poly p=2 vars=x,y", "--ideal", text, "--level", "2"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past the packed field width" in captured.err
 
 
 def test_peel_reads_only_a_and_the_last_factor_of_power(monkeypatch):
@@ -450,21 +559,29 @@ def test_peel_memo_in_scrambled_order(ring, ideal, e_max, n_max):
 @pytest.mark.parametrize(
     "ring,ideal,most",
     [
-        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 60),  # 246 without the memo
-        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 100),  # 1,128 without it
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 60),  # 44 steps, 293 without the memo
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 100),  # 80 steps, 579 without it
     ],
 )
 def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
+    # Each peel step takes one Cartier root, computed once and kept as one
+    # memo entry.  The step is counted, not `eth_root`: a monomial ideal's
+    # steps root packed monomials and call no `eth_root`.
     calls = []
 
-    def counted(a, e):
-        calls.append(e)
-        return eth_root(a, e)
+    def counted(step):
+        def wrapper(*args):
+            calls.append(args[1])
+            return step(*args)
 
-    monkeypatch.setattr(frobenius, "eth_root", counted)
+        return wrapper
+
+    monkeypatch.setattr(frobenius, "_step", counted(frobenius._step))
+    monkeypatch.setattr(frobenius, "_monomial_step", counted(frobenius._monomial_step))
     pres = parse_ring_declaration(ring)
-    jump_engine(pres, pres.parse_ideal(ideal)).jump_set(3)
-    assert 0 < len(calls) <= most
+    engine = jump_engine(pres, pres.parse_ideal(ideal))
+    engine.jump_set(3)
+    assert 0 < len(calls) == len(engine.ideal._peels) <= most
 
 
 def test_peel_runs_buchberger_on_roots_not_on_powers(monkeypatch):
