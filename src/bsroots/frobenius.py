@@ -18,30 +18,41 @@ place (`PolyRing.split_root`) into the packed x^(m // p^e) and x^(m mod p^e);
 no exponent tuple is built.
 
 Each peel step C^1(a^k * b) depends only on a, k and the ideal b, so it is
-kept in a's peel memo (`Ideal._peels`) under k and the canonical label of b,
-shared by every level and caller on a.  C^1 of an ideal is generated by the
-root coefficients of any generating set, and a product g^alpha * b with
+kept in a's peel memo (`Ideal._peels`), shared by every level and caller on
+a.  Every peel state (b and each memo entry) is kept in canonical form, so
+the state is its own memo key, (k, b), and a label costs the same whichever
+keys were labelled before it.  C^1 of an ideal is generated by the root
+coefficients of any generating set, and a product g^alpha * b with
 alpha_i >= p roots to g_i * C^1(g^(alpha - p*e_i) * b), so C^1(a^k * b) is
 C^1(restricted products * b) + a * C^1(a^(k-p) * b): a step roots only the
 g^alpha with every alpha_i < p (`Ideal.restricted_products`) and builds no
 power a^m0 and no basis of one.
 
-The walk over the digits is written once; only the step and its label depend
-on the kernel, chosen by the one test `a.is_monomial_ideal()` that `eth_root`
-also makes.  A monomial ideal peels on packed monomials: its restricted
-products are sums of packed exponents, minimalized once per k; a step is one
-deduplicated set of packed sums with b, each distinct sum rooted once by
-`split_root`, joined by the sums g * (entry at k - p) and minimalized; b and
-every memo entry are sorted tuples of minimal monomials, their own labels.
-Only the last product a^m * b builds `Polynomial`s and an `Ideal`.  Any other
-ideal peels on ideals: restricted products times b through `Ideal.product`,
-rooted by `eth_root`.
+The walk over the digits is written once; the kernel is one (step, start
+state, wrap) triple, chosen by the one test `a.is_monomial_ideal()` that
+`eth_root` also makes.  A monomial ideal peels on packed monomials: its
+restricted products are sums of packed exponents, minimalized once per k; a
+step is one deduplicated set of packed sums with b, each distinct sum rooted
+once by `split_root`, joined by the sums g * (entry at k - p) and
+minimalized; its states are ascending tuples of minimal monomials, and only
+the last product a^m * b builds `Polynomial`s and `Ideal`s.  Any other ideal
+peels on reduced bases: the restricted products times b's basis through
+`Ideal.product`, rooted by `eth_root`, joined by a's reduced basis times the
+entry at k - p, and reduced.
 """
 
 from __future__ import annotations
 
 from .padic import check_level
-from .polyring import Ideal, Polynomial, _monomial_ideal, minimal_monomials, short_ideal
+from .polyring import (
+    Ideal,
+    Polynomial,
+    _basis_ideal,
+    _minimal_monomial_ideal,
+    _monomial_ideal,
+    minimal_monomials,
+    short_ideal,
+)
 
 
 def poly_root_coefficients(f: Polynomial, e: int) -> list[Polynomial]:
@@ -87,12 +98,13 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
 
     r counts the short generators `a.power(1)`, so scalar duplicates do not
     raise the pigeonhole bound (r-1)(p-1).  A level walks k = m0 mod p, ...,
-    m0 through `a._peels` under (k, label of b), b the last root, an exact
-    key; a miss at k takes one step.  A monomial ideal peels on packed
-    monomials (`_monomial_step`): b is the sorted tuple of its minimal
-    monomials, which is its own label.  Any other ideal peels on ideals
-    (`_step`), labelled by b's reduced basis.  `a.power` serves a^1 and the
-    last a^m.
+    m0 through `a._peels` under (k, state), the state being the last root in
+    canonical form and so an exact key; a miss at k takes one step.  The
+    kernel is one (step, start state, wrap) triple: a monomial ideal peels on
+    packed monomials (`_monomial_step`), its states the ascending tuples of
+    minimal monomials; any other ideal peels on reduced bases (`_step`).
+    wrap turns the last state into its ideal, minimalized or reduced already.
+    `a.power` serves a^1 and the last a^m.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -104,36 +116,35 @@ def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     r = max(1, len(a.power(1).generators))
     peels = a._peels = a._peels or {}
     base = (r - 1) * (p - 1)
-    monomial = a.is_monomial_ideal()
-    if monomial:
-        step, extra = _monomial_step, (ring.zero_monomial,)
+    if a.is_monomial_ideal():
+        step, state, wrap = _monomial_step, (ring.zero_monomial,), _minimal_monomial_ideal
     else:
-        step, extra = _step, Ideal(ring, (ring.one(),))
+        step, state, wrap = _step, (ring.one(),), _basis_ideal
     m = n
     for _ in range(e):
         m0 = base + (m - base) % p if m >= base + p else m
-        label = extra if monomial else extra.canonical_label()
         for k in range(m0 % p, m0 + 1, p):
-            peeled = peels.get((k, label))
+            peeled = peels.get((k, state))
             if peeled is None:
                 # The walk has just passed k - p, so its entry is there for k >= p.
-                peeled = peels[k, label] = step(a, k, extra, peels.get((k - p, label)))
-        extra = peeled
+                peeled = peels[k, state] = step(a, k, state, peels.get((k - p, state)))
+        state = peeled
         m = (m - m0) // p
-    return a.power(m).product(_monomial_ideal(ring, extra) if monomial else extra)
+    return a.power(m).product(wrap(ring, state))
 
 
-def _step(a: Ideal, k: int, b: Ideal, below: Ideal | None) -> Ideal:
-    """C^1(a^k * b): the root of the restricted products times b, plus a * below.
+def _step(a: Ideal, k: int, b: tuple, below: tuple | None) -> tuple:
+    """C^1(a^k * b) on its reduced basis, b and below reduced bases.
 
-    below is C^1(a^(k-p) * b), None when k < p.
+    The root of the restricted products times b, plus a * below, below being
+    C^1(a^(k-p) * b), None when k < p; a enters on its reduced basis.
     """
     ring = a.ring
-    peeled = eth_root(a.restricted_power(k).product(b), 1)
-    if below is None:
-        return peeled
-    rest = a.power(1).product(below).generators
-    return short_ideal(ring, peeled.generators + rest)
+    peeled = eth_root(Ideal(ring, a.restricted_products(k)).product(Ideal(ring, b)), 1)
+    if below is not None:
+        rest = tuple(g * h for g in a.power(1).groebner() for h in below)
+        peeled = short_ideal(ring, peeled.generators + rest)
+    return peeled.groebner()
 
 
 def _monomial_step(a: Ideal, k: int, b: tuple, below: tuple | None) -> tuple:

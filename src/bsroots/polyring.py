@@ -25,15 +25,15 @@ the `RowSpan` oracle.  The digit split of Cartier roots (`split_root`) reads
 the packed fields in place.
 
 Monomial ideals are handled as sets of packed monomials from end to end:
-they are built in one place, `_monomial_ideal`, which minimalizes the
-monomials once and keeps the minimal ones as both the generators and the
-reduced Groebner basis.  Products of monomial ideals are Minkowski sums of
-packed monomials (`PolyRing.minkowski_sum`), and their Cartier roots
-(`frobenius.eth_root`) floor-divide exponents, so neither builds a polynomial
-product nor runs Buchberger.  The Cartier peel (`frobenius.eth_root_power`)
+they are built in one place, `_minimal_monomial_ideal`, which keeps minimal
+monomials as both the generators and the reduced Groebner basis;
+`_monomial_ideal` minimalizes other sets first.  Products of monomial ideals
+are Minkowski sums of packed monomials (`PolyRing.minkowski_sum`), and their
+Cartier roots (`frobenius.eth_root`) floor-divide exponents, so neither
+builds a polynomial product nor runs Buchberger.  The Cartier peel (`frobenius.eth_root_power`)
 keeps a monomial ideal's restricted products (`Ideal.restricted_products`)
-and its steps as sets of packed monomials too, and builds objects only for
-the last product.
+and its states as ascending tuples of minimal packed monomials, and builds
+objects only for the last product.
 
 Other ideals go through the Groebner kernel.  `_buchberger` prunes pairs with
 the Gebauer-Moller update as each basis element is added, and pops the
@@ -41,11 +41,12 @@ remaining pairs from a heap ordered by lcm.  `_reduce_full` keeps its pending
 monomials in a heap; its lead-only mode stops at the first irreducible term,
 which is all a membership test, an interreduction or an S-pair needs.
 
-A generating set decides only cost, and three rules pick it: `Ideal.product`
-and `Ideal.restricted_products` keep raw products (minimal monomials for
-monomial ideals), `Ideal.power` keeps a^n, n >= 2, on its reduced basis, and
-`short_ideal` (a^1, Cartier roots) drops scalar duplicates, then returns a
-monomial ideal or interreduces by leads.
+A generating set decides only cost, and four rules pick it: `Ideal.product`
+and `Ideal.restricted_products` keep raw products of the generators as given
+(minimal monomials for monomial ideals), `Ideal.power` keeps a^n, n >= 2, on
+its reduced basis, the Cartier peel keeps every state on its reduced basis,
+and `short_ideal` (a^1, Cartier roots) drops scalar duplicates, then returns
+a monomial ideal or interreduces by leads.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -515,9 +516,9 @@ class Ideal:
     n >= 2 on its reduced basis; the p-restricted products of
     `restricted_products` (`_restricted`), packed monomials on a monomial
     ideal; and the peel memo of `frobenius.eth_root_power` (`_peels`,
-    C^1(a^k * b) keyed by k and the label of b), which the peel alone fills:
-    sorted tuples of minimal packed monomials on a monomial ideal, else
-    ideals under b's canonical label.
+    C^1(a^k * b) keyed by (k, b)), which the peel alone fills.  Its states b
+    and entries are canonical and their own keys: ascending tuples of minimal
+    packed monomials on a monomial ideal, else reduced bases.
     """
 
     __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_restricted", "_peels")
@@ -597,11 +598,9 @@ class Ideal:
     def product(self, other: "Ideal") -> "Ideal":
         """The product ideal, generated by the pairwise products of the factors' generators.
 
-        A factor contributes its cached reduced basis in place of its
-        generators when that basis is already known and no longer than the
-        generator list; no basis is computed for the product's sake (the
-        reduced basis of a power of (x^2 + y^3, xy) is about twice as long as
-        its generator list).  The products are kept as they come, g outer.
+        The generators are multiplied as given, g outer, and the products kept
+        as they come; no basis is computed for the product's sake.  A caller
+        that wants a factor on its reduced basis hands that basis in.
         """
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
@@ -613,15 +612,7 @@ class Ideal:
             mine = [b.packed[0][0] for b in self.groebner()]
             theirs = [b.packed[0][0] for b in other.groebner()]
             return _monomial_ideal(self.ring, self.ring.minkowski_sum(mine, theirs))
-        gens = [g * h for g in self._short_generators() for h in other._short_generators()]
-        return Ideal(self.ring, gens)
-
-    def _short_generators(self) -> tuple[Polynomial, ...]:
-        """The cached reduced basis when known and no longer than the generators, else those."""
-        gb = self._gb
-        if gb is not None and len(gb) <= len(self.generators):
-            return gb
-        return self.generators
+        return Ideal(self.ring, [g * h for g in self.generators for h in other.generators])
 
     def is_one_ideal_fast(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_one()
@@ -632,9 +623,8 @@ class Ideal:
         a^0, a^1, ... are kept in one list, grown on demand.  a^1 is
         `short_ideal` of the generators: the minimal monomials of a monomial
         ideal, else the generators interreduced (scalar duplicates dropped).
-        a^n for n >= 2 is the reduced basis of a^(n-1) times a^1 through
-        `product` (a^1's basis when it is the shorter list), kept as both its
-        generators and its basis.
+        a^n for n >= 2 is the reduced basis of a^(n-1) times the generators
+        of a^1 through `product`, kept as both its generators and its basis.
 
         The Cartier peel (`frobenius.eth_root_power`) reads only a^1 here and
         the last factor a^m; its steps root `restricted_products`.  The
@@ -647,22 +637,9 @@ class Ideal:
         if powers is None:
             first = short_ideal(ring, self.generators)
             powers = self._powers = [Ideal(ring, (ring.one(),)), first]
-        if n >= len(powers):
-            powers[1].groebner()
-            while len(powers) <= n:
-                powers.append(_basis_ideal(ring, powers[-1].product(powers[1]).groebner()))
+        while len(powers) <= n:
+            powers.append(_basis_ideal(ring, powers[-1].product(powers[1]).groebner()))
         return powers[n]
-
-    def restricted_power(self, k: int) -> "Ideal":
-        """The ideal of the p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
-
-        Its generators are `restricted_products(k)`: raw, one `Polynomial`
-        per alpha, or a monomial ideal's minimal products.
-        """
-        products = self.restricted_products(k)
-        if self.is_monomial_ideal():
-            return _monomial_ideal(self.ring, products)
-        return Ideal(self.ring, products)
 
     def restricted_products(self, k: int) -> list:
         """The p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
@@ -753,14 +730,17 @@ class Ideal:
 
 
 def _monomial_ideal(ring: PolyRing, monos) -> Ideal:
-    """The monomial ideal generated by packed monomials, its reduced basis already set.
+    """The monomial ideal generated by packed monomials, its reduced basis already set."""
+    return _minimal_monomial_ideal(ring, minimal_monomials(ring, monos))
 
-    The minimal monomials, sorted in descending order, give monic one-term
-    generators that are also the reduced Groebner basis.
+
+def _minimal_monomial_ideal(ring: PolyRing, minimal) -> Ideal:
+    """The monomial ideal on ascending minimal packed monomials, minimalized already.
+
+    In descending order they give monic one-term generators that are also the
+    reduced Groebner basis.
     """
-    monos = minimal_monomials(ring, monos)
-    monos.sort(reverse=True)
-    return _basis_ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in monos))
+    return _basis_ideal(ring, tuple(Polynomial(ring, ((m, 1),)) for m in reversed(minimal)))
 
 
 def _basis_ideal(ring: PolyRing, basis) -> Ideal:

@@ -373,10 +373,10 @@ def _minimal_exponents(exponents):
 
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
 def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
-    # Every alpha in [0, p)^r with |alpha| = k, each product once, over the
-    # short generators.  A monomial ideal keeps its products packed: they are
-    # the minimal exponent sums alpha . (exponents of g), ascending, and build
-    # no polynomial product.
+    # `restricted_products(k)`: every alpha in [0, p)^r with |alpha| = k, each
+    # product once, over the short generators.  A monomial ideal keeps its
+    # products packed: they are the minimal exponent sums
+    # alpha . (exponents of g), ascending, and build no polynomial product.
     rng = random.Random(2800 + 100 * p + 10 * nvars + r)
     ring = PolyRing(p, ("x", "y", "z")[:nvars])
     a = Ideal(ring, _short_generators(rng, ring, r))
@@ -387,7 +387,7 @@ def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
             for alpha in itertools.product(range(p), repeat=len(short))
             if sum(alpha) == k
         )
-        assert collections.Counter(a.restricted_power(k).generators) == expected, (a, k)
+        assert collections.Counter(a.restricted_products(k)) == expected, (a, k)
     monomial = Ideal(ring, _monomial_generators(rng, ring, r))
     exponents = [g.leading_monomial() for g in monomial.power(1).generators]
     for k in range(r * (p - 1) + 2):
@@ -398,8 +398,6 @@ def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
         )
         expected = sorted(map(ring.pack, _minimal_exponents(sums)))
         assert monomial.restricted_products(k) == expected, (monomial, k)
-        generators = [ring.monomial(ring.unpack(m)) for m in expected]
-        assert monomial.restricted_power(k) == Ideal(ring, generators), (monomial, k)
 
 
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
@@ -469,7 +467,7 @@ def test_monomial_peel_memo_holds_minimal_monomials():
 
 def test_monomial_peel_multiplies_no_polynomials(monkeypatch):
     # A monomial ideal peels on packed monomials: no polynomial product, no
-    # restricted-power ideal and no Cartier root of an ideal.
+    # step on ideals and no Cartier root of an ideal.
     ring = PolyRing(5, ("x", "y", "z"))
     text = "x^2*y, y^2*z, z^2*x, x*y*z"
     keys = [(n, e) for n in range(61) for e in (1, 2)]
@@ -481,7 +479,7 @@ def test_monomial_peel_multiplies_no_polynomials(monkeypatch):
     a = ring.parse_ideal(text)
     a.power(1)
     monkeypatch.setattr(polyring.Polynomial, "__mul__", refuse)
-    monkeypatch.setattr(Ideal, "restricted_power", refuse)
+    monkeypatch.setattr(frobenius, "_step", refuse)
     monkeypatch.setattr(frobenius, "eth_root", refuse)
     got = {(n, e): eth_root_power(a, n, e) for n, e in keys}
     monkeypatch.undo()
@@ -582,6 +580,100 @@ def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
     engine = jump_engine(pres, pres.parse_ideal(ideal))
     engine.jump_set(3)
     assert 0 < len(calls) == len(engine.ideal._peels) <= most
+
+
+_SIX_QUADRICS = "x^2+y*z, y^2+x*z, z^2+x*y, x*y+z^2+x^2, y*z+x*y, x*z+y^2+z^2"
+
+
+def _counted(monkeypatch, owner, name, calls, most=None):
+    """Record each call of owner.name in calls; past `most` calls, fail at once."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        assert most is None or len(calls) <= most, (name, len(calls))
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cold_label_costs_what_it_costs_in_key_order(monkeypatch):
+    # Six quadrics over F_3, key 18 at level 1 read first on a fresh engine:
+    # every state on the walk is a reduced basis, so the step below k is as
+    # short as when the keys are read in order.  5 Buchberger calls and 567
+    # polynomial products here; with states kept on raw generator lists, 177
+    # and 1,426 generators at k = 9 and 12, the walk ran for minutes.
+    pres = parse_ring_declaration("poly p=3 vars=x,y,z")
+    _counted(monkeypatch, polyring, "_buchberger", [], most=10)
+    _counted(monkeypatch, polyring.Polynomial, "__mul__", [], most=2000)
+    cold = jump_engine(pres, pres.parse_ideal(_SIX_QUADRICS)).d_label(18, 1)
+    monkeypatch.undo()
+    in_order = jump_engine(pres, pres.parse_ideal(_SIX_QUADRICS))
+    assert cold == [in_order.d_label(n, 1) for n in range(19)][18]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_labels_and_their_cost_are_the_same_in_any_key_order(monkeypatch, p):
+    # Seeded non-monomial ideals in 2-3 variables: the labels of levels 1-2
+    # read in shuffled key order equal those read in order, and so do the
+    # peel memo and the Buchberger calls, since a state depends only on its key.
+    rng = random.Random(3100 + p)
+    for nvars in (2, 3, 2, 3):
+        pres = parse_ring_declaration(f"poly p={p} vars={','.join('xyz'[:nvars])}")
+        text = ", ".join(map(str, random_generators(rng, pres.ring, 2 + nvars % 2, max_degree=3)))
+        keys = [(n, e) for e in (1, 2) for n in range(min(40, 3 * p**e) + 1)]
+        shuffled = rng.sample(keys, len(keys))
+        engines, work = [], []
+        for order in (keys, shuffled):
+            calls = []
+            _counted(monkeypatch, polyring, "_buchberger", calls)
+            engine = jump_engine(pres, pres.parse_ideal(text))
+            for n, e in order:
+                engine.d_label(n, e)
+            monkeypatch.undo()
+            engines.append(engine)
+            work.append(len(calls))
+        ordered, scrambled = engines
+        assert all(ordered.d_label(*k) == scrambled.d_label(*k) for k in keys), text
+        assert ordered.ideal._peels == scrambled.ideal._peels, text
+        assert work[0] == work[1], (text, work)
+
+
+def test_peel_memo_holds_reduced_bases():
+    # Every memo entry of a non-monomial ideal, and every state b in its
+    # keys, is the reduced basis of the ideal it generates.
+    ring = PolyRing(3, ("x", "y", "z"))
+    a = ring.parse_ideal("x^2+y^3, y*z, x*z^2")
+    for n in range(3 * 27 + 1):
+        eth_root_power(a, n, 3)
+    assert a._peels
+    for (k, state), entry in a._peels.items():
+        for basis in (state, entry):
+            assert basis == Ideal(ring, basis).groebner(), (k, state)
+
+
+def test_monomial_peel_minimalizes_its_last_root_once(monkeypatch):
+    # The last root is already minimal, so a warm call minimalizes only the
+    # product a^m * (last root), once when m > 0 and never when m = 0.
+    ring = PolyRing(3, ("x", "y", "z"))
+    a = ring.parse_ideal("x^2*y, y^2*z, z^2*x, x*y*z")
+    keys = [(n, e) for n in range(4 * 27 + 1) for e in (1, 2, 3)]
+    for n, e in keys:
+        eth_root_power(a, n, e)
+    calls, read = [], []
+    power = Ideal.power
+
+    def recorded(self, n):
+        read.append(n)
+        return power(self, n)
+
+    _counted(monkeypatch, polyring, "minimal_monomials", calls)
+    _counted(monkeypatch, frobenius, "minimal_monomials", calls)
+    monkeypatch.setattr(Ideal, "power", recorded)
+    for n, e in keys:
+        calls.clear()
+        eth_root_power(a, n, e)
+        assert len(calls) <= (read[-1] > 0), (n, e, read[-1])
 
 
 def test_peel_runs_buchberger_on_roots_not_on_powers(monkeypatch):
