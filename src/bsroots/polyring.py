@@ -511,9 +511,10 @@ class Ideal:
 
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
-    minimized.  Four caches fill in place on first use: the reduced basis
-    (`_gb`); the powers a^0, a^1, ... built so far (`_powers`), a^n for
-    n >= 2 on its reduced basis; the p-restricted products of
+    minimized.  Five caches fill in place on first use: whether every
+    generator is a monomial (`_monomial`); the reduced basis (`_gb`); the
+    powers a^0, a^1, ... built so far (`_powers`), a^n for n >= 2 on its
+    reduced basis; the p-restricted products of
     `restricted_products` (`_restricted`), packed monomials on a monomial
     ideal; and the peel memo of `frobenius.eth_root_power` (`_peels`,
     C^1(a^k * b) keyed by (k, b)), which the peel alone fills.  Its states b
@@ -521,7 +522,9 @@ class Ideal:
     packed monomials on a monomial ideal, else reduced bases.
     """
 
-    __slots__ = ("ring", "generators", "declared_r", "_gb", "_powers", "_restricted", "_peels")
+    __slots__ = (
+        "ring", "generators", "declared_r", "_monomial", "_gb", "_powers", "_restricted", "_peels"
+    )
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -532,6 +535,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self.generators = gens
         self.declared_r = max(1, len(given))
+        self._monomial: bool | None = None
         self._gb = None
         self._powers: list[Ideal] | None = None
         self._restricted: tuple | None = None
@@ -548,7 +552,9 @@ class Ideal:
         )
 
     def is_monomial_ideal(self) -> bool:
-        return all(g.is_monomial() for g in self.generators)
+        if self._monomial is None:
+            self._monomial = all(g.is_monomial() for g in self.generators)
+        return self._monomial
 
     # -- Groebner machinery ---------------------------------------------------
 

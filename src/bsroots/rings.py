@@ -31,13 +31,14 @@ jump sets, single-jump queries and the per-level witness search of roots and
 thresholds (`JumpEngine.witnesses`) are derived; the labels are computed, and
 each is kept per (n, e) by `JumpEngine.d_label`.
 
-The regular engine finds its jump sets by descent through the levels.  For an
-ideal a with r generators, the Frobenius sandwich of Blickle-Mustata-Smith,
+Since D^(e) * a^n only shrinks as n grows and labels are canonical, equal
+labels at the two ends of a span of keys prove it holds no jump, so every
+engine finds its jump sets by bisecting key spans (`JumpEngine.jump_set`).
+The spans are the whole window [0, r*p^e], except on the regular engine, which
+descends through the levels.  For an ideal a with r generators, the Frobenius
+sandwich of Blickle-Mustata-Smith,
 C^e(a^ceil(n/p)) <= C^(e+1)(a^n) <= C^e(a^max(0, floor(n/p) - r + 1)),
 puts every level-(e+1) jump n in [p*j, p*(j + r) - 1] for some level-e jump j.
-Since D^(e) * a^n only shrinks as n grows and labels are canonical, equal
-labels at the two ends of a span of keys prove it holds no jump, so each span
-is bisected.  The other engines label every key of the window.
 """
 
 from __future__ import annotations
@@ -478,15 +479,28 @@ class JumpEngine:
         return found
 
     def jump_set(self, e: int) -> tuple[int, ...]:
-        """Sorted level-e jumps inside the fundamental window [0, r*p^e).
+        """Sorted level-e jumps inside the fundamental window [0, r*p^e), by bisection.
 
-        This window scan labels every key of [0, r*p^e].  It is the route of
-        the semigroup and catalog engines, and the oracle that the tests hold
-        `RegularJumpEngine.jump_set` to.
+        D^(e)*a^n only shrinks as n grows, so a span of `_spans(e)` whose end
+        labels are equal holds no jump; any other span is halved, down to
+        single jumps.
         """
-        hi = self.r * self.p ** check_level(e)
-        labels = [self.d_label(n, e) for n in range(hi + 1)]
-        return tuple(n for n in range(hi) if labels[n] != labels[n + 1])
+        found = []
+        stack = self._spans(e)[::-1]
+        while stack:
+            lo, hi = stack.pop()
+            if self.d_label(lo, e) == self.d_label(hi, e):
+                continue
+            if hi - lo == 1:
+                found.append(lo)
+            else:
+                mid = (lo + hi) // 2
+                stack += ([mid, hi], [lo, mid])
+        return tuple(found)
+
+    def _spans(self, e: int) -> list[list[int]]:
+        """Ascending key spans [lo, hi] that hold every level-e jump: the window [0, r*p^e]."""
+        return [[0, self.r * self.p ** check_level(e)]]
 
     @property
     def f_split_certified(self) -> bool:
@@ -519,41 +533,27 @@ class RegularJumpEngine(JumpEngine):
     def _compute_label(self, n: int, e: int):
         return frobenius.eth_root_power(self.ideal, n, e).canonical_label()
 
-    def jump_set(self, e: int) -> tuple[int, ...]:
-        """Sorted level-e jumps inside [0, r*p^e), by descent and bisection.
+    def _spans(self, e: int) -> list[list[int]]:
+        """The key spans of level e, by descent from the jumps of level e - 1.
 
         By the sandwich C^(e-1)(a^ceil(n/p)) <= C^e(a^n) <=
         C^(e-1)(a^max(0, floor(n/p) - r + 1)), each level-e jump lies in
         [p*j, p*(j + r) - 1] for a level-(e-1) jump j.  So level e >= 2 searches
         the key spans [p*j, min(r*p^e, p*(j + r))], merged where they overlap
-        or touch; levels 0 and 1 search [0, r*p^e].  C^e(a^n) only shrinks as
-        n grows, so a span whose end labels are equal holds no jump; any other
-        span is halved, down to single jumps.
+        or touch; levels 0 and 1 search the whole window.
         """
+        if check_level(e) < 2:
+            return super()._spans(e)
         p, r = self.p, self.r
-        top = r * p ** check_level(e)
-        if e < 2:
-            spans = [[0, top]]
-        else:
-            spans = []
-            for j in self.jump_set(e - 1):
-                lo, hi = p * j, min(top, p * (j + r))
-                if spans and lo <= spans[-1][1]:
-                    spans[-1][1] = hi
-                else:
-                    spans.append([lo, hi])
-        found = []
-        stack = spans[::-1]
-        while stack:
-            lo, hi = stack.pop()
-            if self.d_label(lo, e) == self.d_label(hi, e):
-                continue
-            if hi - lo == 1:
-                found.append(lo)
+        top = r * p**e
+        spans = []
+        for j in self.jump_set(e - 1):
+            lo, hi = p * j, min(top, p * (j + r))
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = hi
             else:
-                mid = (lo + hi) // 2
-                stack += ([mid, hi], [lo, mid])
-        return tuple(found)
+                spans.append([lo, hi])
+        return spans
 
 
 class SemigroupJumpEngine(JumpEngine):
@@ -630,6 +630,17 @@ class MonomialQuotientEngine(JumpEngine):
         gens = [base + s for s in shifts]
         ring.check_width(gens)
         return tuple(sorted(map(ring.unpack, minimal_monomials(ring, [*gens, *relations]))))
+
+
+def jump_set_via_scan(engine: JumpEngine, e: int) -> tuple[int, ...]:
+    """Test oracle for `JumpEngine.jump_set`: the level-e jumps of [0, r*p^e), labelling every key.
+
+    It compares the labels of each pair of neighbouring keys, so it rests on
+    neither the monotone bisection nor the regular engine's descent.
+    """
+    hi = engine.r * engine.p ** check_level(e)
+    labels = [engine.d_label(n, e) for n in range(hi + 1)]
+    return tuple(n for n in range(hi) if labels[n] != labels[n + 1])
 
 
 def jump_engine(presentation: Presentation, ideal) -> JumpEngine:

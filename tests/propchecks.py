@@ -14,7 +14,7 @@ from bsroots import (
 )
 from bsroots.frobenius import diff_closure
 from bsroots.polyring import linear_membership
-from bsroots.rings import JumpEngine
+from bsroots.rings import jump_set_via_scan
 from bsroots.thresholds import test_ideal, verify_threshold
 
 
@@ -152,13 +152,13 @@ def check_nesting(presentation, ideal, e: int) -> None:
 def check_descent_lemma(engine, e: int) -> None:
     """Each level-(e+1) jump n has a level-e jump j with p*j <= n <= p*(j + r) - 1.
 
-    Both levels are read with the window scan `JumpEngine.jump_set`, so the
-    check holds the Frobenius sandwich to labels alone, not to the descent
+    Both levels are read with the window-scan oracle `jump_set_via_scan`, so
+    the check holds the Frobenius sandwich to labels alone, not to the descent
     that the regular engine's own `jump_set` builds on it.
     """
     p, r = engine.p, engine.r
-    below = JumpEngine.jump_set(engine, e)
-    for n in JumpEngine.jump_set(engine, e + 1):
+    below = jump_set_via_scan(engine, e)
+    for n in jump_set_via_scan(engine, e + 1):
         assert any(p * j <= n <= p * (j + r) - 1 for j in below), (engine.ideal, e, n)
 
 

@@ -601,14 +601,50 @@ def _descent_engines():
         yield pres, ideal, top
 
 
-def test_regular_jump_set_matches_the_window_scan():
-    # The base class's window scan labels every key, so it is the oracle of
-    # the descent; each level is asked of a fresh engine so that no label of
-    # the oracle's run serves the descent.
-    for pres, ideal, top in _descent_engines():
+def _check_jump_sets_match_the_window_scan(engines):
+    # The window scan labels every key, so it is the oracle of the bisection
+    # (and of the regular engine's descent); each level is asked of a fresh
+    # engine on each side, so that no label of the oracle's run serves the
+    # bisection.
+    for pres, ideal, top in engines:
         for e in range(top + 1):
-            scan = rings.JumpEngine.jump_set(jump_engine(pres, ideal), e)
-            assert jump_engine(pres, ideal).jump_set(e) == scan, (ideal, e)
+            scan = rings.jump_set_via_scan(jump_engine(pres, ideal), e)
+            assert jump_engine(pres, ideal).jump_set(e) == scan, (pres, ideal, e)
+
+
+def test_regular_jump_set_matches_the_window_scan():
+    _check_jump_sets_match_the_window_scan(_descent_engines())
+
+
+def _window_engines():
+    """Semigroup and catalog pairs, each with the deepest level e whose window r*p^e is <= 2,000.
+
+    Per p in 2, 3, 5, 7: principal and two-generator ideals of three
+    semigroups, then the catalog rings cusp_semigroup, cross_xy and
+    artinian_x_pow with n = 1 and n = 3.
+    """
+    for p in (2, 3, 5, 7):
+        pairs = []
+        for gens, ideals in (
+            ("3,5,7", ("x^3", "x^5, x^7")),
+            ("2,5", ("x^2, x^5", "x^7")),
+            ("4,5,6,7", ("x^4, x^5",)),
+        ):
+            pres = parse_ring_declaration(f"semigroup p={p} gens={gens}")
+            pairs += [(pres, pres.parse_ideal(text)) for text in ideals]
+        for kind in ("cusp_semigroup", "cross_xy", "artinian_x_pow(1)", "artinian_x_pow(3)"):
+            pres = parse_ring_declaration(f"catalog {kind} p={p}")
+            pairs.append((pres, pres.parse_ideal(None)))
+        for pres, ideal in pairs:
+            r = jump_engine(pres, ideal).r
+            top = 1
+            while r * p ** (top + 1) <= 2000:
+                top += 1
+            yield pres, ideal, top
+
+
+def test_semigroup_and_catalog_jump_sets_match_the_window_scan():
+    _check_jump_sets_match_the_window_scan(_window_engines())
 
 
 def test_level_jumps_lie_next_to_p_times_the_level_below():
@@ -616,6 +652,15 @@ def test_level_jumps_lie_next_to_p_times_the_level_below():
         engine = jump_engine(pres, ideal)
         for e in range(top):
             check_descent_lemma(engine, e)
+
+
+def _labels_of_jump_sets(declaration, ideal, levels):
+    """How many keys a fresh engine labels for its jump sets at levels 1..levels."""
+    pres = parse_ring_declaration(declaration)
+    engine = jump_engine(pres, pres.parse_ideal(ideal))
+    for e in range(1, levels + 1):
+        engine.jump_set(e)
+    return len(engine._labels)
 
 
 @pytest.mark.parametrize(
@@ -627,11 +672,19 @@ def test_level_jumps_lie_next_to_p_times_the_level_below():
     ],
 )
 def test_regular_jump_sets_label_few_keys(declaration, ideal, levels, bound):
-    pres = parse_ring_declaration(declaration)
-    engine = jump_engine(pres, pres.parse_ideal(ideal))
-    for e in range(1, levels + 1):
-        engine.jump_set(e)
-    assert len(engine._labels) <= bound
+    assert _labels_of_jump_sets(declaration, ideal, levels) <= bound
+
+
+@pytest.mark.parametrize(
+    "declaration,ideal,levels,bound",
+    [
+        # The window scan labels 19,536 and 19,612 keys here; bisection 140 and 87.
+        ("semigroup p=5 gens=3,5,7", "x^3", 6, 300),
+        ("catalog cusp_semigroup p=7", None, 5, 300),
+    ],
+)
+def test_semigroup_and_catalog_jump_sets_label_few_keys(declaration, ideal, levels, bound):
+    assert _labels_of_jump_sets(declaration, ideal, levels) <= bound
 
 
 # -- one engine per pair ----------------------------------------------------------------
