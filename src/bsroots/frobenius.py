@@ -17,31 +17,35 @@ Root coefficients and monomial roots split each packed monomial x^m in
 place (`PolyRing.split_root`) into the packed x^(m // p^e) and x^(m mod p^e);
 no exponent tuple is built.
 
-Each peel step C^1(a^k * b) depends only on a, k and the ideal b, so it is
-kept in a's peel memo (`Ideal._peels`), shared by every level and caller on
-a.  Every peel state (b and each memo entry) is kept in canonical form, so
-the state is its own memo key, (k, b), and a label costs the same whichever
-keys were labelled before it.  C^1 of an ideal is generated by the root
-coefficients of any generating set, and a product g^alpha * b with
-alpha_i >= p roots to g_i * C^1(g^(alpha - p*e_i) * b), so C^1(a^k * b) is
+The peel of an ideal a is one `_Peel`, built on a's first `eth_root_power`
+call and kept in the slot `Ideal._peel`.  Its transition
+`_Peel.step(k, b)` is C^1(a^k * b) on canonical states: ascending tuples of
+minimal packed monomials on a monomial ideal, else reduced bases, so a state
+is its own memo key (k, b) and a label costs the same whichever keys were
+labelled before it.  C^1 of an ideal is generated by the root coefficients
+of any generating set, and a product g^alpha * b with alpha_i >= p roots to
+g_i * C^1(g^(alpha - p*e_i) * b), so C^1(a^k * b) is
 C^1(restricted products * b) + a * C^1(a^(k-p) * b): a step roots only the
-g^alpha with every alpha_i < p (`Ideal.restricted_products`) and builds no
-power a^m0 and no basis of one.
+g^alpha with every alpha_i < p (`_Peel.restricted`) and builds no power a^m0
+and no basis of one.  The step fetches C^1(a^(k-p) * b) itself, through the
+memo, so it is right in any call order, and a level of `eth_root_power` is
+one step.
 
-The walk over the digits is written once; the kernel is one (step, start
-state, wrap) triple, chosen by the one test `a.is_monomial_ideal()` that
-`eth_root` also makes.  A monomial ideal peels on packed monomials: its
+The kernel is chosen once per ideal, by the one test `a.is_monomial_ideal()`
+that `eth_root` also makes.  A monomial ideal peels on packed monomials: its
 restricted products are sums of packed exponents, minimalized once per k; a
 step is one deduplicated set of packed sums with b, each distinct sum rooted
 once by `split_root`, joined by the sums g * (entry at k - p) and
-minimalized; its states are ascending tuples of minimal monomials, and only
-the last product a^m * b builds `Polynomial`s and `Ideal`s.  Any other ideal
-peels on reduced bases: the restricted products times b's basis through
-`Ideal.product`, rooted by `eth_root`, joined by a's reduced basis times the
-entry at k - p, and reduced.
+minimalized, and only the last product a^m * b builds `Polynomial`s and
+`Ideal`s.  Any other ideal peels on reduced bases: the root coefficients of
+the restricted products times b, built through `Ideal.product`, and a's
+reduced basis times the entry at k - p stream into one `short_ideal`, whose
+reduced basis is the new state.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain
 
 from .padic import check_level
 from .polyring import (
@@ -96,70 +100,129 @@ def eth_root(a: Ideal, e: int) -> Ideal:
 def eth_root_power(a: Ideal, n: int, e: int) -> Ideal:
     """C^e * a^n by exponent peeling; avoids building a^n for large n.
 
-    r counts the short generators `a.power(1)`, so scalar duplicates do not
-    raise the pigeonhole bound (r-1)(p-1).  A level walks k = m0 mod p, ...,
-    m0 through `a._peels` under (k, state), the state being the last root in
-    canonical form and so an exact key; a miss at k takes one step.  The
-    kernel is one (step, start state, wrap) triple: a monomial ideal peels on
-    packed monomials (`_monomial_step`), its states the ascending tuples of
-    minimal monomials; any other ideal peels on reduced bases (`_step`).
-    wrap turns the last state into its ideal, minimalized or reduced already.
-    `a.power` serves a^1 and the last a^m.
+    Each level is one step of a's peel at m0, from the state the level below
+    left; `a.power` serves the last factor a^m, and the peel's `wrap` turns
+    the last state into its ideal, minimalized or reduced already.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
     check_level(e)
     if a.is_zero() and n > 0:
         return a
-    ring = a.ring
-    p = ring.p
-    r = max(1, len(a.power(1).generators))
-    peels = a._peels = a._peels or {}
-    base = (r - 1) * (p - 1)
-    if a.is_monomial_ideal():
-        step, state, wrap = _monomial_step, (ring.zero_monomial,), _minimal_monomial_ideal
-    else:
-        step, state, wrap = _step, (ring.one(),), _basis_ideal
-    m = n
+    peel = a._peel = a._peel or _Peel(a)
+    p, base = a.ring.p, peel.base
+    m, state = n, peel.start
     for _ in range(e):
         m0 = base + (m - base) % p if m >= base + p else m
-        for k in range(m0 % p, m0 + 1, p):
-            peeled = peels.get((k, state))
-            if peeled is None:
-                # The walk has just passed k - p, so its entry is there for k >= p.
-                peeled = peels[k, state] = step(a, k, state, peels.get((k - p, state)))
-        state = peeled
+        state = peel.step(m0, state)
         m = (m - m0) // p
-    return a.power(m).product(wrap(ring, state))
+    return a.power(m).product(peel.wrap(a.ring, state))
 
 
-def _step(a: Ideal, k: int, b: tuple, below: tuple | None) -> tuple:
-    """C^1(a^k * b) on its reduced basis, b and below reduced bases.
+class _Peel:
+    """The Cartier peel of one ideal a: the transition (k, b) -> C^1(a^k * b) and its memo.
 
-    The root of the restricted products times b, plus a * below, below being
-    C^1(a^(k-p) * b), None when k < p; a enters on its reduced basis.
+    `base` is the pigeonhole bound (r-1)(p-1), r counting the short
+    generators `a.power(1)` (`short`), so scalar duplicates do not raise it.
+    `kernel` computes one step, `start` is the state of (1) and `wrap` turns
+    a state into its ideal.  `gens` are a^1's short generators, packed on a
+    monomial ideal; `powers` keeps their powers g_i^j, j < p, and `table`
+    the restricted products, under (i, d) those over g_i, g_(i+1), ... of
+    degree d.  `memo` keeps C^1(a^k * b) under (k, b).
     """
-    ring = a.ring
-    peeled = eth_root(Ideal(ring, a.restricted_products(k)).product(Ideal(ring, b)), 1)
-    if below is not None:
-        rest = tuple(g * h for g in a.power(1).groebner() for h in below)
-        peeled = short_ideal(ring, peeled.generators + rest)
-    return peeled.groebner()
 
+    __slots__ = (
+        "ring", "base", "short", "gens", "kernel", "start", "wrap", "mul", "powers", "table", "memo"
+    )
 
-def _monomial_step(a: Ideal, k: int, b: tuple, below: tuple | None) -> tuple:
-    """`_step` on packed monomials, b and below as sorted tuples of minimal monomials.
+    def __init__(self, a: Ideal):
+        ring = self.ring = a.ring
+        short = self.short = a.power(1)
+        self.base = (max(1, len(short.generators)) - 1) * (ring.p - 1)
+        if a.is_monomial_ideal():
+            one, guards = ring.zero_monomial, ring.guards
+            self.gens = [g.packed[0][0] for g in short.generators]
+            self.kernel, self.wrap = self._monomial_step, _minimal_monomial_ideal
 
-    The restricted products times b are one deduplicated set of packed sums;
-    each distinct sum is rooted once by `PolyRing.split_root`, the sums
-    g * below join them, and the union is minimalized once.
-    """
-    ring = a.ring
-    split, p = ring.split_root, ring.p
-    roots = {split(s, p)[0] for s in ring.minkowski_sum(a.restricted_products(k), b)}
-    if below is not None:
-        roots |= ring.minkowski_sum([g.packed[0][0] for g in a.power(1).generators], below)
-    return tuple(minimal_monomials(ring, roots))
+            def mul(f: int, h: int) -> int:
+                # One sum of two valid packed monomials sets the guard bit of
+                # any field it overflows.
+                product = f + h - one
+                if product & guards:
+                    ring.check_width((product,))
+                return product
+
+        else:
+            one, mul, self.gens = ring.one(), Polynomial.__mul__, short.generators
+            self.kernel, self.wrap = self._reduced_step, _basis_ideal
+        self.start, self.mul, self.memo = (one,), mul, {}
+        self.powers = [list(accumulate([g] * (ring.p - 1), mul, initial=one)) for g in self.gens]
+        self.table = {(len(self.powers), 0): [one]}
+
+    def step(self, k: int, b: tuple) -> tuple:
+        """The canonical state C^1(a^k * b) of the canonical state b, kept in `memo` under (k, b).
+
+        For k >= p the state C^1(a^(k-p) * b) comes from `step` itself, so
+        any (k, b) may be asked first.
+        """
+        peeled = self.memo.get((k, b))
+        if peeled is None:
+            p = self.ring.p
+            below = self.step(k - p, b) if k >= p else None
+            peeled = self.memo[k, b] = self.kernel(k, b, below)
+        return peeled
+
+    def restricted(self, i: int, d: int) -> list:
+        """The products g_i^alpha_i * g_(i+1)^alpha_(i+1) * ... of degree d, every alpha_j < p.
+
+        Any other product of degree k is g_j^p times one of degree k - p,
+        which is how the peel splits a^k.  Each entry is one multiplication
+        from an entry under (i + 1, d - j); packed monomials, each one sum of
+        packed exponents refused past the field width, on a monomial ideal,
+        else the raw `Polynomial` products, one per alpha.
+        """
+        table = self.table
+        if (i, d) not in table:
+            top, powers, mul = self.ring.p - 1, self.powers, self.mul
+            degrees = range(min(top, d) + 1) if d <= top * (len(powers) - i) else ()
+            table[i, d] = [
+                mul(powers[i][j], h) if j else h
+                for j in degrees
+                for h in self.restricted(i + 1, d - j)
+            ]
+        return table[i, d]
+
+    def _reduced_step(self, k: int, b: tuple, below: tuple | None) -> tuple:
+        """C^1(a^k * b) on its reduced basis, b and below reduced bases.
+
+        One stream into `short_ideal`: the root coefficients of the
+        restricted products times b, then a's reduced basis times below,
+        below being C^1(a^(k-p) * b), None when k < p.
+        """
+        ring = self.ring
+        products = Ideal(ring, self.restricted(0, k)).product(Ideal(ring, b))
+        roots = (c for g in products.generators for c in poly_root_coefficients(g, 1))
+        if below is not None:
+            roots = chain(roots, (g * h for g in self.short.groebner() for h in below))
+        return short_ideal(ring, roots).groebner()
+
+    def _monomial_step(self, k: int, b: tuple, below: tuple | None) -> tuple:
+        """The step on packed monomials, b and below as ascending tuples of minimal monomials.
+
+        The restricted products times b are one deduplicated set of packed
+        sums; each distinct sum is rooted once by `PolyRing.split_root`, the
+        sums g * below join them, and the union is minimalized once.
+        """
+        ring, table = self.ring, self.table
+        split, p = ring.split_root, ring.p
+        if (0, k) not in table:
+            # The recursion reads only entries under i >= 1, so the one under
+            # (0, k) can be kept minimal.
+            table[0, k] = minimal_monomials(ring, self.restricted(0, k))
+        roots = {split(s, p)[0] for s in ring.minkowski_sum(table[0, k], b)}
+        if below is not None:
+            roots |= ring.minkowski_sum(self.gens, below)
+        return tuple(minimal_monomials(ring, roots))
 
 
 def diff_closure(a: Ideal, e: int) -> Ideal:

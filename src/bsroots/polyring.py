@@ -30,10 +30,7 @@ monomials as both the generators and the reduced Groebner basis;
 `_monomial_ideal` minimalizes other sets first.  Products of monomial ideals
 are Minkowski sums of packed monomials (`PolyRing.minkowski_sum`), and their
 Cartier roots (`frobenius.eth_root`) floor-divide exponents, so neither
-builds a polynomial product nor runs Buchberger.  The Cartier peel (`frobenius.eth_root_power`)
-keeps a monomial ideal's restricted products (`Ideal.restricted_products`)
-and its states as ascending tuples of minimal packed monomials, and builds
-objects only for the last product.
+builds a polynomial product nor runs Buchberger.
 
 Other ideals go through the Groebner kernel.  `_buchberger` prunes pairs with
 the Gebauer-Moller update as each basis element is added, and pops the
@@ -41,12 +38,11 @@ remaining pairs from a heap ordered by lcm.  `_reduce_full` keeps its pending
 monomials in a heap; its lead-only mode stops at the first irreducible term,
 which is all a membership test, an interreduction or an S-pair needs.
 
-A generating set decides only cost, and four rules pick it: `Ideal.product`
-and `Ideal.restricted_products` keep raw products of the generators as given
-(minimal monomials for monomial ideals), `Ideal.power` keeps a^n, n >= 2, on
-its reduced basis, the Cartier peel keeps every state on its reduced basis,
-and `short_ideal` (a^1, Cartier roots) drops scalar duplicates, then returns
-a monomial ideal or interreduces by leads.
+A generating set decides only cost, and three rules pick it: `Ideal.product`
+keeps raw products of the generators as given (minimal monomials for
+monomial ideals), `Ideal.power` keeps a^n, n >= 2, on its reduced basis, and
+`short_ideal` (a^1, Cartier roots) drops scalar duplicates, then returns a
+monomial ideal or interreduces by leads.
 
 A degree-bounded linear-algebra membership routine (`linear_membership`) is
 kept alongside the Groebner route as an independent test oracle.
@@ -55,7 +51,6 @@ kept alongside the Groebner route as an independent test oracle.
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate
 
 from .padic import check_level, check_prime
 
@@ -511,20 +506,14 @@ class Ideal:
 
     The declared count `r` is the length of the generating list as given (it
     feeds the jump-set window [0, r*p^e) downstream); it is deliberately not
-    minimized.  Five caches fill in place on first use: whether every
-    generator is a monomial (`_monomial`); the reduced basis (`_gb`); the
+    minimized.  Three caches fill in place on first use: whether every
+    generator is a monomial (`_monomial`); the reduced basis (`_gb`); and the
     powers a^0, a^1, ... built so far (`_powers`), a^n for n >= 2 on its
-    reduced basis; the p-restricted products of
-    `restricted_products` (`_restricted`), packed monomials on a monomial
-    ideal; and the peel memo of `frobenius.eth_root_power` (`_peels`,
-    C^1(a^k * b) keyed by (k, b)), which the peel alone fills.  Its states b
-    and entries are canonical and their own keys: ascending tuples of minimal
-    packed monomials on a monomial ideal, else reduced bases.
+    reduced basis.  The slot `_peel` belongs to `frobenius` and is never read
+    here.
     """
 
-    __slots__ = (
-        "ring", "generators", "declared_r", "_monomial", "_gb", "_powers", "_restricted", "_peels"
-    )
+    __slots__ = ("ring", "generators", "declared_r", "_monomial", "_gb", "_powers", "_peel")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -538,8 +527,7 @@ class Ideal:
         self._monomial: bool | None = None
         self._gb = None
         self._powers: list[Ideal] | None = None
-        self._restricted: tuple | None = None
-        self._peels: dict | None = None
+        self._peel = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -631,10 +619,6 @@ class Ideal:
         ideal, else the generators interreduced (scalar duplicates dropped).
         a^n for n >= 2 is the reduced basis of a^(n-1) times the generators
         of a^1 through `product`, kept as both its generators and its basis.
-
-        The Cartier peel (`frobenius.eth_root_power`) reads only a^1 here and
-        the last factor a^m; its steps root `restricted_products`.  The
-        tests' direct route `eth_root(a.power(n), e)` roots a^n's basis.
         """
         if n < 0:
             raise ValueError("ideal power must be >= 0")
@@ -646,59 +630,6 @@ class Ideal:
         while len(powers) <= n:
             powers.append(_basis_ideal(ring, powers[-1].product(powers[1]).groebner()))
         return powers[n]
-
-    def restricted_products(self, k: int) -> list:
-        """The p-restricted products g^alpha, |alpha| = k, every alpha_i < p.
-
-        g runs over a^1's short generators; any other product of degree k is
-        g_i^p times one of degree k - p, which is how the Cartier peel splits
-        a^k.  `_restricted` caches the powers g_i^j, j < p, and under (i, d)
-        the products over g_i, g_(i+1), ... of degree d, each one
-        multiplication from an entry under (i + 1, d - j).
-
-        On a monomial ideal the products are packed monomials, each one sum
-        of packed exponents refused past the field width, and the list for k
-        is minimalized once and kept, ascending; otherwise they are the raw
-        `Polynomial` products, one per alpha.
-        """
-        ring = self.ring
-        top = ring.p - 1
-        if self._restricted is None:
-            gens = self.power(1).generators
-            monomial = self.is_monomial_ideal()
-            if monomial:
-                one, guards = ring.zero_monomial, ring.guards
-                gens = [g.packed[0][0] for g in gens]
-
-                def mul(f: int, h: int) -> int:
-                    # One sum of two valid packed monomials sets the guard bit
-                    # of any field it overflows.
-                    product = f + h - one
-                    if product & guards:
-                        ring.check_width((product,))
-                    return product
-
-            else:
-                one, mul = ring.one(), Polynomial.__mul__
-            powers = [list(accumulate([g] * top, mul, initial=one)) for g in gens]
-            self._restricted = (powers, {(len(powers), 0): [one]}, mul, monomial)
-        powers, table, mul, monomial = self._restricted
-
-        def products(i: int, d: int) -> list:
-            if (i, d) not in table:
-                degrees = range(min(top, d) + 1) if d <= top * (len(powers) - i) else ()
-                table[i, d] = [
-                    mul(powers[i][j], h) if j else h
-                    for j in degrees
-                    for h in products(i + 1, d - j)
-                ]
-            return table[i, d]
-
-        if monomial and (0, k) not in table:
-            # The recursion reads only entries under i >= 1, so the one under
-            # (0, k) can be kept minimal.
-            table[0, k] = minimal_monomials(ring, products(0, k))
-        return products(0, k)
 
     def frobenius_power(self, e: int) -> "Ideal":
         """The Frobenius power a^[p^e], generated by p^e-th powers of generators."""

@@ -373,13 +373,14 @@ def _minimal_exponents(exponents):
 
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
 def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
-    # `restricted_products(k)`: every alpha in [0, p)^r with |alpha| = k, each
-    # product once, over the short generators.  A monomial ideal keeps its
-    # products packed: they are the minimal exponent sums
-    # alpha . (exponents of g), ascending, and build no polynomial product.
+    # The peel's `restricted(0, k)`: every alpha in [0, p)^r with |alpha| = k,
+    # each product once, over the short generators.  A monomial ideal keeps
+    # its products packed: after the step at k they are the minimal exponent
+    # sums alpha . (exponents of g), ascending, and build no polynomial product.
     rng = random.Random(2800 + 100 * p + 10 * nvars + r)
     ring = PolyRing(p, ("x", "y", "z")[:nvars])
     a = Ideal(ring, _short_generators(rng, ring, r))
+    peel = frobenius._Peel(a)
     short = a.power(1).generators
     for k in range(r * (p - 1) + 2):
         expected = collections.Counter(
@@ -387,8 +388,9 @@ def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
             for alpha in itertools.product(range(p), repeat=len(short))
             if sum(alpha) == k
         )
-        assert collections.Counter(a.restricted_products(k)) == expected, (a, k)
+        assert collections.Counter(peel.restricted(0, k)) == expected, (a, k)
     monomial = Ideal(ring, _monomial_generators(rng, ring, r))
+    peel = frobenius._Peel(monomial)
     exponents = [g.leading_monomial() for g in monomial.power(1).generators]
     for k in range(r * (p - 1) + 2):
         sums = (
@@ -397,7 +399,8 @@ def test_restricted_power_is_the_brute_force_multiset(p, nvars, r):
             if sum(alpha) == k
         )
         expected = sorted(map(ring.pack, _minimal_exponents(sums)))
-        assert monomial.restricted_products(k) == expected, (monomial, k)
+        peel.step(k, peel.start)
+        assert peel.restricted(0, k) == expected, (monomial, k)
 
 
 @pytest.mark.parametrize("p,nvars,r", _PEEL_CASES)
@@ -433,6 +436,50 @@ def _monomial_peel_ideals(rng, p):
         yield ring, text.split(", ")
 
 
+def _peel_states(ring, gens, count, rng):
+    """count canonical states, drawn from the memo of one copy of the ideal on gens."""
+    donor = Ideal(ring, gens)
+    p = ring.p
+    for n in range(0, 3 * p * p + 1, p - 1):
+        eth_root_power(donor, n, 2)
+    states = sorted(set(donor._peel.memo.values()), key=str)
+    return rng.sample(states, min(count, len(states)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_peel_step_is_right_cold_at_any_key_and_state(p):
+    # On a fresh peel, on both kernels, the first call is a step at k >= p
+    # from a state b taken from another copy's memo, so the step must fetch
+    # C^1(a^(k-p) * b) itself.  The direct route roots the raw products of
+    # a^k times b.  A second fresh peel takes every (k, b) in shuffled order
+    # and ends with the same memo as the first, which took them in order.
+    rng = random.Random(3200 + p)
+    for nvars, r in ((2, 2), (3, 2), (2, 3)):
+        ring = PolyRing(p, ("x", "y", "z")[:nvars])
+        for gens in (_short_generators(rng, ring, r), _monomial_generators(rng, ring, r)):
+            states = _peel_states(ring, gens, 3, rng)
+            top = r * (p - 1)
+            keys = [
+                (k, b)
+                for k in range(p, top + p + 1)
+                for b in states
+                if math.comb(k + r - 1, k) <= 300
+            ]
+            assert keys, (gens, p)
+            peels = []
+            for order in (keys, rng.sample(keys, len(keys))):
+                peel = frobenius._Peel(Ideal(ring, gens))
+                for k, b in order:
+                    peel.step(k, b)
+                peels.append(peel)
+            cold = frobenius._Peel(Ideal(ring, gens))
+            for k, b in rng.sample(keys, min(6, len(keys))):
+                got = cold.wrap(ring, cold.step(k, b))
+                raw = Ideal(ring, _raw_products(gens, k, ring.one()))
+                assert got == eth_root(raw.product(cold.wrap(ring, b)), 1), (gens, k, b)
+            assert peels[0].memo == peels[1].memo, gens
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_monomial_peel_matches_the_root_of_the_power(p):
     # The packed peel against the direct route eth_root(a^n, e) on a fresh
@@ -459,8 +506,8 @@ def test_monomial_peel_memo_holds_minimal_monomials():
     a = ring.parse_ideal("x^2*y, y^2*z, z^2*x, x*y*z")
     for n in range(4 * 27 + 1):
         eth_root_power(a, n, 3)
-    assert a._peels
-    for (k, label), entry in a._peels.items():
+    assert a._peel.memo
+    for (k, label), entry in a._peel.memo.items():
         for monos in (label, entry):
             assert list(monos) == polyring.minimal_monomials(ring, monos), (k, label)
 
@@ -479,7 +526,7 @@ def test_monomial_peel_multiplies_no_polynomials(monkeypatch):
     a = ring.parse_ideal(text)
     a.power(1)
     monkeypatch.setattr(polyring.Polynomial, "__mul__", refuse)
-    monkeypatch.setattr(frobenius, "_step", refuse)
+    monkeypatch.setattr(frobenius._Peel, "_reduced_step", refuse)
     monkeypatch.setattr(frobenius, "eth_root", refuse)
     got = {(n, e): eth_root_power(a, n, e) for n, e in keys}
     monkeypatch.undo()
@@ -505,14 +552,14 @@ def test_peel_step_refuses_exponents_past_the_field_width(capsys):
 
 
 def test_peel_reads_only_a_and_the_last_factor_of_power(monkeypatch):
-    # Each step roots restricted products, so `power` serves r (a^1) and the
-    # last factor a^m, m <= n / p^e; a peel that rooted a^m0 read powers up
-    # to r(p - 1) here.
+    # Each step roots restricted products, so `power` serves a^1 once, while
+    # the peel is built (the first call), and the last factor a^m,
+    # m <= n / p^e; a peel that rooted a^m0 read powers up to r(p - 1) here.
     read = []
     original = Ideal.power
 
     def recorded(self, n):
-        read.append(n)
+        read.append((n, self._peel is None))
         return original(self, n)
 
     monkeypatch.setattr(Ideal, "power", recorded)
@@ -521,7 +568,8 @@ def test_peel_reads_only_a_and_the_last_factor_of_power(monkeypatch):
     for n in range(0, 60, 7):
         read.clear()
         eth_root_power(a, n, 2)
-        assert set(read[:-1]) == {1} and read[-1] <= n // 9, (n, read)
+        *building, (last, _) = read
+        assert building == ([(1, True)] if n == 0 else []) and last <= n // 9, (n, read)
 
 
 @pytest.mark.parametrize(
@@ -563,8 +611,8 @@ def test_peel_memo_in_scrambled_order(ring, ideal, e_max, n_max):
 )
 def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
     # Each peel step takes one Cartier root, computed once and kept as one
-    # memo entry.  The step is counted, not `eth_root`: a monomial ideal's
-    # steps root packed monomials and call no `eth_root`.
+    # memo entry.  The peel's kernels are counted, not `eth_root`: no step
+    # calls `eth_root`.
     calls = []
 
     def counted(step):
@@ -574,12 +622,12 @@ def test_peel_memo_bounds_cartier_root_calls(monkeypatch, ring, ideal, most):
 
         return wrapper
 
-    monkeypatch.setattr(frobenius, "_step", counted(frobenius._step))
-    monkeypatch.setattr(frobenius, "_monomial_step", counted(frobenius._monomial_step))
+    for kernel in ("_reduced_step", "_monomial_step"):
+        monkeypatch.setattr(frobenius._Peel, kernel, counted(getattr(frobenius._Peel, kernel)))
     pres = parse_ring_declaration(ring)
     engine = jump_engine(pres, pres.parse_ideal(ideal))
     engine.jump_set(3)
-    assert 0 < len(calls) == len(engine.ideal._peels) <= most
+    assert 0 < len(calls) == len(engine.ideal._peel.memo) <= most
 
 
 _SIX_QUADRICS = "x^2+y*z, y^2+x*z, z^2+x*y, x*y+z^2+x^2, y*z+x*y, x*z+y^2+z^2"
@@ -635,7 +683,7 @@ def test_labels_and_their_cost_are_the_same_in_any_key_order(monkeypatch, p):
             work.append(len(calls))
         ordered, scrambled = engines
         assert all(ordered.d_label(*k) == scrambled.d_label(*k) for k in keys), text
-        assert ordered.ideal._peels == scrambled.ideal._peels, text
+        assert ordered.ideal._peel.memo == scrambled.ideal._peel.memo, text
         assert work[0] == work[1], (text, work)
 
 
@@ -646,8 +694,8 @@ def test_peel_memo_holds_reduced_bases():
     a = ring.parse_ideal("x^2+y^3, y*z, x*z^2")
     for n in range(3 * 27 + 1):
         eth_root_power(a, n, 3)
-    assert a._peels
-    for (k, state), entry in a._peels.items():
+    assert a._peel.memo
+    for (k, state), entry in a._peel.memo.items():
         for basis in (state, entry):
             assert basis == Ideal(ring, basis).groebner(), (k, state)
 

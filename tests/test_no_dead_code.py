@@ -1,8 +1,12 @@
-"""Every function, method and module-level name in bsroots is used, exported, or a test oracle.
+"""Each function, class, method and module-level name of bsroots is used, exported or an oracle.
 
 A module-level function counts as used when some code in `src/bsroots` outside
 its own body names it, or when the package's `__all__` lists it.  A test
 oracle has no caller in the package by design and says so in its docstring.
+
+A module-level class counts as used on the same terms as a module-level
+function: some code in `src/bsroots` outside its own body names it, or
+`__all__` lists it.
 
 A module-level name bound by assignment (other than a dunder) counts as used
 on the same terms as a module-level function: some code in `src/bsroots`
@@ -58,14 +62,14 @@ def _references(total: Counter, name: str, own_body: ast.AST, attributes_only=Fa
     return total[name] - _counts(ast.walk(own_body), attributes_only)[name]
 
 
-def unused_functions() -> list[str]:
+def unused_definitions(kind=ast.FunctionDef) -> list[str]:
     trees = _parse(PACKAGE)
     exported = _exported(trees)
     total = _counts(_everything(trees))
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name in exported:
+            if not isinstance(node, kind) or node.name in exported:
                 continue
             if "oracle" in (ast.get_docstring(node) or ""):
                 continue
@@ -117,7 +121,11 @@ def unused_methods() -> list[str]:
 
 
 def test_every_function_is_used():
-    assert unused_functions() == []
+    assert unused_definitions() == []
+
+
+def test_every_module_level_class_is_used():
+    assert unused_definitions(ast.ClassDef) == []
 
 
 def test_every_method_is_used():
