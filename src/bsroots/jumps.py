@@ -15,22 +15,20 @@ is kept only as the test oracle `nu_via_frobenius_power`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import frobenius
-from .padic import check_level
+from .padic import Record, check_level
 from .polyring import Ideal, RowSpan
 from .rings import JumpEngine
 
 
-@dataclass
-class JumpTable:
+class JumpTable(Record):
     """Per-level jump sets of one (presentation, ideal) pair."""
 
-    p: int
-    r: int
-    producer: str
-    levels: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    def __init__(
+        self, p: int, r: int, producer: str, levels: dict[int, tuple[int, ...]] | None = None
+    ):
+        self.__dict__.update(p=p, r=r, producer=producer, levels={} if levels is None else levels)
 
     def window(self, e: int) -> int:
         return self.r * self.p**e

@@ -13,12 +13,14 @@ Elements are rationals with denominator coprime to p, kept as exact
 so they are defined for every element of Z_(p); the two-case periodic formula
 is kept as a separate cross-check operation restricted to eventually periodic
 inputs.
+
+`Record` and `FrozenRecord`, the bases of every record class of the package,
+live here because this module imports no other module of the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -66,19 +68,66 @@ def check_interval(interval) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class PAdicRational:
+class Record:
+    """Named fields; two records are equal when they are of one class with equal fields.
+
+    A subclass's fields are the parameters of its `__init__`, in order, and
+    `__init__` stores their checked values by keyword in the instance's
+    `__dict__`; any other attribute it stores there is derived, so it is not
+    compared, hashed or shown in the repr.  A `Record` is mutable and, like
+    any class that defines `__eq__` alone, unhashable.  The bases stand in for
+    `dataclasses`, whose import and generated code took about two thirds of
+    the time to import the CLI.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = vars(cls).get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def replace(self, **changes):
+        """A record of this class with the given fields changed, built by `__init__`."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A `Record` that refuses assignment after `__init__` and hashes by its fields."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class PAdicRational(FrozenRecord):
     """A rational number lying in Z_(p): denominator coprime to p."""
 
-    value: Fraction
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        value = Fraction(self.value)
-        if value.denominator % self.p == 0:
-            raise ValueError(f"{value} is not p-integral for p={self.p}")
-        object.__setattr__(self, "value", value)
+    def __init__(self, value: Fraction, p: int):
+        check_prime(p)
+        value = Fraction(value)
+        if value.denominator % p == 0:
+            raise ValueError(f"{value} is not p-integral for p={p}")
+        self.__dict__.update(value=value, p=p)
 
     @property
     def numerator(self) -> int:
@@ -134,19 +183,15 @@ class PAdicRational:
         return format_rational(self.value)
 
 
-@dataclass(frozen=True)
-class BasePFraction:
+class BasePFraction(FrozenRecord):
     """A real number in (0, 1] together with its non-terminating base-p expansion."""
 
-    value: Fraction
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        value = Fraction(self.value)
+    def __init__(self, value: Fraction, p: int):
+        check_prime(p)
+        value = Fraction(value)
         if not 0 < value <= 1:
             raise ValueError(f"value must lie in (0, 1], got {value}")
-        object.__setattr__(self, "value", value)
+        self.__dict__.update(value=value, p=p)
 
     def truncation(self, e: int) -> Fraction:
         """The e-th base-p truncation (ceil(p^e x) - 1) / p^e; strictly below x."""

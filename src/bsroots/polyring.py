@@ -693,9 +693,11 @@ def short_ideal(ring: PolyRing, gens) -> Ideal:
     Generators equal up to a scalar count once, keyed by their packed terms
     times the inverse lead coefficient (root coefficients repeat: level-3
     jumps of (x^2 + y^3, yz, xz^2) over F_7 root 167,155, 3,122 up to
-    scalars).  One-term survivors give `_monomial_ideal`; otherwise each
-    survivor, by ascending lead, is kept unless its lead-only reduction
-    against those kept vanishes.
+    scalars).  The one-term survivors are minimalized, which drops each one
+    that another divides and leaves the ideal as it was; when every survivor
+    is a monomial, that is the ideal.  Otherwise each remaining survivor, by
+    ascending lead, is kept unless its lead-only reduction against those kept
+    vanishes.
     """
     p = ring.p
     first: dict[tuple, Polynomial] = {}
@@ -707,10 +709,16 @@ def short_ideal(ring: PolyRing, gens) -> Ideal:
             inv = pow(terms[0][1], -1, p)
             terms = tuple([(m, c * inv % p) for m, c in terms])
         first.setdefault(terms, g)
-    if all(len(terms) == 1 for terms in first):
-        return _monomial_ideal(ring, (terms[0][0] for terms in first))
+    monomials = [terms[0][0] for terms in first if len(terms) == 1]
+    minimal = minimal_monomials(ring, monomials)
+    if len(monomials) == len(first):
+        return _minimal_monomial_ideal(ring, minimal)
+    kept_monomials = set(minimal)
+    survivors = [
+        g for terms, g in first.items() if len(terms) > 1 or terms[0][0] in kept_monomials
+    ]
     kept: list[Polynomial] = []
-    for g in sorted(first.values(), key=lambda h: h.packed[0][0]):
+    for g in sorted(survivors, key=lambda h: h.packed[0][0]):
         if not _reduce_full(g, kept, lead_only=True).is_zero():
             kept.append(g)
     return Ideal(ring, kept)

@@ -44,12 +44,11 @@ puts every level-(e+1) jump n in [p*j, p*(j + r) - 1] for some level-e jump j.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import frobenius
-from .padic import check_level, check_prime, parse_integer
+from .padic import FrozenRecord, check_level, check_prime, parse_integer
 from .polyring import Ideal, ParseError, PolyRing, minimal_monomials
 
 
@@ -156,12 +155,11 @@ def minimal_semigroup_exponents(S: NumericalSemigroup, exponents) -> frozenset:
     return frozenset(kept)
 
 
-@dataclass(frozen=True)
-class SemigroupIdeal:
+class SemigroupIdeal(FrozenRecord):
     """A monomial ideal of K[x^s : s in S], stored by minimal exponents."""
 
-    semigroup: NumericalSemigroup
-    exponents: frozenset
+    def __init__(self, semigroup: NumericalSemigroup, exponents: frozenset):
+        self.__dict__.update(semigroup=semigroup, exponents=exponents)
 
     @staticmethod
     def from_exponents(S: NumericalSemigroup, exponents) -> "SemigroupIdeal":
@@ -186,17 +184,14 @@ def _comma_list(text: str) -> tuple[str, ...]:
     return tuple(text.split(","))
 
 
-@dataclass(frozen=True)
-class PolynomialRingPresentation:
+class PolynomialRingPresentation(FrozenRecord):
+    """F_p[vars]; `ring`, its PolyRing, is derived."""
+
     KEYS = {"p": parse_integer, "vars": _comma_list}
 
-    p: int
-    variables: tuple[str, ...]
-    ring: PolyRing = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "ring", PolyRing(self.p, self.variables))
+    def __init__(self, p: int, variables: tuple[str, ...]):
+        variables = tuple(variables)
+        self.__dict__.update(p=p, variables=variables, ring=PolyRing(p, variables))
 
     def parse_ideal(self, text: str) -> Ideal:
         return self.ring.parse_ideal(text)
@@ -209,31 +204,27 @@ class PolynomialRingPresentation:
         return RegularJumpEngine(ideal)
 
 
-@dataclass(frozen=True)
-class VeronesePresentation:
+class VeronesePresentation(FrozenRecord):
     """The degree-d Veronese subring R of S = F_p[vars]: monomials of total degree in dZ.
 
     In two or more variables R is a level-differentially extensible direct
     summand of S (example 9.3), so (R, a) and (S, aS) have the same jump sets
     and the engine runs on aS.  F_p[x^d] is not: (x^d) jumps at ceil(q/d) - 1
     in F_p[x] but not in F_p[x^d], so one variable takes degree 1 only.
+    `ambient`, the PolyRing S, is derived.
     """
 
     KEYS = {"p": parse_integer, "vars": _comma_list, "degree": parse_integer}
 
-    p: int
-    variables: tuple[str, ...]
-    degree: int
-    ambient: PolyRing = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if self.degree < 1:
-            raise ValueError(f"Veronese degree must be at least 1, got {self.degree}")
-        object.__setattr__(self, "ambient", PolyRing(self.p, self.variables))
-        if self.degree > 1 and len(self.variables) == 1:
+    def __init__(self, p: int, variables: tuple[str, ...], degree: int):
+        check_prime(p)
+        variables = tuple(variables)
+        if degree < 1:
+            raise ValueError(f"Veronese degree must be at least 1, got {degree}")
+        ambient = PolyRing(p, variables)
+        if degree > 1 and len(variables) == 1:
             raise ValueError("F_p[x^d] is a polynomial ring; declare it with poly")
+        self.__dict__.update(p=p, variables=variables, degree=degree, ambient=ambient)
 
     def parse_ideal(self, text: str) -> Ideal:
         return self._inside(self.ambient.parse_ideal(text))
@@ -254,22 +245,20 @@ class VeronesePresentation:
         return ideal
 
 
-@dataclass(frozen=True)
-class SemigroupRingPresentation:
+class SemigroupRingPresentation(FrozenRecord):
+    """K[x^s : s in S]; `semigroup` (S) and `ring` (F_p[x], holding K[S]) are derived."""
+
     KEYS = {"p": parse_integer, "gens": lambda text: tuple(map(parse_integer, text.split(",")))}
 
-    p: int
-    semigroup_generators: tuple[int, ...]
-    semigroup: NumericalSemigroup = field(init=False, repr=False, compare=False)
-    ring: PolyRing = field(init=False, repr=False, compare=False)  # F_p[x], holding K[S]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(
-            self, "semigroup_generators", tuple(int(g) for g in self.semigroup_generators)
+    def __init__(self, p: int, semigroup_generators: tuple[int, ...]):
+        check_prime(p)
+        semigroup_generators = tuple(int(g) for g in semigroup_generators)
+        self.__dict__.update(
+            p=p,
+            semigroup_generators=semigroup_generators,
+            semigroup=NumericalSemigroup(semigroup_generators),
+            ring=PolyRing(p, ("x",)),
         )
-        object.__setattr__(self, "semigroup", NumericalSemigroup(self.semigroup_generators))
-        object.__setattr__(self, "ring", PolyRing(self.p, ("x",)))
 
     def parse_ideal(self, text: str) -> SemigroupIdeal:
         """The ideal of K[S] spanned by monic monomials x^s of F_p[x], each s in S."""
@@ -317,8 +306,7 @@ _CATALOG = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogPresentation:
+class CatalogPresentation(FrozenRecord):
     """A named singular ring with a fixed element; its labels are computed.
 
     cross_xy:        K[x,y]/(xy), fixed element x (colon formula)
@@ -326,32 +314,29 @@ class CatalogPresentation:
     artinian_x_pow:  K[x]/(x^(n+1)), fixed element x, parameter n (colon formula)
 
     The kind may carry its parameter as a declaration writes it, as in
-    `artinian_x_pow(4)` or `artinian_x_pow(n=4)`.
+    `artinian_x_pow(4)` or `artinian_x_pow(n=4)`.  The ambient `ring` and the
+    fixed `element`'s terms are derived.
     """
 
     KEYS = {"p": parse_integer, None: str}  # None: the bare word that names the ring
 
-    p: int
-    kind: str
-    n: int | None = None
-    ring: PolyRing = field(init=False, repr=False, compare=False)  # the ambient ring
-    element: list = field(init=False, repr=False, compare=False)  # the fixed element's terms
-
-    def __post_init__(self):
-        check_prime(self.p)
-        word = re.fullmatch(r"(\w+)\((?:n=)?([0-9]+)\)", self.kind)
-        if word and self.n is None:
-            object.__setattr__(self, "kind", word[1])
-            object.__setattr__(self, "n", int(word[2]))
-        if self.kind not in _CATALOG:
-            raise ValueError(f"unknown catalog ring {self.kind!r}")
-        if self.kind == "artinian_x_pow":
-            if self.n is None or self.n < 1:
+    def __init__(self, p: int, kind: str, n: int | None = None):
+        check_prime(p)
+        word = re.fullmatch(r"(\w+)\((?:n=)?([0-9]+)\)", kind)
+        if word and n is None:
+            kind, n = word[1], int(word[2])
+        if kind not in _CATALOG:
+            raise ValueError(f"unknown catalog ring {kind!r}")
+        if kind == "artinian_x_pow":
+            if n is None or n < 1:
                 raise ValueError("artinian_x_pow needs a parameter n >= 1")
-        elif self.n is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
-        object.__setattr__(self, "ring", PolyRing(self.p, _CATALOG[self.kind][0]))
-        object.__setattr__(self, "element", self.ring.parse_ideal_terms(_CATALOG[self.kind][1]))
+        elif n is not None:
+            raise ValueError(f"{kind} takes no parameter")
+        variables, element, _ = _CATALOG[kind]
+        ring = PolyRing(p, variables)
+        self.__dict__.update(
+            p=p, kind=kind, n=n, ring=ring, element=ring.parse_ideal_terms(element)
+        )
 
     def parse_ideal(self, text: str | None) -> str:
         """The fixed element, when the text is absent or blank or lists that element alone."""

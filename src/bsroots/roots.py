@@ -11,30 +11,30 @@ check computes are reused by the next check on the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 from .padic import (
-    PAdicRational, check_interval, check_level, format_rational, grid_denominators, grid_periods,
-    rational_grid,
+    FrozenRecord, PAdicRational, Record, check_interval, check_level, format_rational,
+    grid_denominators, grid_periods, rational_grid,
 )
 from .rings import JumpEngine
 
 
-@dataclass(frozen=True)
-class RootWitness:
-    e: int
-    s: int
-    jump: int  # truncation + s * p^e, an element of the level-e jump set
+class RootWitness(FrozenRecord):
+    """The level-e witness of a root: jump = truncation + s * p^e lies in the level-e jump set."""
+
+    def __init__(self, e: int, s: int, jump: int):
+        self.__dict__.update(e=e, s=s, jump=jump)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
-    candidate: Fraction
-    p: int
-    certified_level: int
-    witnesses: tuple[RootWitness, ...]
+class RootCertificate(FrozenRecord):
+    def __init__(
+        self, candidate: Fraction, p: int, certified_level: int, witnesses: tuple[RootWitness, ...]
+    ):
+        self.__dict__.update(
+            candidate=candidate, p=p, certified_level=certified_level, witnesses=witnesses
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -50,12 +50,13 @@ class RootCertificate:
         return f"{format_rational(self.candidate)} (certified to level {self.certified_level})"
 
 
-@dataclass(frozen=True)
-class RootRefutation:
-    candidate: Fraction
-    p: int
-    failed_level: int
-    checked: tuple[int, ...]  # the window values truncation + s*p^e that all failed
+class RootRefutation(FrozenRecord):
+    """`checked` holds the window values truncation + s*p^e, all of which failed."""
+
+    def __init__(self, candidate: Fraction, p: int, failed_level: int, checked: tuple[int, ...]):
+        self.__dict__.update(
+            candidate=candidate, p=p, failed_level=failed_level, checked=checked
+        )
 
     def __str__(self) -> str:
         return f"{format_rational(self.candidate)} refuted at level {self.failed_level}"
@@ -124,14 +125,19 @@ def bernstein_sato_roots(
     return [v for v in verdicts if isinstance(v, RootCertificate)]
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Level-by-level jump counts in the fundamental window and a growth verdict."""
 
-    r: int
-    counts: dict[int, int] = field(default_factory=dict)
-    bound_fit: tuple[Fraction, Fraction] | None = None
-    verdict: str = "consistent_with_admissible"
+    def __init__(
+        self,
+        r: int,
+        counts: dict[int, int] | None = None,
+        bound_fit: tuple[Fraction, Fraction] | None = None,
+        verdict: str = "consistent_with_admissible",
+    ):
+        self.__dict__.update(
+            r=r, counts={} if counts is None else counts, bound_fit=bound_fit, verdict=verdict
+        )
 
     def to_dict(self) -> dict:
         return {

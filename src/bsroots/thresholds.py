@@ -24,33 +24,45 @@ survives only as the test oracle `jumps.nu_via_frobenius_power`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import frobenius
 from .jumps import nu_invariant
 from .padic import (
-    check_interval, check_level, format_rational, grid_denominators, grid_periods, integer_grid,
-    rational_grid,
+    FrozenRecord, Record, check_interval, check_level, format_rational, grid_denominators,
+    grid_periods, integer_grid, rational_grid,
 )
 from .polyring import Ideal
 from .rings import JumpEngine
 
 
-@dataclass(frozen=True)
-class ThresholdWitness:
-    e: int
-    jump: int  # a level-e jump within the certification window around p^e*lam
+class ThresholdWitness(FrozenRecord):
+    """A level-e jump within the certification window around p^e*lam."""
+
+    def __init__(self, e: int, jump: int):
+        self.__dict__.update(e=e, jump=jump)
 
 
-@dataclass(frozen=True)
-class ThresholdCertificate:
-    value: Fraction
-    p: int
-    certified_level: int
-    witnesses: tuple[ThresholdWitness, ...]
-    slack: int  # 0 means the strict F-split window [p^e*lam - r, p^e*lam]
-    merged: tuple[Fraction, ...] = ()  # indistinguishable survivors folded in
+class ThresholdCertificate(FrozenRecord):
+    """A threshold certified to a level, with the witness of each level.
+
+    Slack 0 means the strict F-split window [p^e*lam - r, p^e*lam]; `merged`
+    holds the indistinguishable survivors folded in.
+    """
+
+    def __init__(
+        self,
+        value: Fraction,
+        p: int,
+        certified_level: int,
+        witnesses: tuple[ThresholdWitness, ...],
+        slack: int,
+        merged: tuple[Fraction, ...] = (),
+    ):
+        self.__dict__.update(
+            value=value, p=p, certified_level=certified_level, witnesses=witnesses,
+            slack=slack, merged=merged,
+        )
 
     def value_dict(self) -> dict:
         """The value part of the JSON entry, the whole entry of `fpt`."""
@@ -191,7 +203,7 @@ def differential_thresholds(
         for cluster in clusters
     ]
     return [
-        replace(head, merged=tuple(c.value for c in cluster if c is not head))
+        head.replace(merged=tuple(c.value for c in cluster if c is not head))
         for head, cluster in zip(heads, clusters)
     ]
 
@@ -205,8 +217,7 @@ def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
 # -- F-thresholds and Cartier thresholds ------------------------------------------
 
 
-@dataclass
-class ThresholdSequence:
+class ThresholdSequence(Record):
     """nu-values per level, the last level's bracket and a guessed `limit`.
 
     `limit` is the fixed point of an affine recurrence that `_detect_limit`
@@ -214,9 +225,10 @@ class ThresholdSequence:
     value, and None when no recurrence fits.
     """
 
-    nu: dict[int, int]
-    limit: Fraction | None
-    bracket: tuple[Fraction, Fraction]
+    def __init__(
+        self, nu: dict[int, int], limit: Fraction | None, bracket: tuple[Fraction, Fraction]
+    ):
+        self.__dict__.update(nu=nu, limit=limit, bracket=bracket)
 
     def csv(self, p: int) -> str:
         lines = ["e,nu,nu_over_pe"]
@@ -271,11 +283,11 @@ cartier_threshold = f_threshold
 # -- test ideals and F-jumping numbers ---------------------------------------------
 
 
-@dataclass
-class TestIdealResult:
-    ideal: Ideal
-    stabilization_level: int
-    stabilized: bool
+class TestIdealResult(Record):
+    def __init__(self, ideal: Ideal, stabilization_level: int, stabilized: bool):
+        self.__dict__.update(
+            ideal=ideal, stabilization_level=stabilization_level, stabilized=stabilized
+        )
 
     def __str__(self) -> str:
         flag = "stabilized" if self.stabilized else "NOT stabilized"
@@ -375,11 +387,15 @@ def f_jumping_numbers(
 # -- comparison between roots and thresholds ---------------------------------------
 
 
-@dataclass
-class CosetReport:
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class CosetReport(Record):
+    def __init__(
+        self, passed: bool, failures: list[str] | None = None, notes: list[str] | None = None
+    ):
+        self.__dict__.update(
+            passed=passed,
+            failures=[] if failures is None else failures,
+            notes=[] if notes is None else notes,
+        )
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"

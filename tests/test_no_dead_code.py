@@ -14,6 +14,9 @@ outside its own statement names it, or `__all__` lists it.
 
 A method (other than a dunder) counts as used when some code in `src/bsroots`,
 `tests/` or `demos/` outside its own body names it as an attribute (`x.name`).
+
+A name bound by a module-level import counts as used when its own module
+names it, or lists it in that module's `__all__`.
 """
 
 import ast
@@ -120,6 +123,22 @@ def unused_methods() -> list[str]:
     return unused
 
 
+def unused_imports() -> list[str]:
+    unused = []
+    for module, tree in _parse(PACKAGE).items():
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= _exported({module: tree})
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{module}:{name}" for name in bound if name not in named]
+    return unused
+
+
 def test_every_function_is_used():
     assert unused_definitions() == []
 
@@ -134,3 +153,7 @@ def test_every_method_is_used():
 
 def test_every_module_level_assignment_is_used():
     assert unused_assignments() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

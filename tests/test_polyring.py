@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bsroots import Ideal, ParseError, PolyRing, cli
+from bsroots import Ideal, ParseError, PolyRing, cli, polyring
 from bsroots.polyring import (
     Polynomial,
     _reduce_full,
@@ -484,6 +484,21 @@ def test_short_ideal_against_row_reduction(p, nvars):
             assert sorted(g.packed[0][0] for g in short.generators) == leads, gens
     # A zero in the stream is skipped, as the ideal of the nonzero gens.
     assert short_ideal(ring, [ring.zero(), ring.parse("x")]) == ring.parse_ideal("x")
+
+
+def test_short_ideal_drops_one_term_multiples_unreduced(R2, monkeypatch):
+    # x^3 lies in (x^2), so it is dropped before the lead-only pass reads it,
+    # and the ideal's reduced basis is the one of all three generators.
+    x2, x3, binomial = R2.parse("x^2"), R2.parse("x^3"), R2.parse("x*y + 2*y^2")
+    expected = Ideal(R2, (x2, x3, binomial)).groebner()
+    reduced = []
+    monkeypatch.setattr(
+        polyring, "_reduce_full",
+        lambda f, basis, lead_only=False: reduced.append(f) or _reduce_full(f, basis, lead_only),
+    )
+    short = short_ideal(R2, [x3, binomial, x2])
+    assert reduced and x3 not in reduced
+    assert short.groebner() == expected
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

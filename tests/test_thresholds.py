@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -492,7 +491,7 @@ def test_differential_thresholds_verify_each_candidate_once(p5xy, monkeypatch):
     assert verified == candidates
     assert certs and any(c.merged for c in certs)
     for cert in certs:
-        assert replace(cert, merged=()) == verify_threshold(engine, cert.value, 2)
+        assert cert.replace(merged=()) == verify_threshold(engine, cert.value, 2)
 
 
 def _fraction_rule_clusters(engine, levels, interval):
@@ -512,7 +511,7 @@ def _fraction_rule_clusters(engine, levels, interval):
             clusters.append([cert])
     heads = [min(cluster, key=lambda c: (c.value.denominator, c.value)) for cluster in clusters]
     return [
-        replace(head, merged=tuple(c.value for c in cluster if c is not head))
+        head.replace(merged=tuple(c.value for c in cluster if c is not head))
         for head, cluster in zip(heads, clusters)
     ], survivors
 
@@ -618,6 +617,29 @@ def test_fpt_example_92_brute_forced(example92):
 def test_fpt_matches_f_threshold_at_maximal_ideal(p5xy):
     a = p5xy.parse_ideal("x, y")
     assert fpt(jump_engine(p5xy, a), levels=3).value == f_threshold(a, a, levels=3).limit
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fpt prints the head of the first survivor cluster, not a value inside the "
+    "bracket (j_E/p^E, (j_E + r)/p^E] of the first level-E jump j_E (ROADMAP item 1)",
+)
+@pytest.mark.parametrize(
+    "ring, ideal, levels, lo, hi",
+    [
+        # Prints 1; the true value is 3/4 (Howald).
+        ("poly p=5 vars=x,y,z", "x^2*y*z, x*y^2*z, x*y*z^2", 2,
+         Fraction(18, 25), Fraction(21, 25)),
+        # Prints 2, above fpt(m^2) = 3/2.
+        ("poly p=3 vars=x,y,z", "x^2+y^3, y*z, x*z^2", 3, Fraction(39, 27), Fraction(42, 27)),
+        # Prints 0; the true value is 1/4.
+        ("poly p=2 vars=x,y,z", "x^4*y*z^2", 2, Fraction(0), Fraction(1, 4)),
+    ],
+)
+def test_fpt_lies_in_the_bracket_of_the_first_jump(ring, ideal, levels, lo, hi):
+    pres = parse_ring_declaration(ring)
+    cert = fpt(jump_engine(pres, pres.parse_ideal(ideal)), levels=levels)
+    assert lo < cert.value <= hi
 
 
 # -- coset correspondence -----------------------------------------------------------------
