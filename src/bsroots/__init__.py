@@ -40,6 +40,7 @@ from .thresholds import (
     f_threshold,
     fpt,
     test_ideal,
+    verify_threshold,
 )
 
 __version__ = "0.1.0"
@@ -85,4 +86,5 @@ __all__ = [
     "f_threshold",
     "fpt",
     "test_ideal",
+    "verify_threshold",
 ]

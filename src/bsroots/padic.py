@@ -75,7 +75,9 @@ class Record:
     `__init__` stores their checked values by keyword in the instance's
     `__dict__`; any other attribute it stores there is derived, so it is not
     compared, hashed or shown in the repr.  A `Record` is mutable and, like
-    any class that defines `__eq__` alone, unhashable.  The bases stand in for
+    any class that defines `__eq__` alone, unhashable.  Every record is built
+    by its `__init__`; there is no copy-with-changes, since each caller builds
+    a record once, with its final fields.  The bases stand in for
     `dataclasses`, whose import and generated code took about two thirds of
     the time to import the CLI.
     """
@@ -91,10 +93,6 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
-
-    def replace(self, **changes):
-        """A record of this class with the given fields changed, built by `__init__`."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -12,7 +12,6 @@ check computes are reused by the next check on the same engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .padic import (
     FrozenRecord, PAdicRational, Record, check_interval, check_level, format_rational,
@@ -72,6 +71,23 @@ def enumerate_candidates(
     return rational_grid(lo, hi, grid_denominators(p, 0, denominator_bound))
 
 
+def _window(engine: JumpEngine, padic: PAdicRational, e: int) -> tuple[int, ...]:
+    """The level-e window truncation(alpha, e) + s*p^e, s = 0..r-1."""
+    t = padic.truncation(e)
+    return tuple(t + s * engine.p**e for s in range(engine.r))
+
+
+def _witness_jumps(engine: JumpEngine, padic: PAdicRational, levels: int) -> list[int]:
+    """The witness jump of each level e = 1, 2, ...; shorter than `levels` when refuted."""
+    return engine.witnesses(levels, lambda e: _window(engine, padic, e))
+
+
+def _certificate(engine: JumpEngine, padic: PAdicRational, jumps: list[int]) -> RootCertificate:
+    # truncation(alpha, e) < p^e, so s is the quotient of the jump by p^e
+    witnesses = tuple(RootWitness(e, jump // engine.p**e, jump) for e, jump in enumerate(jumps, 1))
+    return RootCertificate(padic.value, engine.p, len(jumps), witnesses)
+
+
 def verify_root_to_level(
     engine: JumpEngine, alpha: Fraction, levels: int
 ) -> RootCertificate | RootRefutation:
@@ -82,27 +98,11 @@ def verify_root_to_level(
     """
     check_level(levels, least=1, what="levels")
     padic = PAdicRational(Fraction(alpha), engine.p)
-
-    @cache  # a refutation reports its failed window without a second truncation
-    def window(e: int) -> tuple[int, ...]:
-        t = padic.truncation(e)
-        return tuple(t + s * engine.p**e for s in range(engine.r))
-
-    jumps = engine.witnesses(levels, window)
-    if len(jumps) < levels:
-        failed = len(jumps) + 1
-        return RootRefutation(
-            candidate=padic.value, p=engine.p, failed_level=failed, checked=window(failed)
-        )
-    return RootCertificate(
-        candidate=padic.value,
-        p=engine.p,
-        certified_level=levels,
-        # truncation(alpha, e) < p^e, so s is the quotient of the jump by p^e
-        witnesses=tuple(
-            RootWitness(e=e, s=jump // engine.p**e, jump=jump) for e, jump in enumerate(jumps, 1)
-        ),
-    )
+    jumps = _witness_jumps(engine, padic, levels)
+    if len(jumps) == levels:
+        return _certificate(engine, padic, jumps)
+    failed = len(jumps) + 1
+    return RootRefutation(padic.value, engine.p, failed, _window(engine, padic, failed))
 
 
 def bernstein_sato_roots(
@@ -116,13 +116,18 @@ def bernstein_sato_roots(
     integral for some b <= ceil(levels / 2) (`padic.grid_periods`); the level
     alone sets the grid.  The default interval is [-r, 0] for F-split-certified
     presentations and [-r, r] otherwise, except that the artinian catalog ring
-    K[x]/(x^(n+1)), whose sole root is n, uses [0, n].
+    K[x]/(x^(n+1)), whose sole root is n, uses [0, n].  A refuted candidate
+    builds no record.
     """
     if interval is None:
         interval = engine.default_root_interval()
-    candidates = enumerate_candidates(engine.p, grid_periods(levels), interval)
-    verdicts = [verify_root_to_level(engine, a, levels) for a in candidates]
-    return [v for v in verdicts if isinstance(v, RootCertificate)]
+    certificates = []
+    for alpha in enumerate_candidates(engine.p, grid_periods(levels), interval):
+        padic = PAdicRational(alpha, engine.p)
+        jumps = _witness_jumps(engine, padic, levels)
+        if len(jumps) == levels:
+            certificates.append(_certificate(engine, padic, jumps))
+    return certificates
 
 
 class AdmissibilityReport(Record):

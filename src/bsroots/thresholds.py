@@ -4,16 +4,16 @@ A differential threshold is a limit of jumps scaled by p^-e.  For F-split
 presentations the per-level witness condition is a jump inside
 [p^e*lam - r, p^e*lam]; for the non-F-split engines the detector falls back to
 the definition and asks for jumps within a fixed slack K of p^e*lam (the
-witnessed sequence then converges at rate (r+K)/p^e).  `verify_threshold`
-walks that window nearest-first (`nearest_first`) and builds the
-certificate; the level loop is the engine's witness search
-(`JumpEngine.witnesses`), which roots share.  Candidates are spawned,
+witnessed sequence then converges at rate (r+K)/p^e).  One witness search
+walks that window nearest-first (`nearest_first`) in the engine's level loop
+(`JumpEngine.witnesses`, which roots share).  Candidates are spawned,
 translated and sorted as integer numerators over the grid's lcm L (see
-`padic.integer_grid`) and made Fractions once; each is verified once, and
-surviving certificates closer than the level-E resolution are merged, by
-integer differences over L, into the simplest member's.  The differential
-detectors take a `JumpEngine` (see `rings.jump_engine`), so thresholds, roots
-and jump sets of one pair share its labels.
+`padic.integer_grid`) and made Fractions once; each is searched once, and
+survivors, kept as (value, jumps), are clustered by integer gaps over L below
+the level-E resolution.  Only each cluster's simplest member becomes a
+certificate, as the cluster closes, so `fpt` stops at its first cluster.  The
+differential detectors take a `JumpEngine` (see `rings.jump_engine`), so
+thresholds, roots and jump sets of one pair share its labels.
 
 F-thresholds and Cartier thresholds are the same sequence on a polynomial
 ring (a^n lies in c^[p^e] exactly when C^e*a^n lies in c), so both names run
@@ -102,16 +102,12 @@ def nearest_first(top: int, den: int, lo: int, hi: int):
             up += 1
 
 
-def verify_threshold(
-    engine: JumpEngine, lam: Fraction, levels: int
-) -> ThresholdCertificate | None:
-    """Per-level witness check for a threshold candidate; None when refuted.
+def _witness_jumps(engine: JumpEngine, lam: Fraction, levels: int) -> list[int] | None:
+    """The witness jump of each level e = 1..levels, or None when lam is refuted.
 
     The level-e witness is the jump in [p^e*lam - r - K, p^e*lam + K] nearest
     to p^e*lam, the smaller one on a tie; the window is walked nearest-first.
     """
-    check_level(levels, least=1, what="levels")
-    lam = Fraction(lam)
     if lam.numerator < 0:
         return None
     p, r, K = engine.p, engine.r, engine.threshold_slack
@@ -122,15 +118,22 @@ def verify_threshold(
         return nearest_first(top, den, max(0, -(-top // den) - r - K), top // den + K)
 
     jumps = engine.witnesses(levels, window)
-    if len(jumps) < levels:
-        return None
-    return ThresholdCertificate(
-        value=lam,
-        p=engine.p,
-        certified_level=levels,
-        witnesses=tuple(ThresholdWitness(e=e, jump=jump) for e, jump in enumerate(jumps, 1)),
-        slack=K,
-    )
+    return jumps if len(jumps) == levels else None
+
+
+def _certificate(engine: JumpEngine, lam: Fraction, jumps: list[int], merged=()):
+    witnesses = tuple(ThresholdWitness(e, jump) for e, jump in enumerate(jumps, 1))
+    return ThresholdCertificate(lam, engine.p, len(jumps), witnesses, engine.threshold_slack, merged)
+
+
+def verify_threshold(
+    engine: JumpEngine, lam: Fraction, levels: int
+) -> ThresholdCertificate | None:
+    """The certificate of lam with the witnesses of `_witness_jumps`; None when refuted."""
+    check_level(levels, least=1, what="levels")
+    lam = Fraction(lam)
+    jumps = _witness_jumps(engine, lam, levels)
+    return None if jumps is None else _certificate(engine, lam, jumps)
 
 
 def threshold_candidates(
@@ -166,52 +169,55 @@ def threshold_candidates(
     return [Fraction(n, scale) for n in integer_grid(windows, denominators, scale)]
 
 
+def _clusters(engine: JumpEngine, levels: int, interval):
+    """The certificate of each cluster's head, in increasing order, built as the cluster closes.
+
+    The interval defaults to [0, r]; the candidates are those of
+    `threshold_candidates`, so the level alone sets the grid.  Survivors,
+    kept as (value, jumps), within 2(r + K)/p^E of each other cannot be told
+    apart at level E: each such cluster is one certificate, of its member of
+    least denominator (then value), with the others' values as `merged`.
+    Gaps are compared as integers: lam = n/L over the grid's lcm L, and the
+    merge gap is the integer 2(r + K)*L/p^E.
+    """
+    if interval is None:
+        interval = (Fraction(0), Fraction(engine.r))
+    candidates = threshold_candidates(engine, levels, interval)
+    scale = math.lcm(*grid_denominators(engine.p, levels, grid_periods(levels)))
+    merge_gap = 2 * (engine.r + engine.threshold_slack) * scale // engine.p**levels
+
+    def head(cluster: list[tuple[Fraction, list[int]]]) -> ThresholdCertificate:
+        # Equal denominators order by numerator as by value.
+        value, jumps = min(cluster, key=lambda s: (s[0].denominator, s[0].numerator))
+        return _certificate(engine, value, jumps, tuple(v for v, _ in cluster if v != value))
+
+    cluster: list[tuple[Fraction, list[int]]] = []
+    last = 0
+    for lam in candidates:  # the candidates come sorted
+        n = lam.numerator * (scale // lam.denominator)  # lam = n / scale
+        if cluster and n - last > merge_gap:  # no later survivor can join the cluster
+            yield head(cluster)
+            cluster = []
+        jumps = _witness_jumps(engine, lam, levels)
+        if jumps is not None:
+            cluster.append((lam, jumps))
+            last = n
+    if cluster:
+        yield head(cluster)
+
+
 def differential_thresholds(
     engine: JumpEngine,
     levels: int = 3,
     interval: tuple[Fraction, Fraction] | None = None,
 ) -> list[ThresholdCertificate]:
-    """Certified differential thresholds in the interval, merged at resolution.
-
-    The interval defaults to [0, r], and the candidates are those of
-    `threshold_candidates`, so the level alone sets the grid.  Survivors
-    closer together than 2(r + K)/p^E cannot be distinguished at
-    certification level E; each such cluster is reported once, through its
-    smallest-denominator member (the smaller value on a tie).  Clusters are
-    cut on integers: each survivor is its numerator n over the grid's lcm L,
-    and the gap 2(r + K)/p^E is 2(r + K)*L/p^E, an integer.
-    """
-    if interval is None:
-        interval = (Fraction(0), Fraction(engine.r))
-    candidates = threshold_candidates(engine, levels, interval)
-    verdicts = [verify_threshold(engine, lam, levels) for lam in candidates]
-    survivors = [c for c in verdicts if c is not None]
-    scale = math.lcm(*grid_denominators(engine.p, levels, grid_periods(levels)))
-    merge_gap = 2 * (engine.r + engine.threshold_slack) * scale // engine.p**levels
-    clusters: list[list[ThresholdCertificate]] = []
-    last = 0
-    for cert in survivors:  # the candidates come sorted
-        n = cert.value.numerator * (scale // cert.value.denominator)  # value = n / scale
-        if clusters and n - last <= merge_gap:
-            clusters[-1].append(cert)
-        else:
-            clusters.append([cert])
-        last = n
-    # Equal denominators order by numerator as by value.
-    heads = [
-        min(cluster, key=lambda c: (c.value.denominator, c.value.numerator))
-        for cluster in clusters
-    ]
-    return [
-        head.replace(merged=tuple(c.value for c in cluster if c is not head))
-        for head, cluster in zip(heads, clusters)
-    ]
+    """Certified differential thresholds in the interval, one per cluster (see `_clusters`)."""
+    return list(_clusters(engine, levels, interval))
 
 
 def fpt(engine: JumpEngine, levels: int = 3) -> ThresholdCertificate | None:
-    """The smallest certified differential threshold in [0, r] (None for the unit ideal)."""
-    certificates = differential_thresholds(engine, levels)
-    return certificates[0] if certificates else None
+    """The first cluster's head in [0, r], searched no further (None for the unit ideal)."""
+    return next(_clusters(engine, levels, None), None)
 
 
 # -- F-thresholds and Cartier thresholds ------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from bsroots import (
     CatalogPresentation,
     PolynomialRingPresentation,
     SemigroupRingPresentation,
+    ThresholdCertificate,
     admissibility_report,
     bernstein_sato_roots,
     cartier_threshold,
@@ -475,23 +477,86 @@ def test_threshold_witness_search_labels_only_the_keys_it_visits(monkeypatch):
     assert sorted(labelled) == [(4, 1), (5, 1), (6, 1), (24, 2), (25, 2), (26, 2)]
 
 
+def _record_searches(engine, monkeypatch):
+    """Wrap `engine.witnesses` to log each search as the keys of its windows, level by level."""
+    searches = []
+    witnesses = engine.witnesses
+
+    def search(levels, window):
+        searches.append([list(window(e)) for e in range(1, levels + 1)])
+        return witnesses(levels, window)
+
+    monkeypatch.setattr(engine, "witnesses", search)
+    return searches
+
+
 def test_differential_thresholds_verify_each_candidate_once(p5xy, monkeypatch):
-    # Each cluster is reported through the certificate of its head's single
-    # verification; no second pass re-verifies the heads.
+    # Each candidate gets one witness search, and each cluster is reported
+    # through the certificate of its head's search; no second pass re-verifies
+    # the heads.
     engine = jump_engine(p5xy, p5xy.parse_ideal("x, y^2"))
     interval = (Fraction(0), Fraction(2))
     candidates = threshold_candidates(engine, 2, interval)
-    verified = []
-    monkeypatch.setattr(
-        thresholds,
-        "verify_threshold",
-        lambda engine, lam, levels: verified.append(lam) or verify_threshold(engine, lam, levels),
-    )
+    searches = _record_searches(engine, monkeypatch)
     certs = differential_thresholds(engine, levels=2, interval=interval)
-    assert verified == candidates
+    searched = searches[:]
+    searches.clear()
+    survivors = [lam for lam in candidates if verify_threshold(engine, lam, 2)]
+    assert searched == searches and len(searched) == len(candidates)
     assert certs and any(c.merged for c in certs)
+    assert sorted(v for c in certs for v in (c.value, *c.merged)) == survivors
     for cert in certs:
-        assert cert.replace(merged=()) == verify_threshold(engine, cert.value, 2)
+        fields = {**vars(cert), "merged": ()}
+        assert ThresholdCertificate(**fields) == verify_threshold(engine, cert.value, 2)
+
+
+def test_differential_thresholds_build_one_certificate_per_threshold(monkeypatch):
+    # Survivors are kept as (value, jumps); only cluster heads become records.
+    engine = _declared_engine("semigroup p=5 gens=3,5,7", "x^3")
+    built = Counter()
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built[cls.__name__] += 1
+            return cls(*args, **kwargs)
+
+        return build
+
+    for cls in (ThresholdCertificate, thresholds.ThresholdWitness):
+        monkeypatch.setattr(thresholds, cls.__name__, counting(cls))
+    certs = differential_thresholds(engine, levels=3)
+    monkeypatch.undo()
+    survivors = [lam for lam in threshold_candidates(engine, 3, (0, engine.r))
+                 if verify_threshold(engine, lam, 3)]
+    assert len(survivors) > len(certs) > 1
+    assert built == {"ThresholdCertificate": len(certs), "ThresholdWitness": 3 * len(certs)}
+
+
+def test_fpt_stops_at_its_first_cluster(example92, monkeypatch):
+    pres, a = example92
+    engine = jump_engine(pres, a)
+    candidates = threshold_candidates(engine, 3, (0, engine.r))
+    searches = _record_searches(engine, monkeypatch)
+    cert = fpt(engine, levels=3)
+    assert 0 < len(searches) < len(candidates)
+    assert cert == differential_thresholds(jump_engine(pres, a), levels=3)[0]
+
+
+@pytest.mark.parametrize(
+    "declaration,ideal",
+    [
+        ("poly p=3 vars=x,y", "x^2, y^3"),
+        ("veronese p=3 vars=x,y degree=2", "x^2, x*y, y^2"),
+        ("semigroup p=5 gens=3,5,7", "x^3"),
+        ("catalog cusp_semigroup p=5", None),
+    ],
+)
+@pytest.mark.parametrize("levels", [2, 3])
+def test_fpt_is_the_first_differential_threshold(declaration, ideal, levels):
+    # Fresh engines, so the early stop of fpt cannot lean on labels cached by
+    # the full run.
+    cert = fpt(_declared_engine(declaration, ideal), levels)
+    assert cert == differential_thresholds(_declared_engine(declaration, ideal), levels)[0]
 
 
 def _fraction_rule_clusters(engine, levels, interval):
@@ -511,7 +576,11 @@ def _fraction_rule_clusters(engine, levels, interval):
             clusters.append([cert])
     heads = [min(cluster, key=lambda c: (c.value.denominator, c.value)) for cluster in clusters]
     return [
-        head.replace(merged=tuple(c.value for c in cluster if c is not head))
+        ThresholdCertificate(
+            value=head.value, p=head.p, certified_level=head.certified_level,
+            witnesses=head.witnesses, slack=head.slack,
+            merged=tuple(c.value for c in cluster if c is not head),
+        )
         for head, cluster in zip(heads, clusters)
     ], survivors
 
